@@ -8,18 +8,14 @@ interval detection, and a brute-force matrix-exponential validator.
 from .model import ModelParams, ThermalField, build_thermal
 from .dynamics import (
     SectorFrequencies,
-    SectorPropagator,
-    SectorAmplitudes,
+    StateSeries,
     TwoQubitState,
     sector_frequencies,
-    sector_propagator,
-    sector_amplitudes,
     two_qubit_state,
     two_qubit_states,
 )
 from .observables import (
     Qubit1State,
-    MetricSample,
     concurrence_wootters,
     concurrence_xstate,
     coherence_l1,
@@ -27,7 +23,7 @@ from .observables import (
     inversion_summed,
     inversion_closed,
     linear_entropy,
-    metric_sample,
+    observable_columns,
 )
 from .events import EsdInterval, scan_esd, dwell_fraction
 
@@ -38,16 +34,12 @@ __all__ = [
     "ThermalField",
     "build_thermal",
     "SectorFrequencies",
-    "SectorPropagator",
-    "SectorAmplitudes",
+    "StateSeries",
     "TwoQubitState",
     "sector_frequencies",
-    "sector_propagator",
-    "sector_amplitudes",
     "two_qubit_state",
     "two_qubit_states",
     "Qubit1State",
-    "MetricSample",
     "concurrence_wootters",
     "concurrence_xstate",
     "coherence_l1",
@@ -55,7 +47,7 @@ __all__ = [
     "inversion_summed",
     "inversion_closed",
     "linear_entropy",
-    "metric_sample",
+    "observable_columns",
     "EsdInterval",
     "scan_esd",
     "dwell_fraction",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from . import __version__
 from .dynamics import two_qubit_states
 from .events import dwell_fraction, scan_esd
 from .model import ModelParams, ThermalField, build_thermal
-from .observables import metric_sample
+from .observables import observable_columns
 from .oracle import build_hamiltonians, reduced_two_qubit_series
 
 EXIT_OK = 0
@@ -67,6 +68,10 @@ class RunConfig:
     def validate(self):
         if self.k is not None and self.g is not None:
             raise UsageError("give either --k or --g, not both")
+        for name in ("lam", "k", "g", "nbar", "epsilon", "t0", "t1"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name} must be finite, got {value}")
         if self.lam <= 0:
             raise UsageError(f"lambda must be > 0, got {self.lam}")
         if not self.t0 < self.t1:
@@ -80,8 +85,11 @@ class RunConfig:
             raise UsageError(f"unknown observables: {sorted(unknown)}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
-        if self.nbar < 0:
-            raise UsageError(f"nbar must be >= 0, got {self.nbar}")
+        try:
+            self.params()
+            build_thermal(self.nbar, self.epsilon)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
 
     def params(self) -> ModelParams:
         if self.g is not None:
@@ -144,16 +152,6 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def _observable_value(sample, name: str) -> float:
-    return {
-        "concurrence": sample.concurrence,
-        "lambda": sample.lambda_fn,
-        "coherence": sample.coherence_l1,
-        "inversion": sample.inversion,
-        "entropy": sample.linear_entropy,
-    }[name]
-
-
 @dataclass
 class RunResult:
     config: RunConfig
@@ -172,8 +170,8 @@ def execute(config: RunConfig) -> RunResult:
     thermal = build_thermal(config.nbar, config.epsilon)
     times = np.linspace(config.t0, config.t1, config.steps)
 
-    states = two_qubit_states(params, thermal, times)
-    samples = [metric_sample(s, float(t)) for s, t in zip(states, times)]
+    series = two_qubit_states(params, thermal, times)
+    columns = observable_columns(series)
 
     intervals = []
     if config.detect_events:
@@ -182,13 +180,13 @@ def execute(config: RunConfig) -> RunResult:
     oracle_dev = None
     if config.oracle_check:
         h = build_hamiltonians(params, fock_cutoff=thermal.nmax + 2)
-        oracle_states = reduced_two_qubit_series(h, thermal, times)
+        oracle = reduced_two_qubit_series(h, thermal, times)
         oracle_dev = max(
-            np.abs(a.matrix() - b.matrix()).max()
-            for a, b in zip(states, oracle_states)
+            float(np.abs(getattr(series, name) - getattr(oracle, name)).max())
+            for name in ("rho11", "rho22", "rho33", "rho44", "rho23")
         )
 
-    text = _render(config, params, samples, intervals, oracle_dev)
+    text = _render(config, params, times, columns, intervals, oracle_dev)
     if config.output_path:
         try:
             _atomic_write(config.output_path, text)
@@ -200,9 +198,9 @@ def execute(config: RunConfig) -> RunResult:
     result = RunResult(
         config=config,
         exit_code=EXIT_OK,
-        max_concurrence=max(s.concurrence for s in samples),
+        max_concurrence=float(columns["concurrence"].max()),
         dwell=dwell_fraction(intervals, config.t0, config.t1),
-        final_entropy=samples[-1].linear_entropy,
+        final_entropy=float(columns["entropy"][-1]),
         oracle_deviation=oracle_dev,
     )
     if oracle_dev is not None and oracle_dev > ORACLE_FAIL_THRESHOLD:
@@ -211,18 +209,13 @@ def execute(config: RunConfig) -> RunResult:
     return result
 
 
-def _render(config, params, samples, intervals, oracle_dev) -> str:
+def _render(config, params, times, columns, intervals, oracle_dev) -> str:
+    rows = [times, params.lam * times] + [columns[name] for name in config.observables]
     if config.output_format == "json":
+        keys = ["t", "lambda_t", *config.observables]
         doc = {
             "config": config.resolved(),
-            "samples": [
-                {
-                    "t": s.t,
-                    "lambda_t": params.lam * s.t,
-                    **{name: _observable_value(s, name) for name in config.observables},
-                }
-                for s in samples
-            ],
+            "samples": [dict(zip(keys, row)) for row in zip(*(r.tolist() for r in rows))],
             "events": [
                 {
                     "t_death": iv.t_death,
@@ -244,10 +237,8 @@ def _render(config, params, samples, intervals, oracle_dev) -> str:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     lines = ["t,lambda_t," + ",".join(config.observables)]
-    for s in samples:
-        vals = [_fmt(s.t), _fmt(params.lam * s.t)]
-        vals += [_fmt(_observable_value(s, name)) for name in config.observables]
-        lines.append(",".join(vals))
+    row_format = ",".join(["{:.17g}"] * len(rows))  # _fmt, for each column
+    lines += [row_format.format(*row) for row in zip(*(r.tolist() for r in rows))]
     if config.detect_events:
         lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined")
         for iv in intervals:
@@ -329,7 +320,10 @@ def _config_from_args(args) -> RunConfig:
             if key not in _FILE_KEYS:
                 raise UsageError(f"unknown config key {key!r}")
             attr, conv = _FILE_KEYS[key]
-            setattr(cfg, attr, conv(val))
+            try:
+                setattr(cfg, attr, conv(val))
+            except ValueError:
+                raise UsageError(f"bad value {val!r} for config key {key!r}") from None
     # flags override both preset and file
     for flag, attr in [
         ("lam", "lam"), ("k", "k"), ("g", "g"), ("nbar", "nbar"),

@@ -5,6 +5,10 @@ Each Fock index n labels a 4-dimensional invariant subspace spanned by
 sector is a 4x4 unitary with closed-form entries built from the two
 characteristic frequencies of the sector; the thermal state is a classical
 mixture over sectors.
+
+All sectors are evaluated together: ``SectorTable`` holds the per-sector
+constants as arrays over n, and the entry formulas broadcast over
+(sectors x times).
 """
 
 from __future__ import annotations
@@ -17,38 +21,28 @@ from .model import ModelParams, ThermalField
 
 _POP_CLAMP = 1e-12
 _POSITIVITY_TOL = 1e-10
+# times per evaluation block; bounds the (sectors x times) temporaries to a
+# few MB at nmax ~ 240 whatever the length of the grid
+_BLOCK = 512
+
+# the amplitudes (C1, C2, C3, C4) reached from |e1, g2, n> are these phases
+# times the real factors _propagator_entries returns: C1 and C3 lie an odd
+# number of couplings from the start on the chain ee - eg - ge - gg
+_PHASE = (1j, 1.0, -1j, 1.0)
 
 
 @dataclass(frozen=True)
 class SectorFrequencies:
-    """Characteristic quantities of one Fock sector."""
+    """Characteristic quantities of Fock sectors: scalars for one n, arrays for an array of n."""
 
-    n: int
-    a: float  # g * sqrt(n)
-    b: float  # g * sqrt(n+1)
-    r: float  # lam^2 * beta, the splitting omega_plus^2 - omega_minus^2
-    alpha: float
-    beta: float
-    omega_plus: float
-    omega_minus: float
-
-
-@dataclass(frozen=True)
-class SectorPropagator:
-    n: int
-    t: float
-    A: np.ndarray  # 4x4 complex, symmetric and unitary
-
-
-@dataclass(frozen=True)
-class SectorAmplitudes:
-    """Amplitudes on the sector basis for the |e1, g2, n> initial condition."""
-
-    n: int
-    c1: complex
-    c2: complex
-    c3: complex
-    c4: complex
+    n: int | np.ndarray
+    a: float | np.ndarray  # g * sqrt(n)
+    b: float | np.ndarray  # g * sqrt(n+1)
+    r: float | np.ndarray  # lam^2 * beta, the splitting omega_plus^2 - omega_minus^2
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    omega_plus: float | np.ndarray
+    omega_minus: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,55 @@ class TwoQubitState:
         return rho
 
 
-def sector_frequencies(params: ModelParams, n: int) -> SectorFrequencies:
-    """Coupling amplitudes and characteristic frequencies of sector n."""
-    if n < 0:
+@dataclass(frozen=True)
+class StateSeries:
+    """X-state columns over a time grid: one array per nonzero entry.
+
+    The checks of ``TwoQubitState`` run on the whole arrays: populations a
+    hair below zero are clamped, anything further below, or a coherence
+    beyond rho22*rho33, is an error. Indexing and iteration give one
+    ``TwoQubitState`` per time point.
+    """
+
+    rho11: np.ndarray
+    rho22: np.ndarray
+    rho33: np.ndarray
+    rho44: np.ndarray
+    rho23: np.ndarray
+
+    def __post_init__(self):
+        for name in ("rho11", "rho22", "rho33", "rho44"):
+            p = getattr(self, name)
+            if np.any(p < -_POP_CLAMP):
+                raise ValueError(f"{name} = {p.min()} is negative beyond tolerance")
+            object.__setattr__(self, name, np.where(p < 0.0, 0.0, p))
+        bad = np.abs(self.rho23) ** 2 > self.rho22 * self.rho33 + _POSITIVITY_TOL
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"|rho23|^2 = {abs(self.rho23[i])**2} exceeds rho22*rho33 = "
+                f"{self.rho22[i] * self.rho33[i]}"
+            )
+
+    def __len__(self) -> int:
+        return self.rho11.size
+
+    def __getitem__(self, i: int) -> TwoQubitState:
+        return TwoQubitState(
+            rho11=float(self.rho11[i]),
+            rho22=float(self.rho22[i]),
+            rho33=float(self.rho33[i]),
+            rho44=float(self.rho44[i]),
+            rho23=complex(self.rho23[i]),
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
+    """Coupling amplitudes and characteristic frequencies of sector n (int or array)."""
+    if np.any(np.asarray(n) < 0):
         raise ValueError(f"sector index must be >= 0, got {n}")
     lam, g, k = params.lam, params.g, params.k
     a = g * np.sqrt(n)
@@ -105,110 +145,92 @@ def sector_frequencies(params: ModelParams, n: int) -> SectorFrequencies:
     beta = np.sqrt((1.0 + k**2) ** 2 + 4.0 * n * k**2)
     r = lam**2 * beta
     omega_plus = lam / np.sqrt(2.0) * np.sqrt(alpha + beta)
-    # alpha - beta vanishes identically at n = 0; guard the rounding there
-    omega_minus = lam / np.sqrt(2.0) * np.sqrt(max(alpha - beta, 0.0))
-    if n == 0:
-        omega_minus = 0.0
+    # alpha - beta = (alpha^2 - beta^2) / (alpha + beta) without the
+    # cancellation, which loses every digit once k^2 n is below rounding
+    omega_minus = lam / np.sqrt(2.0) * np.sqrt(4.0 * n * (n + 1) * k**4 / (alpha + beta))
     return SectorFrequencies(
         n=n, a=a, b=b, r=r, alpha=alpha, beta=beta,
         omega_plus=omega_plus, omega_minus=omega_minus,
     )
 
 
-def _sin_over_w(w, t):
-    """sin(w t) / w, finite at w = 0 where it tends to t."""
-    return t * np.sinc(w * t / np.pi)
+def _sin_over_w(s, w, t):
+    """s / w for s = sin(w t), with its limit t where w = 0."""
+    zero = w == 0
+    return np.where(zero, t, s / np.where(zero, 1.0, w))
 
 
 def _propagator_entries(f: SectorFrequencies, lam: float, t):
-    """The ten independent entries A_jm(t); t may be a scalar or an array."""
+    """Real factors of the propagator entries A_01, A_11, A_12, A_13: the
+    column reached from |e1, g2, n>, to be multiplied by _PHASE.
+
+    The frequencies and t broadcast: scalars give one entry, a column of
+    sectors against a row of times gives (sectors x times) arrays.
+    """
     wp, wm, a, b, r = f.omega_plus, f.omega_minus, f.a, f.b, f.r
-    cp, cm = np.cos(wp * t), np.cos(wm * t)
-    sp, sm = np.sin(wp * t), np.sin(wm * t)
-    swp, swm = _sin_over_w(wp, t), _sin_over_w(wm, t)
-    a2, b2, l2 = a * a, b * b, lam * lam
-    wp2, wm2 = wp * wp, wm * wm
-    return {
-        (0, 0): ((wp2 - b2 - l2) * cp - (wm2 - b2 - l2) * cm) / r,
-        (0, 1): 1j * a * ((b2 - wp2) * swp - (b2 - wm2) * swm) / r,
-        (0, 2): lam * a * (cp - cm) / r,
-        (0, 3): -1j * lam * a * b * (swp - swm) / r,
-        (1, 1): ((wp2 - b2) * cp - (wm2 - b2) * cm) / r,
-        (1, 2): -1j * lam * (wp * sp - wm * sm) / r,
-        (1, 3): lam * b * (cp - cm) / r,
-        (2, 2): ((wp2 - a2) * cp - (wm2 - a2) * cm) / r,
-        (2, 3): 1j * b * ((a2 - wp2) * swp - (a2 - wm2) * swm) / r,
-        (3, 3): ((wp2 - a2 - l2) * cp - (wm2 - a2 - l2) * cm) / r,
-    }
-
-
-def sector_propagator(params: ModelParams, n: int, t: float) -> SectorPropagator:
-    """The 4x4 sector propagator A^(n)(t); symmetric and unitary."""
-    f = sector_frequencies(params, n)
-    entries = _propagator_entries(f, params.lam, t)
-    A = np.zeros((4, 4), dtype=complex)
-    for (j, m), v in entries.items():
-        A[j, m] = v
-        A[m, j] = v
-    return SectorPropagator(n=n, t=t, A=A)
-
-
-def sector_amplitudes(params: ModelParams, n: int, t: float) -> SectorAmplitudes:
-    """Amplitudes (C1, C2, C3, C4) at time t for the |e1, g2, n> start."""
-    f = sector_frequencies(params, n)
-    e = _propagator_entries(f, params.lam, t)
-    return SectorAmplitudes(n=n, c1=e[(0, 1)], c2=e[(1, 1)], c3=e[(1, 2)], c4=e[(1, 3)])
+    xp, xm = wp * t, wm * t
+    cp, cm = np.cos(xp), np.cos(xm)
+    sp, sm = np.sin(xp), np.sin(xm)
+    swp, swm = sp / wp, _sin_over_w(sm, wm, t)  # omega_plus >= lam > 0
+    b2, wp2, wm2 = b * b, wp * wp, wm * wm
+    return (
+        a * ((b2 - wp2) * swp - (b2 - wm2) * swm) / r,
+        ((wp2 - b2) * cp - (wm2 - b2) * cm) / r,
+        lam * (wp * sp - wm * sm) / r,
+        lam * b * (cp - cm) / r,
+    )
 
 
 def amplitude_table(params: ModelParams, nmax: int, times: np.ndarray):
     """Amplitude arrays C_j[n, it] for n = 0 .. nmax over a time grid."""
     times = np.asarray(times, dtype=float)
-    shape = (nmax + 1,) + times.shape
-    c1 = np.zeros(shape, dtype=complex)
-    c2 = np.zeros(shape, dtype=complex)
-    c3 = np.zeros(shape, dtype=complex)
-    c4 = np.zeros(shape, dtype=complex)
-    for n in range(nmax + 1):
-        f = sector_frequencies(params, n)
-        e = _propagator_entries(f, params.lam, times)
-        c1[n] = e[(0, 1)]
-        c2[n] = e[(1, 1)]
-        c3[n] = e[(1, 2)]
-        c4[n] = e[(1, 3)]
-    return c1, c2, c3, c4
+    f = sector_frequencies(params, np.arange(nmax + 1).reshape((-1,) + (1,) * times.ndim))
+    return tuple(np.asarray(phase * x, dtype=complex)
+                 for phase, x in zip(_PHASE, _propagator_entries(f, params.lam, times)))
+
+
+class SectorTable:
+    """Per-sector constants of one (params, field), evaluated over any time array.
+
+    Sectors run over n = 0 .. nmax+1: the rho11 sum carries weights shifted
+    by one index, so it is extended one slot past the field's truncation to
+    keep the stated tail bound.
+    """
+
+    def __init__(self, params: ModelParams, field: ThermalField):
+        n = np.arange(field.nmax + 2)
+        self.lam = params.lam
+        self.freqs = sector_frequencies(params, n[:, None])
+        self.w = field.weights
+        self.w_ext = np.append(field.weights, field.weight(field.nmax + 1))
+
+    def series(self, times) -> StateSeries:
+        """The five X-state columns at each time, evaluated block by block."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        cols = {
+            "rho11": np.empty(times.size), "rho22": np.empty(times.size),
+            "rho33": np.empty(times.size), "rho44": np.empty(times.size),
+            "rho23": np.empty(times.size, dtype=complex),
+        }
+        w, w_ext = self.w, self.w_ext
+        for start in range(0, times.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            # real factors: |C|^2 is their square and C2 conj(C3) = i x2 x3
+            x1, x2, x3, x4 = _propagator_entries(self.freqs, self.lam, times[block])
+            x2, x3, x4 = x2[:-1], x3[:-1], x4[:-1]
+            cols["rho11"][block] = w_ext[1:] @ x1[1:] ** 2
+            cols["rho22"][block] = w @ x2**2
+            cols["rho33"][block] = w @ x3**2
+            cols["rho44"][block] = w @ x4**2
+            cols["rho23"][block] = 1j * (w @ (x2 * x3))
+        return StateSeries(**cols)
 
 
 def two_qubit_states(
     params: ModelParams, field: ThermalField, times: np.ndarray
-) -> list[TwoQubitState]:
-    """Thermally averaged two-qubit states over a whole time grid.
-
-    The rho11 sum carries weights shifted by one index, so it is extended
-    one slot past the field's truncation to keep the stated tail bound.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    nmax = field.nmax
-    # one extra sector for the P_{n+1} |C_{1,n+1}|^2 population
-    c1, c2, c3, c4 = amplitude_table(params, nmax + 1, times)
-    w = field.weights
-    w_ext = np.array([field.weight(n) for n in range(nmax + 2)])
-
-    rho11 = w_ext[1:] @ np.abs(c1[1:]) ** 2
-    rho22 = w @ np.abs(c2[:-1]) ** 2
-    rho33 = w @ np.abs(c3[:-1]) ** 2
-    rho44 = w @ np.abs(c4[:-1]) ** 2
-    rho23 = w @ (c2[:-1] * np.conj(c3[:-1]))
-
-    return [
-        TwoQubitState(
-            rho11=float(rho11[i]),
-            rho22=float(rho22[i]),
-            rho33=float(rho33[i]),
-            rho44=float(rho44[i]),
-            rho23=complex(rho23[i]),
-        )
-        for i in range(times.size)
-    ]
+) -> StateSeries:
+    """Thermally averaged two-qubit states over a whole time grid, as columns."""
+    return SectorTable(params, field).series(times)
 
 
 def two_qubit_state(params: ModelParams, field: ThermalField, t: float) -> TwoQubitState:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import two_qubit_state, two_qubit_states
+from .dynamics import SectorTable, two_qubit_states
 from .model import ModelParams, ThermalField
-from .observables import concurrence_xstate
+from .observables import separability
 
 _CROSSING_TOL = 1e-9
 _MAX_BISECT = 60
@@ -43,22 +43,34 @@ class EsdInterval:
         return self.t_birth - self.t_death
 
 
-def _lambda_at(params: ModelParams, field: ThermalField, t: float) -> float:
-    return concurrence_xstate(two_qubit_state(params, field, t))[1]
+def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative):
+    """Bisect every bracketed sign change of Lambda together.
 
-
-def _bisect_crossing(params, field, t_lo, t_hi, f_lo, f_hi) -> float:
-    """Refine a bracketed sign change until |Lambda| <= tol at the midpoint."""
+    Each step evaluates one midpoint per bracket still open, all in one
+    table call. A bracket closes at the first midpoint with |Lambda| <= tol;
+    those still open after _MAX_BISECT steps return their last midpoint
+    and are flagged as not converged. lo_negative is the sign of Lambda at
+    each bracket's lower end, which bisection keeps.
+    Returns (crossing times, converged flags).
+    """
+    t_lo, t_hi = t_lo.copy(), t_hi.copy()
+    roots = np.empty_like(t_lo)
+    converged = np.zeros(t_lo.size, dtype=bool)
+    active = np.arange(t_lo.size)
     for _ in range(_MAX_BISECT):
-        t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = _lambda_at(params, field, t_mid)
-        if abs(f_mid) <= _CROSSING_TOL:
-            return t_mid
-        if (f_lo < 0) == (f_mid < 0):
-            t_lo, f_lo = t_mid, f_mid
-        else:
-            t_hi, f_hi = t_mid, f_mid
-    return 0.5 * (t_lo + t_hi)
+        if not active.size:
+            break
+        t_mid = 0.5 * (t_lo[active] + t_hi[active])
+        f_mid = separability(table.series(t_mid))
+        hit = np.abs(f_mid) <= _CROSSING_TOL
+        roots[active[hit]] = t_mid[hit]
+        converged[active[hit]] = True
+        move_lo = (f_mid < 0) == lo_negative[active]
+        t_lo[active[move_lo]] = t_mid[move_lo]
+        t_hi[active[~move_lo]] = t_mid[~move_lo]
+        active = active[~hit]
+    roots[active] = 0.5 * (t_lo[active] + t_hi[active])
+    return roots, converged
 
 
 def scan_esd(
@@ -75,45 +87,37 @@ def scan_esd(
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
 
     times = np.linspace(t0, t1, n_grid)
-    lam = np.array([concurrence_xstate(s)[1] for s in two_qubit_states(params, field, times)])
+    lam = separability(two_qubit_states(params, field, times))
+
+    # negative stretches [i, j] of the grid, less those that only graze zero
+    neg = np.concatenate(([False], lam < 0, [False]))
+    starts = np.flatnonzero(~neg[:-1] & neg[1:])
+    ends = np.flatnonzero(neg[:-1] & ~neg[1:]) - 1
+    stretches = [(int(i), int(j), float(lam[i : j + 1].min())) for i, j in zip(starts, ends)]
+    stretches = [(i, j, depth) for i, j, depth in stretches if depth < _GRAZE_DEPTH]
+
+    # the grid step [m, m+1] of each crossing inside the window, keyed by m
+    lo = np.array([i - 1 for i, _, _ in stretches if i > 0]
+                  + [j for _, j, _ in stretches if j < n_grid - 1], dtype=int)
+    roots, converged = _refine_crossings(
+        SectorTable(params, field), times[lo], times[lo + 1], lam[lo] < 0)
+    crossing = dict(zip(lo.tolist(), zip(roots.tolist(), converged.tolist())))
 
     intervals: list[EsdInterval] = []
-    i = 0
-    while i < n_grid:
-        if lam[i] >= 0:
-            i += 1
-            continue
-        # entered a negative stretch; locate its boundaries
-        j = i
-        while j + 1 < n_grid and lam[j + 1] < 0:
-            j += 1
-
-        open_left = i == 0
-        open_right = j == n_grid - 1
-        if open_left:
-            t_death, refined_l = t0, False
-        else:
-            t_death = _bisect_crossing(params, field, times[i - 1], times[i], lam[i - 1], lam[i])
-            refined_l = True
-        if open_right:
-            t_birth, refined_r = t1, False
-        else:
-            t_birth = _bisect_crossing(params, field, times[j], times[j + 1], lam[j], lam[j + 1])
-            refined_r = True
-
-        min_lambda = float(lam[i : j + 1].min())
-        if t_birth - t_death >= _MIN_WIDTH and min_lambda < _GRAZE_DEPTH:
+    for i, j, depth in stretches:
+        t_death, refined_l = crossing.get(i - 1, (t0, False))
+        t_birth, refined_r = crossing.get(j, (t1, False))
+        if t_birth - t_death >= _MIN_WIDTH:
             intervals.append(
                 EsdInterval(
                     t_death=t_death,
                     t_birth=t_birth,
-                    min_lambda=min_lambda,
+                    min_lambda=depth,
                     refined=refined_l and refined_r,
-                    open_left=open_left,
-                    open_right=open_right,
+                    open_left=i == 0,
+                    open_right=j == n_grid - 1,
                 )
             )
-        i = j + 1
     return intervals
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TwoQubitState, sector_frequencies
+from .dynamics import StateSeries, TwoQubitState, sector_frequencies
 from .model import ModelParams, ThermalField
 
 _EIG_ERROR = 1e-8
@@ -38,18 +38,6 @@ class Qubit1State:
                 object.__setattr__(self, name, 0.0)
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    """All scalar observables at one instant."""
-
-    t: float
-    concurrence: float
-    lambda_fn: float
-    coherence_l1: float
-    inversion: float
-    linear_entropy: float
-
-
 def concurrence_wootters(state: TwoQubitState) -> float:
     """Spin-flip concurrence from the eigenvalues of rho (sy x sy) rho* (sy x sy).
 
@@ -68,19 +56,24 @@ def concurrence_wootters(state: TwoQubitState) -> float:
     return max(0.0, root[0] - root[1] - root[2] - root[3])
 
 
+def separability(state: TwoQubitState | StateSeries):
+    """Lambda = 2|rho23| - 2 sqrt(rho11 rho44), of one state or a whole series."""
+    return 2.0 * np.abs(state.rho23) - 2.0 * np.sqrt(state.rho11 * state.rho44)
+
+
 def concurrence_xstate(state: TwoQubitState) -> tuple[float, float]:
     """Closed-form concurrence for the X structure; returns (C, Lambda).
 
     Lambda = 2|rho23| - 2 sqrt(rho11 rho44) is kept unclamped: its
     negativity measures how deep into the separable set the state sits.
     """
-    lam_fn = 2.0 * abs(state.rho23) - 2.0 * np.sqrt(state.rho11 * state.rho44)
+    lam_fn = separability(state)
     return max(0.0, lam_fn), lam_fn
 
 
-def coherence_l1(state: TwoQubitState) -> float:
+def coherence_l1(state: TwoQubitState | StateSeries):
     """l1 coherence: sum of off-diagonal magnitudes, here 2|rho23|."""
-    return 2.0 * abs(state.rho23)
+    return 2.0 * np.abs(state.rho23)
 
 
 def qubit1_reduce(state: TwoQubitState) -> Qubit1State:
@@ -104,22 +97,19 @@ def inversion_closed(params: ModelParams, field: ThermalField, t: float) -> floa
     k = params.k
     if k == 0.0:
         raise ValueError("closed-form inversion is singular at g = 0; use inversion_summed")
-    total = 0.0
-    for n in range(field.nmax + 1):
-        p = field.weights[n]
-        f = sector_frequencies(params, n)
-        wp, wm = f.omega_plus, f.omega_minus
-        bt = f.beta / k**2
-        root = np.sqrt(n * (n + 1.0))
-        bracket = (
-            (1.0 + (4 * n + 3) * k**2) / (2.0 * k**2)
-            + ((1.0 - bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wp * t)
-            + ((1.0 + bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wm * t)
-            - (n + 1.0 - root) * np.cos((wp + wm) * t)
-            - (n + 1.0 + root) * np.cos((wp - wm) * t)
-        )
-        total += p / bt**2 * bracket
-    return 1.0 - 2.0 / k**2 * total
+    n = np.arange(field.nmax + 1)
+    f = sector_frequencies(params, n)
+    wp, wm = f.omega_plus, f.omega_minus
+    bt = f.beta / k**2
+    root = np.sqrt(n * (n + 1.0))
+    bracket = (
+        (1.0 + (4 * n + 3) * k**2) / (2.0 * k**2)
+        + ((1.0 - bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wp * t)
+        + ((1.0 + bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wm * t)
+        - (n + 1.0 - root) * np.cos((wp + wm) * t)
+        - (n + 1.0 + root) * np.cos((wp - wm) * t)
+    )
+    return float(1.0 - 2.0 / k**2 * np.sum(field.weights / bt**2 * bracket))
 
 
 def linear_entropy(q1: Qubit1State) -> float:
@@ -127,16 +117,15 @@ def linear_entropy(q1: Qubit1State) -> float:
     return 1.0 - q1.rho_ee**2 - q1.rho_gg**2
 
 
-def metric_sample(state: TwoQubitState, t: float) -> MetricSample:
-    """Evaluate every scalar observable on one two-qubit state."""
-    conc, lam_fn = concurrence_xstate(state)
-    q1 = qubit1_reduce(state)
-    w = inversion_summed(q1)
-    return MetricSample(
-        t=t,
-        concurrence=conc,
-        lambda_fn=lam_fn,
-        coherence_l1=coherence_l1(state),
-        inversion=w,
-        linear_entropy=linear_entropy(q1),
-    )
+def observable_columns(series: StateSeries) -> dict[str, np.ndarray]:
+    """Every scalar observable over a series, keyed by its CLI name."""
+    lam_fn = separability(series)
+    rho_ee = series.rho11 + series.rho22
+    rho_gg = series.rho33 + series.rho44
+    return {
+        "concurrence": np.maximum(0.0, lam_fn),
+        "lambda": lam_fn,
+        "coherence": coherence_l1(series),
+        "inversion": rho_ee - rho_gg,
+        "entropy": 1.0 - rho_ee**2 - rho_gg**2,
+    }

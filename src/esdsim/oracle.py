@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .dynamics import TwoQubitState
+from .dynamics import StateSeries, TwoQubitState
 from .model import ModelParams, ThermalField
 from .observables import Qubit1State
 
@@ -162,7 +162,7 @@ def partial_trace_to_qubit1(state: TripartiteState) -> Qubit1State:
 
 def reduced_two_qubit_series(
     h: HamiltonianMatrix, field: ThermalField, times: np.ndarray
-) -> list[TwoQubitState]:
+) -> StateSeries:
     """Two-qubit reductions over a time grid without forming the full rho.
 
     The initial state is a mixture of product kets, so each time point only
@@ -170,18 +170,14 @@ def reduced_two_qubit_series(
     """
     check_cutoff(h, field)
     nf = h.fock_cutoff + 1
-    out = []
-    for t in np.atleast_1d(times):
-        psi = _initial_columns(h, field, float(t))
-        psi_r = psi.reshape(4, nf, -1)
-        rho4 = np.einsum("jfn,mfn,n->jm", psi_r, psi_r.conj(), field.weights)
-        out.append(
-            TwoQubitState(
-                rho11=rho4[0, 0].real,
-                rho22=rho4[1, 1].real,
-                rho33=rho4[2, 2].real,
-                rho44=rho4[3, 3].real,
-                rho23=complex(rho4[1, 2]),
-            )
-        )
-    return out
+    rho4 = np.empty((np.size(times), 4, 4), dtype=complex)
+    for i, t in enumerate(np.atleast_1d(times)):
+        psi_r = _initial_columns(h, field, float(t)).reshape(4, nf, -1)
+        rho4[i] = np.einsum("jfn,mfn,n->jm", psi_r, psi_r.conj(), field.weights)
+    return StateSeries(
+        rho11=rho4[:, 0, 0].real,
+        rho22=rho4[:, 1, 1].real,
+        rho33=rho4[:, 2, 2].real,
+        rho44=rho4[:, 3, 3].real,
+        rho23=rho4[:, 1, 2],
+    )

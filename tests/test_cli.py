@@ -35,6 +35,14 @@ class TestConfig:
         with pytest.raises(UsageError):
             RunConfig(t0=1.0, t1=0.5).validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("lam", float("nan")), ("k", -1.0), ("nbar", float("nan")), ("epsilon", 2.0),
+        ("t1", float("inf")), ("t0", float("-inf")),
+    ])
+    def test_domain_errors_are_usage_errors(self, field, value):
+        with pytest.raises(UsageError):
+            RunConfig(**{field: value}).validate()
+
     def test_no_observables(self):
         with pytest.raises(UsageError):
             RunConfig(observables=()).validate()
@@ -170,6 +178,28 @@ class TestMain:
         assert main(["run", "--config", str(cfg), "--steps", "7"]) == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 8
+
+    @pytest.mark.parametrize("flags", [
+        ["--epsilon", "2"], ["--k", "-1"], ["--lam", "nan"], ["--nbar", "nan"], ["--t1", "inf"],
+    ])
+    def test_domain_error_exits_2(self, flags, capsys):
+        assert main(["run", "--steps", "5", *flags]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("esdsim: ") and captured.err.count("\n") == 1
+
+    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = abc\n")
+        assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
+    def test_sweep_reports_domain_error_as_usage(self, tmp_path, capsys):
+        cfg = tmp_path / "hot.cfg"
+        cfg.write_text("epsilon = 2\nsteps = 5\n")
+        assert main(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1].startswith("hot,failed(2),")
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

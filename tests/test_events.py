@@ -8,12 +8,46 @@ from esdsim import (
     dwell_fraction,
     scan_esd,
     two_qubit_state,
+    two_qubit_states,
 )
+from esdsim import events
 from esdsim.events import EsdInterval
 
 
 def lambda_at(params, field, t):
     return concurrence_xstate(two_qubit_state(params, field, t))[1]
+
+
+def reference_scan(params, field, t0, t1, n_grid):
+    """scan_esd one bracket at a time, one single-time state per bisection step."""
+    def bisect(t_lo, t_hi, f_lo):
+        for _ in range(60):
+            t_mid = 0.5 * (t_lo + t_hi)
+            f_mid = lambda_at(params, field, t_mid)
+            if abs(f_mid) <= 1e-9:
+                return t_mid
+            if (f_lo < 0) == (f_mid < 0):
+                t_lo, f_lo = t_mid, f_mid
+            else:
+                t_hi = t_mid
+        return 0.5 * (t_lo + t_hi)
+
+    times = np.linspace(t0, t1, n_grid)
+    lam = [concurrence_xstate(s)[1] for s in two_qubit_states(params, field, times)]
+    intervals, i = [], 0
+    while i < n_grid:
+        if lam[i] >= 0:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n_grid and lam[j + 1] < 0:
+            j += 1
+        t_death = t0 if i == 0 else bisect(times[i - 1], times[i], lam[i - 1])
+        t_birth = t1 if j == n_grid - 1 else bisect(times[j], times[j + 1], lam[j])
+        if t_birth - t_death >= 1e-9 and min(lam[i : j + 1]) < -1e-12:
+            intervals.append((t_death, t_birth))
+        i = j + 1
+    return intervals
 
 
 class TestScanEsd:
@@ -73,6 +107,26 @@ class TestScanEsd:
         f = build_thermal(10.0)
         for iv in scan_esd(p, f, 0.0, 2.0, 4000):
             assert iv.min_lambda < -1e-12
+
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize("nbar", [1.0, 10.0])
+    def test_matches_scalar_reference(self, k, nbar):
+        p = ModelParams.from_k(10.0, k)
+        f = build_thermal(nbar)
+        got = scan_esd(p, f, 0.0, 2.0, 4000)
+        want = reference_scan(p, f, 0.0, 2.0, 4000)
+        assert len(got) == len(want)
+        for iv, (t_death, t_birth) in zip(got, want):
+            assert abs(iv.t_death - t_death) <= 1e-9
+            assert abs(iv.t_birth - t_birth) <= 1e-9
+
+    def test_unconverged_brackets_are_not_refined(self, monkeypatch):
+        monkeypatch.setattr(events, "_MAX_BISECT", 2)
+        p = ModelParams.from_k(10.0, 0.5)
+        f = build_thermal(1.0)
+        intervals = scan_esd(p, f, 0.0, 2.0, 4000)
+        assert any(not (iv.open_left or iv.open_right) for iv in intervals)
+        assert not any(iv.refined for iv in intervals)
 
     def test_argument_validation(self):
         p = ModelParams.from_k(10.0, 0.5)

@@ -11,7 +11,7 @@ from esdsim import (
     inversion_closed,
     inversion_summed,
     linear_entropy,
-    metric_sample,
+    observable_columns,
     qubit1_reduce,
     two_qubit_state,
     two_qubit_states,
@@ -146,21 +146,29 @@ class TestInversionClosed:
         assert late < early
 
 
-class TestMetricSample:
+class TestObservableColumns:
     def test_fields_consistent(self):
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(1.0, 1e-12)
-        for t in [0.0, 0.3, 1.1]:
-            s = two_qubit_state(p, f, t)
-            m = metric_sample(s, t)
-            assert m.concurrence == max(0.0, m.lambda_fn)
-            assert 0.0 <= m.concurrence <= 1.0
-            assert -1.0 <= m.lambda_fn <= 1.0
-            assert 0.0 <= m.coherence_l1 <= 1.0
-            assert -1.0 <= m.inversion <= 1.0
-            assert m.linear_entropy == pytest.approx(
-                0.5 * (1 - m.inversion**2), abs=1e-10
-            )
+        m = observable_columns(two_qubit_states(p, f, np.array([0.0, 0.3, 1.1])))
+        assert np.array_equal(m["concurrence"], np.maximum(0.0, m["lambda"]))
+        assert np.all((0.0 <= m["concurrence"]) & (m["concurrence"] <= 1.0))
+        assert np.all((-1.0 <= m["lambda"]) & (m["lambda"] <= 1.0))
+        assert np.all((0.0 <= m["coherence"]) & (m["coherence"] <= 1.0))
+        assert np.all((-1.0 <= m["inversion"]) & (m["inversion"] <= 1.0))
+        assert np.abs(m["entropy"] - 0.5 * (1 - m["inversion"] ** 2)).max() <= 1e-10
+
+    def test_match_scalar_observables(self):
+        p = ModelParams.from_k(10.0, 0.5)
+        f = build_thermal(10.0)
+        series = two_qubit_states(p, f, np.linspace(0.0, 2.0, 50))
+        m = observable_columns(series)
+        for i, s in enumerate(series):
+            q = qubit1_reduce(s)
+            assert (m["concurrence"][i], m["lambda"][i]) == concurrence_xstate(s)
+            assert m["coherence"][i] == coherence_l1(s)
+            assert m["inversion"][i] == inversion_summed(q)
+            assert m["entropy"][i] == linear_entropy(q)
 
 
 class TestValidation:
