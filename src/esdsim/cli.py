@@ -8,14 +8,15 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .dynamics import two_qubit_states
-from .events import dwell_fraction, scan_esd
+from .dynamics import SectorTable, two_qubit_states
+from .events import dwell_fraction, esd_intervals
 from .model import ModelParams, ThermalField, build_thermal
 from .observables import observable_columns
 from .oracle import build_hamiltonians, reduced_two_qubit_series
@@ -48,30 +49,64 @@ class UsageError(ValueError):
     pass
 
 
+def _parse_bool(text: str) -> bool:
+    """A config-file boolean: 1/true/yes or 0/false/no, in any case."""
+    words = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+    if text.lower() not in words:
+        raise ValueError(f"not a boolean: {text!r}")
+    return words[text.lower()]
+
+
+def _option(default, parse, *flags, key=None, help=None, **flag_kw):
+    """A RunConfig field with its schema: the parser of a config-file value,
+    the command-line flags and their argparse keywords (the type is the file
+    parser unless they set an action or a type), and the config-file key
+    where it is not the field name."""
+    if "action" not in flag_kw:
+        flag_kw.setdefault("type", parse)
+    return dc_field(default=default, metadata={
+        "parse": parse, "flags": flags, "key": key, "flag_kw": dict(flag_kw, help=help)})
+
+
 @dataclass
 class RunConfig:
-    lam: float = 10.0
-    k: float | None = None
-    g: float | None = None
-    nbar: float = 0.0
-    epsilon: float = 1e-10
-    t0: float = 0.0
-    t1: float = 2.0
-    steps: int = 2000
-    observables: tuple[str, ...] = ALL_OBSERVABLES
-    detect_events: bool = False
-    oracle_check: bool = False
-    output_format: str = "csv"
-    output_path: str | None = None
-    name: str = "run"
+    """The inputs of one run; each field's metadata is its schema."""
+
+    lam: float = _option(10.0, float, "--lam", "--lambda", key="lambda",
+                         help="qubit-qubit coupling (default 10.0)")
+    k: float | None = _option(None, float, "--k", help="coupling ratio g/lambda")
+    g: float | None = _option(None, float, "--g", help="qubit2-field coupling")
+    nbar: float = _option(0.0, float, "--nbar", help="mean thermal photon number")
+    epsilon: float = _option(1e-10, float, "--epsilon",
+                             help="thermal truncation tolerance (default 1e-10)")
+    t0: float = _option(0.0, float, "--t0", help="start of the time window (default 0.0)")
+    t1: float = _option(2.0, float, "--t1", help="end of the time window (default 2.0)")
+    steps: int = _option(2000, int, "--steps", help="time grid points (default 2000)")
+    observables: tuple[str, ...] = _option(
+        ALL_OBSERVABLES, str.split, "--observables", type=str, nargs="+",
+        choices=ALL_OBSERVABLES, help="output columns (default all)")
+    detect_events: bool = _option(False, _parse_bool, "--detect-events", action="store_true",
+                                  help="report the intervals of entanglement sudden death")
+    oracle_check: bool = _option(
+        False, _parse_bool, "--oracle-check", action="store_true",
+        help="also run the brute-force validator and report max deviation")
+    output_format: str = _option("csv", str, "--output-format", choices=("csv", "json"),
+                                 help="output format (default csv)")
+    output_path: str | None = _option(None, str, "-o", "--output", metavar="OUTPUT",
+                                      help="output file (default stdout)")
+    # labels a sweep row and its output file; config files and presets set it
+    name: str = _option("run", str)
+
+    def __post_init__(self):
+        self.observables = tuple(self.observables)
 
     def validate(self):
         if self.k is not None and self.g is not None:
-            raise UsageError("give either --k or --g, not both")
-        for name in ("lam", "k", "g", "nbar", "epsilon", "t0", "t1"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name} must be finite, got {value}")
+            raise UsageError("give either k or g, not both")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.metadata["parse"] is float and value is not None and not math.isfinite(value):
+                raise UsageError(f"{f.name} must be finite, got {value}")
         if self.lam <= 0:
             raise UsageError(f"lambda must be > 0, got {self.lam}")
         if not self.t0 < self.t1:
@@ -113,15 +148,9 @@ def preset_names() -> list[str]:
 def preset_config(name: str) -> RunConfig:
     """One of the 48 figure-panel regimes: figN sets k and the observable,
     the panel letter sets nbar and the time window."""
-    if len(name) != 5 or not name.startswith("fig") or name[4] not in _PANELS:
+    if name not in preset_names():
         raise UsageError(f"unknown preset {name!r}; see --list-presets")
-    try:
-        fig = int(name[3])
-    except ValueError:
-        raise UsageError(f"unknown preset {name!r}; see --list-presets")
-    if fig not in _FIG_K:
-        raise UsageError(f"unknown preset {name!r}; see --list-presets")
-    nbar, window = _PANELS[name[4]]
+    fig, (nbar, window) = int(name[3]), _PANELS[name[4]]
     lam_t_span, steps = _WINDOWS[window]
     lam = 10.0
     return RunConfig(
@@ -175,7 +204,7 @@ def execute(config: RunConfig) -> RunResult:
 
     intervals = []
     if config.detect_events:
-        intervals = scan_esd(params, thermal, config.t0, config.t1, config.steps)
+        intervals = esd_intervals(SectorTable(params, thermal), times, columns["lambda"])
 
     oracle_dev = None
     if config.oracle_check:
@@ -252,10 +281,22 @@ def _render(config, params, times, columns, intervals, oracle_dev) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep(configs: list[RunConfig], jobs: int = 1) -> tuple[str, int]:
-    """Run several configs, return (summary CSV, aggregate exit code)."""
-    def one(cfg: RunConfig) -> RunResult:
+def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
+          jobs: int = 1) -> tuple[str, int]:
+    """Run several configs, return (summary CSV, aggregate exit code).
+
+    An item is a RunConfig or a (name, resolve) pair: resolve() builds the
+    config inside the run's error isolation, and name labels the row when
+    it fails. Each failed run's error goes to stderr as one line.
+    """
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
+
+    def one(item) -> RunResult:
+        name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
+        cfg = RunConfig(name=name)
         try:
+            cfg = resolve()
             return execute(cfg)
         except UsageError as exc:
             return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
@@ -277,11 +318,14 @@ def sweep(configs: list[RunConfig], jobs: int = 1) -> tuple[str, int]:
             _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy),
         ]))
         exit_code = max(exit_code, res.exit_code)
+        if res.error:
+            print(f"esdsim: {res.config.name}: {res.error}", file=sys.stderr)
     return "\n".join(lines) + "\n", exit_code
 
 
 def _read_config_file(path: str) -> dict:
-    """key=value lines; '#' starts a comment."""
+    """key=value lines, '#' starts a comment; returns parsed values by field."""
+    by_key = {f.metadata["key"] or f.name: f for f in fields(RunConfig)}
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -291,80 +335,58 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise UsageError(f"bad config line {raw.rstrip()!r} in {path}")
             key, val = (part.strip() for part in line.split("=", 1))
-            out[key] = val
+            if key not in by_key:
+                raise UsageError(f"unknown config key {key!r}")
+            try:
+                out[by_key[key].name] = by_key[key].metadata["parse"](val)
+            except ValueError:
+                raise UsageError(f"bad value {val!r} for config key {key!r}") from None
     return out
 
 
-_FILE_KEYS = {
-    "lambda": ("lam", float), "k": ("k", float), "g": ("g", float),
-    "nbar": ("nbar", float), "epsilon": ("epsilon", float),
-    "t0": ("t0", float), "t1": ("t1", float), "steps": ("steps", int),
-    "observables": ("observables", lambda s: tuple(s.split())),
-    "detect_events": ("detect_events", lambda s: s.lower() in ("1", "true", "yes")),
-    "oracle_check": ("oracle_check", lambda s: s.lower() in ("1", "true", "yes")),
-    "output_format": ("output_format", str),
-    "output_path": ("output_path", str),
-    "name": ("name", str),
-}
+def load_config(preset: str | None = None, path: str | None = None,
+                flags: dict | None = None) -> RunConfig:
+    """Defaults, then a preset, then a config file, then flag values by field.
+
+    Each layer overrides the fields it sets. k and g are one choice: a layer
+    that sets one clears the other, and one that sets both fails validate().
+    """
+    cfg = preset_config(preset) if preset else RunConfig()
+    for layer in (_read_config_file(path) if path else {}, flags or {}):
+        cleared = {"g": None} if "k" in layer else {"k": None} if "g" in layer else {}
+        cfg = replace(cfg, **{**cleared, **layer})
+    return cfg
 
 
 def _config_from_args(args) -> RunConfig:
-    if args.k is not None and args.g is not None:
-        raise UsageError("give either --k or --g, not both")
-    if args.preset:
-        cfg = preset_config(args.preset)
-    else:
-        cfg = RunConfig()
-    if args.config:
-        for key, val in _read_config_file(args.config).items():
-            if key not in _FILE_KEYS:
-                raise UsageError(f"unknown config key {key!r}")
-            attr, conv = _FILE_KEYS[key]
-            try:
-                setattr(cfg, attr, conv(val))
-            except ValueError:
-                raise UsageError(f"bad value {val!r} for config key {key!r}") from None
-    # flags override both preset and file
-    for flag, attr in [
-        ("lam", "lam"), ("k", "k"), ("g", "g"), ("nbar", "nbar"),
-        ("epsilon", "epsilon"), ("t0", "t0"), ("t1", "t1"), ("steps", "steps"),
-        ("output_format", "output_format"), ("output", "output_path"),
-    ]:
-        val = getattr(args, flag)
-        if val is not None:
-            setattr(cfg, attr, val)
-    if args.observables:
-        cfg.observables = tuple(args.observables)
-    if args.detect_events:
-        cfg.detect_events = True
-    if args.oracle_check:
-        cfg.oracle_check = True
-    if args.k is not None:
-        cfg.g = None
-    elif args.g is not None:
-        cfg.k = None
-    return cfg
+    flags = {f.name: value for f in fields(RunConfig)
+             if (value := getattr(args, f.name, None)) is not None}
+    return load_config(args.preset, args.config, flags)
+
+
+def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunConfig]]:
+    """(row name, resolve) of a preset name or config file path for sweep()."""
+    is_file = os.path.exists(target)
+    name = os.path.splitext(os.path.basename(target))[0] if is_file else target
+
+    def resolve() -> RunConfig:
+        cfg = load_config(path=target) if is_file else load_config(preset=target)
+        if cfg.name == "run":
+            cfg.name = name
+        if cfg.output_path is None:
+            cfg.output_path = os.path.join(output_dir, f"{cfg.name}.{cfg.output_format}")
+        return cfg
+
+    return name, resolve
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--preset", help="named figure-panel regime, e.g. fig1d")
     p.add_argument("--config", help="key=value config file; flags override it")
-    p.add_argument("--lam", "--lambda", dest="lam", type=float, default=None,
-                   help="qubit-qubit coupling (default 10.0)")
-    p.add_argument("--k", type=float, default=None, help="coupling ratio g/lambda")
-    p.add_argument("--g", type=float, default=None, help="qubit2-field coupling")
-    p.add_argument("--nbar", type=float, default=None, help="mean thermal photon number")
-    p.add_argument("--epsilon", type=float, default=None,
-                   help="thermal truncation tolerance (default 1e-10)")
-    p.add_argument("--t0", type=float, default=None)
-    p.add_argument("--t1", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--observables", nargs="+", choices=ALL_OBSERVABLES, default=None)
-    p.add_argument("--detect-events", action="store_true")
-    p.add_argument("--oracle-check", action="store_true",
-                   help="also run the brute-force validator and report max deviation")
-    p.add_argument("--output-format", choices=("csv", "json"), default=None)
-    p.add_argument("-o", "--output", default=None, help="output file (default stdout)")
+    for f in fields(RunConfig):
+        if f.metadata["flags"]:
+            p.add_argument(*f.metadata["flags"], dest=f.name, default=None,
+                           **f.metadata["flag_kw"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,25 +431,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"esdsim: {result.error}", file=sys.stderr)
             return result.exit_code
 
-        targets = args.targets or preset_names()
-        configs = []
-        for target in targets:
-            if os.path.exists(target):
-                ns = argparse.Namespace(
-                    preset=None, config=target, lam=None, k=None, g=None,
-                    nbar=None, epsilon=None, t0=None, t1=None, steps=None,
-                    observables=None, detect_events=False, oracle_check=False,
-                    output_format=None, output=None,
-                )
-                cfg = _config_from_args(ns)
-                if cfg.name == "run":
-                    cfg.name = os.path.splitext(os.path.basename(target))[0]
-            else:
-                cfg = preset_config(target)
-            if cfg.output_path is None:
-                cfg.output_path = os.path.join(args.output_dir, f"{cfg.name}.{cfg.output_format}")
-            configs.append(cfg)
-        summary, exit_code = sweep(configs, jobs=args.jobs)
+        targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
+        summary, exit_code = sweep(targets, jobs=args.jobs)
         if args.output:
             _atomic_write(args.output, summary)
         else:

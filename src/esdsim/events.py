@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SectorTable, two_qubit_states
+from .dynamics import SectorTable
 from .model import ModelParams, ThermalField
 from .observables import separability
 
@@ -85,9 +85,16 @@ def scan_esd(
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
     if n_grid < 2:
         raise ValueError(f"n_grid must be >= 2, got {n_grid}")
-
+    table = SectorTable(params, field)
     times = np.linspace(t0, t1, n_grid)
-    lam = separability(two_qubit_states(params, field, times))
+    return esd_intervals(table, times, separability(table.series(times)))
+
+
+def esd_intervals(table: SectorTable, times: np.ndarray, lam: np.ndarray) -> list[EsdInterval]:
+    """Intervals with Lambda < 0 from lam = Lambda(times), the grid that
+    table evaluates; crossings are refined on the table. The ends of the
+    increasing grid times are the ends of the scan window."""
+    t0, t1, n_grid = float(times[0]), float(times[-1]), times.size
 
     # negative stretches [i, j] of the grid, less those that only graze zero
     neg = np.concatenate(([False], lam < 0, [False]))
@@ -99,8 +106,7 @@ def scan_esd(
     # the grid step [m, m+1] of each crossing inside the window, keyed by m
     lo = np.array([i - 1 for i, _, _ in stretches if i > 0]
                   + [j for _, j, _ in stretches if j < n_grid - 1], dtype=int)
-    roots, converged = _refine_crossings(
-        SectorTable(params, field), times[lo], times[lo + 1], lam[lo] < 0)
+    roots, converged = _refine_crossings(table, times[lo], times[lo + 1], lam[lo] < 0)
     crossing = dict(zip(lo.tolist(), zip(roots.tolist(), converged.tolist())))
 
     intervals: list[EsdInterval] = []

@@ -14,21 +14,16 @@ class ModelParams:
 
     lam    : qubit-qubit coupling (angular frequency units), > 0
     g      : qubit2-field coupling, >= 0
-    omega  : shared transition/field frequency; only the brute-force
-             validator's free Hamiltonian uses it
     """
 
     lam: float
     g: float
-    omega: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         if not (math.isfinite(self.g) and self.g >= 0):
             raise ValueError(f"g must be finite and >= 0, got {self.g}")
-        if self.omega is not None and not (math.isfinite(self.omega) and self.omega > 0):
-            raise ValueError(f"omega must be finite and > 0 when given, got {self.omega}")
 
     @property
     def k(self) -> float:
@@ -36,8 +31,8 @@ class ModelParams:
         return self.g / self.lam
 
     @classmethod
-    def from_k(cls, lam: float, k: float, omega: float | None = None) -> "ModelParams":
-        return cls(lam=lam, g=k * lam, omega=omega)
+    def from_k(cls, lam: float, k: float) -> "ModelParams":
+        return cls(lam=lam, g=k * lam)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,12 @@ _OFF_DIAG_TOL = 1e-10
 # qubit basis order |e>, |g>; two-qubit order {ee, eg, ge, gg}
 _SP = np.array([[0, 1], [0, 0]], dtype=complex)   # |e><g|
 _SM = _SP.T.conj()
-_SZ = np.diag([1.0, -1.0]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
 
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     h1: np.ndarray
-    h0: np.ndarray
     fock_cutoff: int
     params: ModelParams
     _eig: dict = _dc_field(default_factory=dict, repr=False, compare=False)
@@ -68,7 +66,7 @@ def _ladder(fock_cutoff: int) -> np.ndarray:
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:
-    """Dense interaction and free Hamiltonians on the truncated space."""
+    """Dense interaction Hamiltonian on the truncated space."""
     if fock_cutoff < 1:
         raise ValueError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
     nf = fock_cutoff + 1
@@ -80,13 +78,7 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
     ) + params.g * (
         np.kron(np.kron(_I2, _SP), a) + np.kron(np.kron(_I2, _SM), a.T.conj())
     )
-    omega = params.omega if params.omega is not None else 1.0
-    h0 = omega * (
-        0.5 * np.kron(np.kron(_SZ, _I2), idf)
-        + 0.5 * np.kron(np.kron(_I2, _SZ), idf)
-        + np.kron(np.kron(_I2, _I2), a.T.conj() @ a)
-    )
-    return HamiltonianMatrix(h1=h1, h0=h0, fock_cutoff=fock_cutoff, params=params)
+    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff, params=params)
 
 
 def check_cutoff(h: HamiltonianMatrix, field: ThermalField):

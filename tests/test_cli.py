@@ -1,19 +1,40 @@
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from esdsim import ModelParams, build_thermal, scan_esd
 from esdsim.cli import (
+    EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
     UsageError,
+    _config_from_args,
+    build_parser,
     execute,
+    load_config,
     main,
     preset_config,
     preset_names,
     sweep,
 )
+
+# a value for every RunConfig field, each unlike its default
+SAMPLES = {
+    "lam": 3.5, "k": 0.25, "g": 2.0, "nbar": 1.5, "epsilon": 1e-6, "t0": 0.5, "t1": 3.0,
+    "steps": 17, "observables": ("lambda", "entropy"), "detect_events": True,
+    "oracle_check": True, "output_format": "json", "output_path": "out.csv", "name": "custom",
+}
+CONFIG_KEYS = ["lambda", "k", "g", "nbar", "epsilon", "t0", "t1", "steps", "observables",
+               "detect_events", "oracle_check", "output_format", "output_path", "name"]
+RUN_OPTIONS = ["-h", "--help", "--preset", "--config", "--lam", "--lambda", "--k", "--g",
+               "--nbar", "--epsilon", "--t0", "--t1", "--steps", "--observables",
+               "--detect-events", "--oracle-check", "--output-format", "-o", "--output"]
+SWEEP_OPTIONS = ["-h", "--help", "--jobs", "--output-dir", "-o", "--output"]
+FLAGS = [(f, flag) for f in fields(RunConfig) for flag in f.metadata["flags"]]
 
 
 def read_table(path):
@@ -56,6 +77,67 @@ class TestConfig:
         assert cfg.k == 0.5 and cfg.nbar == 1.0
         with pytest.raises(UsageError):
             preset_config("fig9a")
+
+
+class TestSchema:
+    def test_samples_cover_every_field(self):
+        assert list(SAMPLES) == [f.name for f in fields(RunConfig)]
+        assert all(SAMPLES[f.name] != f.default for f in fields(RunConfig))
+
+    def test_config_keys_pinned(self):
+        assert [f.metadata["key"] or f.name for f in fields(RunConfig)] == CONFIG_KEYS
+
+    @pytest.mark.parametrize("command,options", [("run", RUN_OPTIONS), ("sweep", SWEEP_OPTIONS)])
+    def test_option_strings_pinned(self, command, options):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert [s for a in sub.choices[command]._actions for s in a.option_strings] == options
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_field_settable_from_config_file(self, field, tmp_path):
+        value = SAMPLES[field.name]
+        text = (" ".join(value) if isinstance(value, tuple)
+                else str(value).lower() if isinstance(value, bool) else str(value))
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{field.metadata['key'] or field.name} = {text}\n")
+        assert getattr(load_config(path=str(path)), field.name) == value
+
+    def test_every_field_but_name_has_a_flag(self):
+        assert [f.name for f in fields(RunConfig) if not f.metadata["flags"]] == ["name"]
+
+    @pytest.mark.parametrize("field,flag", FLAGS, ids=[flag for _, flag in FLAGS])
+    def test_flag_round_trips(self, field, flag):
+        value = SAMPLES[field.name]
+        words = ([] if isinstance(value, bool)
+                 else list(value) if isinstance(value, tuple) else [str(value)])
+        cfg = _config_from_args(build_parser().parse_args(["run", flag, *words]))
+        assert getattr(cfg, field.name) == value
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False),
+    ])
+    def test_config_booleans(self, text, value, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"detect_events = {text}\noracle_check = {text}\n")
+        cfg = load_config(path=str(path))
+        assert cfg.detect_events is value and cfg.oracle_check is value
+
+    def test_file_g_replaces_preset_k_like_the_flag(self, tmp_path):
+        path = tmp_path / "g.cfg"
+        path.write_text("g = 1\n")
+        from_file = load_config("fig1a", str(path))
+        from_flag = _config_from_args(build_parser().parse_args(
+            ["run", "--preset", "fig1a", "--g", "1"]))
+        assert from_file.k is None and from_file.g == 1.0
+        assert from_file == from_flag
+        assert main(["run", "--preset", "fig1a", "--config", str(path),
+                     "--steps", "3", "-o", str(tmp_path / "out.csv")]) == EXIT_OK
+
+    def test_layers_override_in_order(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("nbar = 3\nsteps = 40\n")
+        cfg = load_config("fig2d", str(path), {"steps": 7})
+        assert (cfg.name, cfg.k, cfg.nbar, cfg.steps) == ("fig2d", 0.5, 3.0, 7)
 
 
 class TestRun:
@@ -112,8 +194,18 @@ class TestRun:
 
     def test_io_failure_exit_code(self):
         cfg = RunConfig(steps=10, output_path="/nonexistent-dir/x/y.csv")
-        from esdsim.cli import EXIT_IO
         assert execute(cfg).exit_code == EXIT_IO
+
+    def test_event_rows_match_scan_esd(self, tmp_path):
+        out = tmp_path / "esd.csv"
+        cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
+                        observables=("lambda",), output_path=str(out))
+        assert execute(cfg).exit_code == EXIT_OK
+        rows = [l[2:].split(",") for l in out.read_text().splitlines()[402:]]
+        intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        assert len(intervals) >= 1
+        assert rows == [[f"{iv.t_death:.17g}", f"{iv.t_birth:.17g}", f"{iv.min_lambda:.17g}",
+                         str(iv.refined).lower()] for iv in intervals]
 
 
 class TestSweep:
@@ -194,12 +286,40 @@ class TestMain:
         assert main(["run", "--config", str(cfg)]) == EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["detect_events = on", "oracle_check = 2"])
+    def test_bad_config_boolean_exits_2(self, text, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        assert main(["run", "--config", str(cfg), "--steps", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_sweep_reports_domain_error_as_usage(self, tmp_path, capsys):
         cfg = tmp_path / "hot.cfg"
         cfg.write_text("epsilon = 2\nsteps = 5\n")
         assert main(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_USAGE
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].startswith("hot,failed(2),")
+
+    def test_sweep_isolates_targets_that_do_not_resolve(self, tmp_path, capsys):
+        (tmp_path / "bad.cfg").write_text("steps = abc\n")
+        (tmp_path / "dir.cfg").mkdir()  # exists but cannot be read as a file
+        code = main(["sweep", str(tmp_path / "bad.cfg"), "fig9z", str(tmp_path / "dir.cfg"),
+                     "fig1a", "--output-dir", str(tmp_path)])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
+        assert rows == [["bad", "failed(2)"], ["fig9z", "failed(2)"],
+                        ["dir", "failed(4)"], ["fig1a", "ok"]]
+        assert [line.split(":")[:2] for line in captured.err.splitlines()] == [
+            ["esdsim", " bad"], ["esdsim", " fig9z"], ["esdsim", " dir"]]
+        assert (tmp_path / "fig1a.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_sweep_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
+        code = main(["sweep", "fig1a", "--jobs", jobs, "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "fig1a.csv").exists()
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

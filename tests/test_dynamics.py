@@ -38,8 +38,6 @@ class TestModelParams:
             ModelParams(lam=0.0, g=1.0)
         with pytest.raises(ValueError):
             ModelParams(lam=1.0, g=-1.0)
-        with pytest.raises(ValueError):
-            ModelParams(lam=1.0, g=1.0, omega=-2.0)
 
 
 class TestSectorFrequencies:

@@ -19,9 +19,22 @@ from esdsim.oracle import (
 )
 
 
+def free_hamiltonian(fock_cutoff, omega=100.0):
+    """H0 = omega (sz1/2 + sz2/2 + a+a) on the truncated space, from krons."""
+    sz = np.diag([1.0, -1.0]).astype(complex)
+    i2 = np.eye(2, dtype=complex)
+    idf = np.eye(fock_cutoff + 1, dtype=complex)
+    number = np.diag(np.arange(fock_cutoff + 1)).astype(complex)
+    return omega * (
+        0.5 * np.kron(np.kron(sz, i2), idf)
+        + 0.5 * np.kron(np.kron(i2, sz), idf)
+        + np.kron(np.kron(i2, i2), number)
+    )
+
+
 @pytest.fixture(scope="module")
 def weak_setup():
-    params = ModelParams.from_k(10.0, 0.1, omega=100.0)
+    params = ModelParams.from_k(10.0, 0.1)
     field = build_thermal(1.0, 1e-10)
     h = build_hamiltonians(params, field.nmax + 2)
     return params, field, h
@@ -31,7 +44,8 @@ class TestHamiltonian:
     def test_hermitian(self, weak_setup):
         _, _, h = weak_setup
         assert np.abs(h.h1 - h.h1.conj().T).max() == 0.0
-        assert np.abs(h.h0 - h.h0.conj().T).max() == 0.0
+        h0 = free_hamiltonian(h.fock_cutoff)
+        assert np.abs(h0 - h0.conj().T).max() == 0.0
 
     def test_decoupled_block_structure(self):
         p = ModelParams(lam=10.0, g=0.0)
@@ -50,7 +64,8 @@ class TestHamiltonian:
 
     def test_commutes_with_h0_interior(self, weak_setup):
         _, _, h = weak_setup
-        comm = h.h0 @ h.h1 - h.h1 @ h.h0
+        h0 = free_hamiltonian(h.fock_cutoff)
+        comm = h0 @ h.h1 - h.h1 @ h0
         # boundary sectors feel the Fock truncation; exclude them
         nf = h.fock_cutoff + 1
         comm4 = comm.reshape(4, nf, 4, nf)[:, : nf - 1, :, : nf - 1]
@@ -144,7 +159,7 @@ class TestPartialTraces:
             assert q_or.rho_gg == pytest.approx(q_an.rho_gg, abs=1e-8)
 
     def test_decoupled_half_swap(self):
-        p = ModelParams(lam=10.0, g=0.0, omega=100.0)
+        p = ModelParams(lam=10.0, g=0.0)
         field = build_thermal(0.0)
         h = build_hamiltonians(p, 2)
         q1 = partial_trace_to_qubit1(evolve(h, field, np.pi / (4 * p.lam)))
