@@ -287,27 +287,42 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
 
     An item is a RunConfig or a (name, resolve) pair: resolve() builds the
     config inside the run's error isolation, and name labels the row when
-    it fails. Each failed run's error goes to stderr as one line.
+    it fails. Items resolve in order, before any runs; an item whose output
+    file an earlier item writes fails without running. Each failed run's
+    error goes to stderr as one line.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
 
-    def one(item) -> RunResult:
-        name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
-        cfg = RunConfig(name=name)
+    def isolated(cfg: RunConfig, step: Callable):
         try:
-            cfg = resolve()
-            return execute(cfg)
+            return step()
         except UsageError as exc:
             return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
         except Exception as exc:  # isolate per-run failures
             return RunResult(config=cfg, exit_code=EXIT_IO, error=str(exc))
 
-    if jobs > 1 and len(configs) > 1:
+    runs, writer = [], {}
+    for item in configs:
+        name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
+        cfg = isolated(RunConfig(name=name), resolve)
+        if isinstance(cfg, RunConfig) and cfg.output_path:
+            path = os.path.abspath(cfg.output_path)
+            if path in writer:
+                cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
+                                error=f"output {path} already written by {writer[path]}")
+            else:
+                writer[path] = cfg.name
+        runs.append(cfg)
+
+    def one(cfg) -> RunResult:
+        return cfg if isinstance(cfg, RunResult) else isolated(cfg, lambda: execute(cfg))
+
+    if jobs > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, configs))
+            results = list(pool.map(one, runs))
     else:
-        results = [one(cfg) for cfg in configs]
+        results = [one(cfg) for cfg in runs]
 
     lines = ["name,status,max_concurrence,dwell_fraction,final_entropy"]
     exit_code = EXIT_OK

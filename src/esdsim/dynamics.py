@@ -35,7 +35,6 @@ _PHASE = (1j, 1.0, -1j, 1.0)
 class SectorFrequencies:
     """Characteristic quantities of Fock sectors: scalars for one n, arrays for an array of n."""
 
-    n: int | np.ndarray
     a: float | np.ndarray  # g * sqrt(n)
     b: float | np.ndarray  # g * sqrt(n+1)
     r: float | np.ndarray  # lam^2 * beta, the splitting omega_plus^2 - omega_minus^2
@@ -46,56 +45,13 @@ class SectorFrequencies:
 
 
 @dataclass(frozen=True)
-class TwoQubitState:
-    """X-structured two-qubit density matrix in the basis {ee, eg, ge, gg}.
-
-    Only the populations and the single surviving coherence rho23 are
-    nonzero; every other entry is zero by construction.
-    """
-
-    rho11: float
-    rho22: float
-    rho33: float
-    rho44: float
-    rho23: complex
-
-    def __post_init__(self):
-        for name in ("rho11", "rho22", "rho33", "rho44"):
-            p = getattr(self, name)
-            if p < -_POP_CLAMP:
-                raise ValueError(f"{name} = {p} is negative beyond tolerance")
-            if p < 0.0:
-                object.__setattr__(self, name, 0.0)
-        if abs(self.rho23) ** 2 > self.rho22 * self.rho33 + _POSITIVITY_TOL:
-            raise ValueError(
-                f"|rho23|^2 = {abs(self.rho23)**2} exceeds rho22*rho33 = "
-                f"{self.rho22 * self.rho33}"
-            )
-
-    @property
-    def trace(self) -> float:
-        return self.rho11 + self.rho22 + self.rho33 + self.rho44
-
-    def matrix(self) -> np.ndarray:
-        """Dense 4x4 density matrix."""
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0] = self.rho11
-        rho[1, 1] = self.rho22
-        rho[2, 2] = self.rho33
-        rho[3, 3] = self.rho44
-        rho[1, 2] = self.rho23
-        rho[2, 1] = np.conj(self.rho23)
-        return rho
-
-
-@dataclass(frozen=True)
 class StateSeries:
-    """X-state columns over a time grid: one array per nonzero entry.
+    """X-structured two-qubit density matrices over a time grid, in the basis
+    {ee, eg, ge, gg}: one array per nonzero entry, the populations and the
+    single surviving coherence rho23. Scalars make a one-row series.
 
-    The checks of ``TwoQubitState`` run on the whole arrays: populations a
-    hair below zero are clamped, anything further below, or a coherence
-    beyond rho22*rho33, is an error. Indexing and iteration give one
-    ``TwoQubitState`` per time point.
+    Populations a hair below zero are clamped; anything further below, or
+    a coherence beyond rho22*rho33, is an error.
     """
 
     rho11: np.ndarray
@@ -105,8 +61,9 @@ class StateSeries:
     rho23: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "rho23", np.atleast_1d(self.rho23))
         for name in ("rho11", "rho22", "rho33", "rho44"):
-            p = getattr(self, name)
+            p = np.atleast_1d(getattr(self, name))
             if np.any(p < -_POP_CLAMP):
                 raise ValueError(f"{name} = {p.min()} is negative beyond tolerance")
             object.__setattr__(self, name, np.where(p < 0.0, 0.0, p))
@@ -121,17 +78,14 @@ class StateSeries:
     def __len__(self) -> int:
         return self.rho11.size
 
-    def __getitem__(self, i: int) -> TwoQubitState:
-        return TwoQubitState(
-            rho11=float(self.rho11[i]),
-            rho22=float(self.rho22[i]),
-            rho33=float(self.rho33[i]),
-            rho44=float(self.rho44[i]),
-            rho23=complex(self.rho23[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+    def matrix(self) -> np.ndarray:
+        """Dense density matrices, shape (len, 4, 4)."""
+        rho = np.zeros((len(self), 4, 4), dtype=complex)
+        for j, name in enumerate(("rho11", "rho22", "rho33", "rho44")):
+            rho[:, j, j] = getattr(self, name)
+        rho[:, 1, 2] = self.rho23
+        rho[:, 2, 1] = np.conj(self.rho23)
+        return rho
 
 
 def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
@@ -149,7 +103,7 @@ def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
     # cancellation, which loses every digit once k^2 n is below rounding
     omega_minus = lam / np.sqrt(2.0) * np.sqrt(4.0 * n * (n + 1) * k**4 / (alpha + beta))
     return SectorFrequencies(
-        n=n, a=a, b=b, r=r, alpha=alpha, beta=beta,
+        a=a, b=b, r=r, alpha=alpha, beta=beta,
         omega_plus=omega_plus, omega_minus=omega_minus,
     )
 
@@ -231,8 +185,3 @@ def two_qubit_states(
 ) -> StateSeries:
     """Thermally averaged two-qubit states over a whole time grid, as columns."""
     return SectorTable(params, field).series(times)
-
-
-def two_qubit_state(params: ModelParams, field: ThermalField, t: float) -> TwoQubitState:
-    """Thermally averaged two-qubit density matrix at a single time."""
-    return two_qubit_states(params, field, np.array([t]))[0]

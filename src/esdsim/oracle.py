@@ -12,9 +12,8 @@ from dataclasses import dataclass, field as _dc_field
 
 import numpy as np
 
-from .dynamics import StateSeries, TwoQubitState
+from .dynamics import StateSeries
 from .model import ModelParams, ThermalField
-from .observables import Qubit1State
 
 _OFF_X_TOL = 1e-8
 _OFF_DIAG_TOL = 1e-10
@@ -29,7 +28,6 @@ _I2 = np.eye(2, dtype=complex)
 class HamiltonianMatrix:
     h1: np.ndarray
     fock_cutoff: int
-    params: ModelParams
     _eig: dict = _dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -47,7 +45,6 @@ class HamiltonianMatrix:
 
 @dataclass(frozen=True)
 class TripartiteState:
-    dim: int
     rho: np.ndarray
     fock_cutoff: int
 
@@ -78,7 +75,7 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
     ) + params.g * (
         np.kron(np.kron(_I2, _SP), a) + np.kron(np.kron(_I2, _SM), a.T.conj())
     )
-    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff, params=params)
+    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff)
 
 
 def check_cutoff(h: HamiltonianMatrix, field: ThermalField):
@@ -118,38 +115,42 @@ def evolve(h: HamiltonianMatrix, field: ThermalField, t: float) -> TripartiteSta
     psi = _initial_columns(h, field, t)
     rho = (psi * field.weights) @ psi.conj().T
     rho = 0.5 * (rho + rho.conj().T)
-    return TripartiteState(dim=h.dim, rho=rho, fock_cutoff=h.fock_cutoff)
+    return TripartiteState(rho=rho, fock_cutoff=h.fock_cutoff)
 
 
-def partial_trace_field(state: TripartiteState) -> TwoQubitState:
-    """Trace out the Fock factor; the result must carry the X structure."""
-    nf = state.fock_cutoff + 1
-    rho = state.rho.reshape(4, nf, 4, nf)
-    rho4 = np.trace(rho, axis1=1, axis2=3)
-
-    off_x = rho4.copy()
-    for j, m in [(0, 0), (1, 1), (2, 2), (3, 3), (1, 2), (2, 1)]:
-        off_x[j, m] = 0.0
-    if np.abs(off_x).max() > _OFF_X_TOL:
-        raise ValueError(f"off-X element {np.abs(off_x).max()} in reduced state")
-
-    return TwoQubitState(
-        rho11=rho4[0, 0].real,
-        rho22=rho4[1, 1].real,
-        rho33=rho4[2, 2].real,
-        rho44=rho4[3, 3].real,
-        rho23=complex(rho4[1, 2]),
+def _x_series(rho4: np.ndarray) -> StateSeries:
+    """The X-state entries of two-qubit matrices, shape (4, 4) or (times, 4, 4)."""
+    return StateSeries(
+        rho11=rho4[..., 0, 0].real,
+        rho22=rho4[..., 1, 1].real,
+        rho33=rho4[..., 2, 2].real,
+        rho44=rho4[..., 3, 3].real,
+        rho23=rho4[..., 1, 2],
     )
 
 
-def partial_trace_to_qubit1(state: TripartiteState) -> Qubit1State:
-    """Trace out qubit 2 and the field; off-diagonal must be numerically zero."""
+def partial_trace_field(state: TripartiteState) -> StateSeries:
+    """Trace out the Fock factor, as a one-row series; the result must carry
+    the X structure."""
+    nf = state.fock_cutoff + 1
+    rho = state.rho.reshape(4, nf, 4, nf)
+    rho4 = np.trace(rho, axis1=1, axis2=3)
+    series = _x_series(rho4)
+    off_x = np.abs(rho4 - series.matrix()[0]).max()
+    if off_x > _OFF_X_TOL:
+        raise ValueError(f"off-X element {off_x} in reduced state")
+    return series
+
+
+def partial_trace_to_qubit1(state: TripartiteState) -> tuple[float, float]:
+    """Trace out qubit 2 and the field: (rho_ee, rho_gg) of qubit 1, whose
+    off-diagonal must be numerically zero."""
     nf = state.fock_cutoff + 1
     rho = state.rho.reshape(2, 2 * nf, 2, 2 * nf)
     rho1 = np.trace(rho, axis1=1, axis2=3)
     if abs(rho1[0, 1]) > _OFF_DIAG_TOL:
         raise ValueError(f"qubit 1 coherence {abs(rho1[0, 1])} above tolerance")
-    return Qubit1State(rho_ee=rho1[0, 0].real, rho_gg=rho1[1, 1].real)
+    return float(rho1[0, 0].real), float(rho1[1, 1].real)
 
 
 def reduced_two_qubit_series(
@@ -166,10 +167,4 @@ def reduced_two_qubit_series(
     for i, t in enumerate(np.atleast_1d(times)):
         psi_r = _initial_columns(h, field, float(t)).reshape(4, nf, -1)
         rho4[i] = np.einsum("jfn,mfn,n->jm", psi_r, psi_r.conj(), field.weights)
-    return StateSeries(
-        rho11=rho4[:, 0, 0].real,
-        rho22=rho4[:, 1, 1].real,
-        rho33=rho4[:, 2, 2].real,
-        rho44=rho4[:, 3, 3].real,
-        rho23=rho4[:, 1, 2],
-    )
+    return _x_series(rho4)

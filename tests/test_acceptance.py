@@ -7,17 +7,15 @@ import time
 
 import numpy as np
 import pytest
+from conftest import random_xstates
 
 from esdsim import (
     ModelParams,
     build_thermal,
     concurrence_wootters,
-    concurrence_xstate,
     dwell_fraction,
     inversion_closed,
-    inversion_summed,
-    linear_entropy,
-    qubit1_reduce,
+    observable_columns,
     scan_esd,
     sector_frequencies,
     two_qubit_states,
@@ -26,7 +24,6 @@ from esdsim.cli import RunConfig, execute, main, preset_config
 from esdsim.dynamics import amplitude_table
 from esdsim.model import ThermalField
 from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series, sector_basis_indices
-from tests.test_observables import random_xstate
 
 GRID_K = (0.1, 0.5)
 GRID_NBAR = (1.0, 10.0)
@@ -51,13 +48,13 @@ def esd_runs():
         for nbar in GRID_NBAR:
             params = ModelParams.from_k(LAM, k)
             field = build_thermal(nbar)
-            states = two_qubit_states(params, field, times)
+            columns = observable_columns(two_qubit_states(params, field, times))
             runs[(k, nbar)] = {
                 "params": params,
                 "field": field,
                 "times": times,
-                "lambda": np.array([concurrence_xstate(s)[1] for s in states]),
-                "coherence": np.array([2 * abs(s.rho23) for s in states]),
+                "lambda": columns["lambda"],
+                "coherence": columns["coherence"],
                 "intervals": scan_esd(params, field, t0, t1, n),
                 "window": (t0, t1),
             }
@@ -75,10 +72,7 @@ def test_criterion_01_oracle_equivalence():
             h = build_hamiltonians(params, field.nmax + 2)
             oracle_states = reduced_two_qubit_series(h, field, times)
             analytic_states = two_qubit_states(params, field, times)
-            dev = max(
-                np.abs(a.matrix() - b.matrix()).max()
-                for a, b in zip(analytic_states, oracle_states)
-            )
+            dev = np.abs(analytic_states.matrix() - oracle_states.matrix()).max()
             worst = max(worst, dev)
     elapsed = time.time() - start
     verdict(1, "oracle equivalence", worst <= 1e-8 and elapsed <= 60.0,
@@ -116,11 +110,8 @@ def test_criterion_03_per_sector_unitarity():
 
 
 def test_criterion_04_concurrence_equivalence():
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for _ in range(10_000):
-        s = random_xstate(rng)
-        worst = max(worst, abs(concurrence_wootters(s) - concurrence_xstate(s)[0]))
+    s = random_xstates(np.random.default_rng(2024), 10_000)
+    worst = np.abs(concurrence_wootters(s.matrix()) - observable_columns(s)["concurrence"]).max()
     verdict(4, "concurrence dual routes", worst <= 1e-10, f"max dev {worst:.2e}")
 
 
@@ -131,9 +122,8 @@ def test_criterion_05_inversion_cross_formula():
         for nbar in GRID_NBAR:
             params = ModelParams.from_k(LAM, k)
             field = build_thermal(nbar)
-            states = two_qubit_states(params, field, times)
-            for t, s in zip(times, states):
-                ws = inversion_summed(qubit1_reduce(s))
+            summed = observable_columns(two_qubit_states(params, field, times))["inversion"]
+            for t, ws in zip(times, summed):
                 wc = inversion_closed(params, field, float(t))
                 worst = max(worst, abs(ws - wc))
     verdict(5, "inversion cross-formula", worst <= 1e-8, f"max dev {worst:.2e}")
@@ -146,12 +136,12 @@ def test_criterion_06_entropy_identity():
     for k in GRID_K:
         params = ModelParams.from_k(LAM, k)
         field = build_thermal(1.0, 1e-12)
-        for s in two_qubit_states(params, field, times):
-            q = qubit1_reduce(s)
-            if abs(1.0 - q.rho_ee - q.rho_gg) <= 1e-10:
-                w = inversion_summed(q)
-                worst = max(worst, abs(linear_entropy(q) - 0.5 * (1 - w * w)))
-                checked += 1
+        s = two_qubit_states(params, field, times)
+        m = observable_columns(s)
+        closed = np.abs(1.0 - s.rho11 - s.rho22 - s.rho33 - s.rho44) <= 1e-10
+        w = m["inversion"][closed]
+        worst = max(worst, np.abs(m["entropy"][closed] - 0.5 * (1 - w * w)).max(initial=0.0))
+        checked += int(closed.sum())
     verdict(6, "entropy identity", checked > 0 and worst <= 1e-10,
             f"{checked} pts, max dev {worst:.2e}")
 
@@ -160,9 +150,7 @@ def test_criterion_07_decoupled_baseline():
     params = ModelParams(lam=LAM, g=0.0)
     field = build_thermal(0.0)
     times = np.linspace(0.0, 2.0, 2000)
-    conc = np.array(
-        [concurrence_xstate(s)[0] for s in two_qubit_states(params, field, times)]
-    )
+    conc = observable_columns(two_qubit_states(params, field, times))["concurrence"]
     dev = np.abs(conc - np.abs(np.sin(2 * LAM * times))).max()
     intervals = scan_esd(params, field, 0.0, 2.0, 4000)
     verdict(7, "g=0 baseline", dev <= 1e-12 and not intervals,
@@ -212,18 +200,10 @@ def test_criterion_10_truncation_robustness():
             nbar=1.0, epsilon=eps, nmax=n2,
             weights=np.array([base.weight(n) for n in range(n2 + 1)]),
         )
-        for sa, sb in zip(
-            two_qubit_states(params, base, times),
-            two_qubit_states(params, doubled, times),
-        ):
-            for fn in (
-                lambda s: concurrence_xstate(s)[0],
-                lambda s: concurrence_xstate(s)[1],
-                lambda s: 2 * abs(s.rho23),
-                lambda s: inversion_summed(qubit1_reduce(s)),
-                lambda s: linear_entropy(qubit1_reduce(s)),
-            ):
-                worst = max(worst, abs(fn(sa) - fn(sb)))
+        ma = observable_columns(two_qubit_states(params, base, times))
+        mb = observable_columns(two_qubit_states(params, doubled, times))
+        for name in ("concurrence", "lambda", "coherence", "inversion", "entropy"):
+            worst = max(worst, np.abs(ma[name] - mb[name]).max())
     verdict(10, "truncation robustness", worst <= 2 * eps, f"max shift {worst:.2e}")
 
 

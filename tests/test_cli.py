@@ -321,6 +321,25 @@ class TestMain:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "fig1a.csv").exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_writes_each_output_once(self, jobs, tmp_path, capsys):
+        for sub, k in (("a", 0.1), ("b", 0.5)):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.cfg").write_text(f"k = {k}\nsteps = 5\n")
+        code = main(["sweep", str(tmp_path / "a" / "x.cfg"), str(tmp_path / "b" / "x.cfg"),
+                     "fig1a", "fig1a", "--jobs", jobs, "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
+        assert rows == [["x", "ok"], ["x", "failed(2)"], ["fig1a", "ok"], ["fig1a", "failed(2)"]]
+        assert captured.err.splitlines() == [
+            f"esdsim: x: output {tmp_path / 'x.csv'} already written by x",
+            f"esdsim: fig1a: output {tmp_path / 'fig1a.csv'} already written by fig1a",
+        ]
+        first = tmp_path / "a.csv"
+        assert main(["run", "--config", str(tmp_path / "a" / "x.cfg"), "-o", str(first)]) == 0
+        assert (tmp_path / "x.csv").read_bytes() == first.read_bytes()
+
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
         code = main(["sweep", "fig1a", "fig2a", "--output-dir", str(tmp_path),

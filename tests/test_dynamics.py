@@ -4,11 +4,12 @@ from scipy.linalg import expm
 
 from esdsim import (
     ModelParams,
+    StateSeries,
     build_thermal,
     sector_frequencies,
-    two_qubit_state,
     two_qubit_states,
 )
+from esdsim.model import ThermalField
 from esdsim.dynamics import _BLOCK, amplitude_table
 
 
@@ -176,33 +177,33 @@ class TestSectorAmplitudes:
 class TestTwoQubitState:
     def test_initial_product_state(self):
         p = ModelParams.from_k(10.0, 0.3)
-        s = two_qubit_state(p, build_thermal(1.0), 0.0)
-        assert s.rho22 == pytest.approx(1.0, abs=1e-9)
-        assert s.rho11 == s.rho33 == s.rho44 == 0.0
-        assert s.rho23 == 0.0
+        s = two_qubit_states(p, build_thermal(1.0), 0.0)
+        assert len(s) == 1
+        assert s.rho22[0] == pytest.approx(1.0, abs=1e-9)
+        assert s.rho11[0] == s.rho33[0] == s.rho44[0] == 0.0
+        assert s.rho23[0] == 0.0
 
     def test_decoupled_closed_form(self):
         p = ModelParams(lam=10.0, g=0.0)
         f = build_thermal(0.0)
-        for t in [0.11, 0.9, 2.3]:
-            s = two_qubit_state(p, f, t)
-            assert s.rho22 == pytest.approx(np.cos(p.lam * t) ** 2, abs=1e-12)
-            assert s.rho33 == pytest.approx(np.sin(p.lam * t) ** 2, abs=1e-12)
-            assert s.rho23 == pytest.approx(
-                1j * np.cos(p.lam * t) * np.sin(p.lam * t), abs=1e-12
-            )
-            assert s.rho11 == 0.0 and s.rho44 == 0.0
-            # pure state: rho^2 = rho
-            rho = s.matrix()
-            assert np.abs(rho @ rho - rho).max() < 1e-12
+        t = np.array([0.11, 0.9, 2.3])
+        s = two_qubit_states(p, f, t)
+        assert np.abs(s.rho22 - np.cos(p.lam * t) ** 2).max() <= 1e-12
+        assert np.abs(s.rho33 - np.sin(p.lam * t) ** 2).max() <= 1e-12
+        assert np.abs(s.rho23 - 1j * np.cos(p.lam * t) * np.sin(p.lam * t)).max() <= 1e-12
+        assert np.all(s.rho11 == 0.0) and np.all(s.rho44 == 0.0)
+        # pure state: rho^2 = rho
+        rho = s.matrix()
+        assert np.abs(rho @ rho - rho).max() < 1e-12
 
     def test_thermal_trace_closure(self):
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(1.0, 1e-10)
-        for s in two_qubit_states(p, f, np.linspace(0, 2, 50)):
-            assert s.trace >= 1.0 - f.epsilon
-            assert s.trace <= 1.0 + 1e-12
-            assert abs(s.rho23) ** 2 <= s.rho22 * s.rho33 + 1e-10
+        s = two_qubit_states(p, f, np.linspace(0, 2, 50))
+        trace = s.rho11 + s.rho22 + s.rho33 + s.rho44
+        assert np.all(trace >= 1.0 - f.epsilon)
+        assert np.all(trace <= 1.0 + 1e-12)
+        assert np.all(np.abs(s.rho23) ** 2 <= s.rho22 * s.rho33 + 1e-10)
 
     def test_blocks_match_pointwise(self):
         p = ModelParams.from_k(10.0, 0.5)
@@ -210,12 +211,10 @@ class TestTwoQubitState:
         times = np.linspace(0.0, 2.0, 2 * _BLOCK + 3)
         series = two_qubit_states(p, f, times)
         assert len(series) == times.size
-        for t, s in zip(times, series):
-            assert np.abs(s.matrix() - two_qubit_state(p, f, t).matrix()).max() <= 1e-15
+        pointwise = np.array([two_qubit_states(p, f, [t]).matrix()[0] for t in times])
+        assert np.abs(series.matrix() - pointwise).max() <= 1e-15
 
     def test_series_rejects_what_the_state_rejects(self):
-        from esdsim import StateSeries
-
         ok = dict(rho11=np.zeros(2), rho22=np.ones(2), rho33=np.zeros(2),
                   rho44=np.zeros(2), rho23=np.zeros(2, dtype=complex))
         s = StateSeries(**dict(ok, rho11=np.array([0.0, -1e-14])))
@@ -229,12 +228,10 @@ class TestTwoQubitState:
         p = ModelParams.from_k(10.0, 0.5)
         eps = 1e-8
         f1 = build_thermal(1.0, eps)
-        from esdsim.model import ThermalField
-
         n2 = 2 * f1.nmax
         w2 = np.array([f1.weight(n) for n in range(n2 + 1)])
         f2 = ThermalField(nbar=1.0, epsilon=eps, nmax=n2, weights=w2)
-        for t in np.linspace(0, 2, 20):
-            a = two_qubit_state(p, f1, t).matrix()
-            b = two_qubit_state(p, f2, t).matrix()
-            assert np.abs(a - b).max() <= eps
+        times = np.linspace(0, 2, 20)
+        a = two_qubit_states(p, f1, times).matrix()
+        b = two_qubit_states(p, f2, times).matrix()
+        assert np.abs(a - b).max() <= eps

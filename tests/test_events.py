@@ -4,18 +4,19 @@ import pytest
 from esdsim import (
     ModelParams,
     build_thermal,
-    concurrence_xstate,
     dwell_fraction,
+    observable_columns,
     scan_esd,
-    two_qubit_state,
     two_qubit_states,
 )
 from esdsim import events
 from esdsim.events import EsdInterval
+from esdsim.observables import separability
 
 
 def lambda_at(params, field, t):
-    return concurrence_xstate(two_qubit_state(params, field, t))[1]
+    """Lambda at one time, from a one-point series."""
+    return separability(two_qubit_states(params, field, [t]))[0]
 
 
 def reference_scan(params, field, t0, t1, n_grid):
@@ -33,7 +34,7 @@ def reference_scan(params, field, t0, t1, n_grid):
         return 0.5 * (t_lo + t_hi)
 
     times = np.linspace(t0, t1, n_grid)
-    lam = [concurrence_xstate(s)[1] for s in two_qubit_states(params, field, times)]
+    lam = separability(two_qubit_states(params, field, times)).tolist()
     intervals, i = [], 0
     while i < n_grid:
         if lam[i] >= 0:
@@ -88,9 +89,8 @@ class TestScanEsd:
         for iv in intervals:
             pad = 1e-7 * iv.width
             interior = np.linspace(iv.t_death + pad, iv.t_birth - pad, 100)
-            for t in interior:
-                conc, _ = concurrence_xstate(two_qubit_state(p, f, float(t)))
-                assert conc == 0.0
+            conc = observable_columns(two_qubit_states(p, f, interior))["concurrence"]
+            assert np.all(conc == 0.0)
 
     def test_crossings_stable_under_grid_refinement(self):
         p = ModelParams.from_k(10.0, 0.5)

@@ -1,117 +1,103 @@
 import numpy as np
 import pytest
+from conftest import random_xstates
 
 from esdsim import (
     ModelParams,
-    TwoQubitState,
+    StateSeries,
     build_thermal,
-    coherence_l1,
     concurrence_wootters,
-    concurrence_xstate,
     inversion_closed,
-    inversion_summed,
-    linear_entropy,
     observable_columns,
-    qubit1_reduce,
-    two_qubit_state,
     two_qubit_states,
 )
-from esdsim.observables import Qubit1State
+from esdsim.observables import separability
 
-BELL = TwoQubitState(rho11=0.0, rho22=0.5, rho33=0.5, rho44=0.0, rho23=0.5)
-PRODUCT = TwoQubitState(rho11=0.0, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
-
-
-def random_xstate(rng):
-    pops = rng.dirichlet(np.ones(4))
-    mag = np.sqrt(pops[1] * pops[2]) * rng.uniform(0, 1)
-    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return TwoQubitState(
-        rho11=pops[0], rho22=pops[1], rho33=pops[2], rho44=pops[3], rho23=mag * phase
-    )
+BELL = StateSeries(rho11=0.0, rho22=0.5, rho33=0.5, rho44=0.0, rho23=0.5)
+PRODUCT = StateSeries(rho11=0.0, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
 
 
 class TestConcurrence:
     def test_product_state(self):
-        assert concurrence_wootters(PRODUCT) == 0.0
-        assert concurrence_xstate(PRODUCT) == (0.0, 0.0)
+        assert concurrence_wootters(PRODUCT.matrix())[0] == 0.0
+        m = observable_columns(PRODUCT)
+        assert (m["concurrence"][0], m["lambda"][0]) == (0.0, 0.0)
 
     def test_bell_state(self):
-        assert concurrence_wootters(BELL) == pytest.approx(1.0, abs=1e-12)
-        conc, lam_fn = concurrence_xstate(BELL)
-        assert conc == pytest.approx(1.0, abs=1e-12)
-        assert lam_fn == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_wootters(BELL.matrix())[0] == pytest.approx(1.0, abs=1e-12)
+        m = observable_columns(BELL)
+        assert m["concurrence"][0] == pytest.approx(1.0, abs=1e-12)
+        assert m["lambda"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_wootters_equals_xstate_on_random_states(self):
-        rng = np.random.default_rng(11)
-        for _ in range(10_000):
-            s = random_xstate(rng)
-            cw = concurrence_wootters(s)
-            cx, _ = concurrence_xstate(s)
-            assert abs(cw - cx) <= 1e-10
+        s = random_xstates(np.random.default_rng(11), 10_000)
+        cw = concurrence_wootters(s.matrix())
+        assert np.abs(cw - observable_columns(s)["concurrence"]).max() <= 1e-10
 
     def test_isolated_pair_lambda(self):
         p = ModelParams(lam=10.0, g=0.0)
-        f = build_thermal(0.0)
-        for t in np.linspace(0, 1, 37):
-            _, lam_fn = concurrence_xstate(two_qubit_state(p, f, t))
-            assert lam_fn == pytest.approx(abs(np.sin(2 * p.lam * t)), abs=1e-12)
+        times = np.linspace(0, 1, 37)
+        lam_fn = separability(two_qubit_states(p, build_thermal(0.0), times))
+        assert np.abs(lam_fn - np.abs(np.sin(2 * p.lam * times))).max() <= 1e-12
 
     def test_strong_coupling_sustained_negativity(self):
         # k=0.5, nbar=10: Lambda stays negative over sustained stretches
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(10.0)
         times = np.linspace(20.0, 22.0, 400)
-        lam_fn = np.array(
-            [concurrence_xstate(s)[1] for s in two_qubit_states(p, f, times)]
-        )
+        lam_fn = separability(two_qubit_states(p, f, times))
         assert (lam_fn < 0).mean() > 0.5
 
 
 class TestCoherence:
     def test_trivial_states(self):
-        assert coherence_l1(PRODUCT) == 0.0
-        assert coherence_l1(BELL) == pytest.approx(1.0, abs=1e-14)
+        assert observable_columns(PRODUCT)["coherence"][0] == 0.0
+        assert observable_columns(BELL)["coherence"][0] == pytest.approx(1.0, abs=1e-14)
 
     def test_dominates_lambda(self):
-        rng = np.random.default_rng(5)
-        for _ in range(1000):
-            s = random_xstate(rng)
-            assert coherence_l1(s) >= concurrence_xstate(s)[1] - 1e-15
+        m = observable_columns(random_xstates(np.random.default_rng(5), 1000))
+        assert np.all(m["coherence"] >= m["lambda"] - 1e-15)
 
 
 class TestQubit1:
     def test_reduce_product(self):
-        q = qubit1_reduce(PRODUCT)
-        assert (q.rho_ee, q.rho_gg) == (1.0, 0.0)
-        assert inversion_summed(q) == 1.0
-        assert linear_entropy(q) == 0.0
+        m = observable_columns(PRODUCT)
+        assert m["inversion"][0] == 1.0
+        assert m["entropy"][0] == 0.0
 
     def test_half_swap(self):
         p = ModelParams(lam=10.0, g=0.0)
-        s = two_qubit_state(p, build_thermal(0.0), np.pi / (4 * p.lam))
-        q = qubit1_reduce(s)
-        assert q.rho_ee == pytest.approx(0.5, abs=1e-12)
-        assert q.rho_gg == pytest.approx(0.5, abs=1e-12)
-        assert inversion_summed(q) == pytest.approx(0.0, abs=1e-12)
-        assert linear_entropy(q) == pytest.approx(0.5, abs=1e-12)
+        s = two_qubit_states(p, build_thermal(0.0), [np.pi / (4 * p.lam)])
+        assert s.rho11[0] + s.rho22[0] == pytest.approx(0.5, abs=1e-12)
+        assert s.rho33[0] + s.rho44[0] == pytest.approx(0.5, abs=1e-12)
+        m = observable_columns(s)
+        assert m["inversion"][0] == pytest.approx(0.0, abs=1e-12)
+        assert m["entropy"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_entropy_inversion_identity(self):
         p = ModelParams.from_k(10.0, 0.1)
         f = build_thermal(1.0, 1e-12)
-        for t in np.linspace(0, 3, 60):
-            q = qubit1_reduce(two_qubit_state(p, f, t))
-            trace_deficit = abs(1.0 - q.rho_ee - q.rho_gg)
-            if trace_deficit <= 1e-10:
-                w = inversion_summed(q)
-                assert linear_entropy(q) == pytest.approx(0.5 * (1 - w * w), abs=1e-10)
+        s = two_qubit_states(p, f, np.linspace(0, 3, 60))
+        m = observable_columns(s)
+        closed = np.abs(1.0 - s.rho11 - s.rho22 - s.rho33 - s.rho44) <= 1e-10
+        w = m["inversion"][closed]
+        assert np.abs(m["entropy"][closed] - 0.5 * (1 - w * w)).max() <= 1e-10
 
     def test_entropy_range_thermal(self):
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(10.0)
-        for t in np.linspace(0.05, 4, 40):
-            s = linear_entropy(qubit1_reduce(two_qubit_state(p, f, t)))
-            assert 0.0 < s <= 0.5 + 1e-12
+        s = observable_columns(two_qubit_states(p, f, np.linspace(0.05, 4, 40)))["entropy"]
+        assert np.all((0.0 < s) & (s <= 0.5 + 1e-12))
+
+    def test_rounding_kept_in_range(self):
+        # k = 0.5, nbar = 0: the entries give rho22(0) = 1 + 4e-16
+        p = ModelParams.from_k(10.0, 0.5)
+        m = observable_columns(two_qubit_states(p, build_thermal(0.0), np.linspace(0, 2, 200)))
+        assert np.all(np.abs(m["inversion"]) <= 1.0)
+        assert np.all(m["entropy"] >= 0.0)
+        # a trace below 1 lets the purity deficit pass 1/2; only rounding is clipped
+        short = StateSeries(rho11=0.0, rho22=0.45, rho33=0.45, rho44=0.0, rho23=0.0)
+        assert observable_columns(short)["entropy"][0] == pytest.approx(0.595, abs=1e-15)
 
 
 class TestInversionClosed:
@@ -126,15 +112,14 @@ class TestInversionClosed:
         p = ModelParams.from_k(10.0, k)
         f = build_thermal(nbar)
         times = np.linspace(0, 2, 40)
-        states = two_qubit_states(p, f, times)
-        for t, s in zip(times, states):
-            ws = inversion_summed(qubit1_reduce(s))
+        summed = observable_columns(two_qubit_states(p, f, times))["inversion"]
+        for t, ws in zip(times, summed):
             wc = inversion_closed(p, f, float(t))
             assert abs(ws - wc) <= 1e-8
 
     def test_rejects_decoupled(self):
         p = ModelParams(lam=10.0, g=0.0)
-        with pytest.raises(ValueError, match="inversion_summed"):
+        with pytest.raises(ValueError, match="singular at g = 0"):
             inversion_closed(p, build_thermal(1.0), 1.0)
 
     def test_long_time_purity_drift(self):
@@ -158,32 +143,16 @@ class TestObservableColumns:
         assert np.all((-1.0 <= m["inversion"]) & (m["inversion"] <= 1.0))
         assert np.abs(m["entropy"] - 0.5 * (1 - m["inversion"] ** 2)).max() <= 1e-10
 
-    def test_match_scalar_observables(self):
-        p = ModelParams.from_k(10.0, 0.5)
-        f = build_thermal(10.0)
-        series = two_qubit_states(p, f, np.linspace(0.0, 2.0, 50))
-        m = observable_columns(series)
-        for i, s in enumerate(series):
-            q = qubit1_reduce(s)
-            assert (m["concurrence"][i], m["lambda"][i]) == concurrence_xstate(s)
-            assert m["coherence"][i] == coherence_l1(s)
-            assert m["inversion"][i] == inversion_summed(q)
-            assert m["entropy"][i] == linear_entropy(q)
-
 
 class TestValidation:
     def test_negative_population_rejected(self):
         with pytest.raises(ValueError):
-            TwoQubitState(rho11=-1e-6, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
+            StateSeries(rho11=-1e-6, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
 
     def test_tiny_negative_clamped(self):
-        s = TwoQubitState(rho11=-1e-14, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
-        assert s.rho11 == 0.0
+        s = StateSeries(rho11=-1e-14, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
+        assert s.rho11.tolist() == [0.0]
 
     def test_coherence_bound_enforced(self):
         with pytest.raises(ValueError):
-            TwoQubitState(rho11=0.0, rho22=0.3, rho33=0.3, rho44=0.4, rho23=0.31)
-
-    def test_qubit1_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Qubit1State(rho_ee=-1e-3, rho_gg=1.0)
+            StateSeries(rho11=0.0, rho22=0.3, rho33=0.3, rho44=0.4, rho23=0.31)
