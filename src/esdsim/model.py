@@ -52,16 +52,19 @@ class ThermalField:
         """P_n for arbitrary n >= 0, beyond the stored truncation if needed."""
         if n < 0:
             return 0.0
-        if self.nbar == 0.0:
-            return 1.0 if n == 0 else 0.0
-        return self.nbar**n / (1.0 + self.nbar) ** (n + 1)
+        return float(_bose_weights(self.nbar, n))
 
     @property
     def tail_bound(self) -> float:
         """Exact probability mass dropped by the truncation."""
-        if self.nbar == 0.0:
-            return 0.0
         return (self.nbar / (1.0 + self.nbar)) ** (self.nmax + 1)
+
+
+def _bose_weights(nbar: float, n):
+    """P_n = q^n / (1+nbar) with q = nbar/(1+nbar), for an int or an array
+    of n. This form cannot overflow, and one numpy power for both makes
+    weight(n) equal weights[n] exactly."""
+    return np.power(nbar / (1.0 + nbar), n) / (1.0 + nbar)
 
 
 def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
@@ -87,6 +90,5 @@ def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     while nmax > 0 and q**nmax <= epsilon:
         nmax -= 1
 
-    n = np.arange(nmax + 1)
-    weights = q**n / (1.0 + nbar)
+    weights = _bose_weights(nbar, np.arange(nmax + 1))
     return ThermalField(nbar=nbar, epsilon=epsilon, nmax=nmax, weights=weights)

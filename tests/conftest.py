@@ -12,3 +12,16 @@ def random_xstates(rng, n) -> StateSeries:
     return StateSeries(
         rho11=pops[:, 0], rho22=pops[:, 1], rho33=pops[:, 2], rho44=pops[:, 3], rho23=mag * phase
     )
+
+
+def sector_basis_indices(n: int, fock_cutoff: int) -> list[int]:
+    """Flat indices of {|ee,n-1>, |eg,n>, |ge,n>, |gg,n+1>} in the oracle's
+    qubit1 x qubit2 x Fock basis; n=0 drops the first."""
+    nf = fock_cutoff + 1
+    idx = []
+    if n >= 1:
+        idx.append(0 * nf + (n - 1))   # |e e, n-1>
+    idx.append(1 * nf + n)             # |e g, n>
+    idx.append(2 * nf + n)             # |g e, n>
+    idx.append(3 * nf + (n + 1))       # |g g, n+1>
+    return idx

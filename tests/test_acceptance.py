@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_xstates
+from conftest import random_xstates, sector_basis_indices
 
 from esdsim import (
     ModelParams,
@@ -23,7 +23,7 @@ from esdsim import (
 from esdsim.cli import RunConfig, execute, main, preset_config
 from esdsim.dynamics import amplitude_table
 from esdsim.model import ThermalField
-from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series, sector_basis_indices
+from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series
 
 GRID_K = (0.1, 0.5)
 GRID_NBAR = (1.0, 10.0)

@@ -264,6 +264,11 @@ class TestMain:
     def test_usage_error(self, capsys):
         assert main(["run", "--k", "0.1", "--g", "1.0"]) == EXIT_USAGE
 
+    def test_run_at_large_nbar(self, capsys):
+        # nbar^n / (1+nbar)^(n+1) overflowed past n ~ 280 at nbar = 12
+        assert main(["run", "--nbar", "20", "--k", "0.1", "--steps", "10"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 11
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 0.5\nnbar = 1\nsteps = 4\nobservables = concurrence\n")

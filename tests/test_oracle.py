@@ -1,15 +1,28 @@
 import numpy as np
 import pytest
+from conftest import sector_basis_indices
+from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
-from esdsim.oracle import (
-    build_hamiltonians,
-    evolve,
-    partial_trace_field,
-    partial_trace_to_qubit1,
-    reduced_two_qubit_series,
-    sector_basis_indices,
-)
+from esdsim.oracle import HamiltonianMatrix, build_hamiltonians, reduced_two_qubit_series
+
+
+def expm_reference(h, field, times):
+    """Field-traced states from expm(-i h1 t) on the weighted |e g, n> start
+    columns, shape (times, 4, 4); no eigendecomposition."""
+    nf = h.fock_cutoff + 1
+    start = nf + np.arange(field.nmax + 1)
+    out = []
+    for t in times:
+        psi = expm(-1j * t * h.h1)[:, start]
+        rho = (psi * field.weights) @ psi.conj().T
+        out.append(np.trace(rho.reshape(4, nf, 4, nf), axis1=1, axis2=3))
+    return np.array(out)
+
+
+def qubit1_populations(series):
+    """(rho_ee, rho_gg) of qubit 1 from the two-qubit series."""
+    return series.rho11 + series.rho22, series.rho33 + series.rho44
 
 
 def free_hamiltonian(fock_cutoff, omega=100.0):
@@ -36,7 +49,8 @@ def weak_setup():
 class TestHamiltonian:
     def test_hermitian(self, weak_setup):
         _, _, h = weak_setup
-        assert np.abs(h.h1 - h.h1.conj().T).max() == 0.0
+        assert h.h1.dtype == np.float64
+        assert np.abs(h.h1 - h.h1.T).max() == 0.0
         h0 = free_hamiltonian(h.fock_cutoff)
         assert np.abs(h0 - h0.conj().T).max() == 0.0
 
@@ -84,86 +98,64 @@ class TestHamiltonian:
         params, field, _ = weak_setup
         h_small = build_hamiltonians(params, field.nmax)
         with pytest.raises(ValueError, match="headroom"):
-            evolve(h_small, field, 0.1)
+            reduced_two_qubit_series(h_small, field, [0.1])
+
+    def test_off_x_detected(self, weak_setup):
+        params, field, h = weak_setup
+        # a transverse drive on qubit 1 breaks excitation conservation
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
+        driven = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+        with pytest.raises(ValueError, match="off-X"):
+            reduced_two_qubit_series(driven, field, np.linspace(0, 2, 9))
 
 
 class TestEvolve:
     def test_t0_returns_initial_state(self, weak_setup):
         _, field, h = weak_setup
-        state = evolve(h, field, 0.0)
-        nf = h.fock_cutoff + 1
-        expected = np.zeros((h.dim, h.dim), dtype=complex)
-        for n in range(field.nmax + 1):
-            expected[nf + n, nf + n] = field.weights[n]
-        assert np.abs(state.rho - expected).max() < 1e-14
+        s = reduced_two_qubit_series(h, field, [0.0])
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[1, 1] = field.weights.sum()
+        assert np.abs(s.matrix()[0] - expected).max() < 1e-14
 
     def test_state_invariants(self, weak_setup):
         _, field, h = weak_setup
-        state = evolve(h, field, 1.3)
-        assert np.abs(state.rho - state.rho.conj().T).max() < 1e-12
-        assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.eigvalsh(state.rho).min() > -1e-10
-
-    def test_sector_purity_preserved(self, weak_setup):
-        params, _, h = weak_setup
-        # a single Fock component evolves as a pure state
-        from esdsim.model import ThermalField
-
-        single = ThermalField(nbar=0.0, epsilon=1e-12, nmax=0, weights=np.array([1.0]))
-        state = evolve(h, single, 2.1)
-        purity = np.trace(state.rho @ state.rho).real
-        assert purity == pytest.approx(1.0, abs=1e-12)
-
-    def test_excitation_conserved(self, weak_setup):
-        _, field, h = weak_setup
-        nf = h.fock_cutoff + 1
-        num_q = np.diag([1.0, 0.0]).astype(complex)
-        num_f = np.diag(np.arange(nf)).astype(complex)
-        i2, idf = np.eye(2, dtype=complex), np.eye(nf, dtype=complex)
-        n_tot = (
-            np.kron(np.kron(num_q, i2), idf)
-            + np.kron(np.kron(i2, num_q), idf)
-            + np.kron(np.kron(i2, i2), num_f)
-        )
-        ref = np.trace(n_tot @ evolve(h, field, 0.0).rho).real
-        for t in [0.4, 1.1, 3.0]:
-            val = np.trace(n_tot @ evolve(h, field, t).rho).real
-            assert val == pytest.approx(ref, abs=1e-10)
+        rho = reduced_two_qubit_series(h, field, [1.3]).matrix()[0]
+        assert np.trace(rho).real == pytest.approx(1.0, abs=field.epsilon)
+        assert np.linalg.eigvalsh(rho).min() > -1e-10
 
 
 class TestPartialTraces:
     def test_t0_reduction(self, weak_setup):
         _, field, h = weak_setup
-        s = partial_trace_field(evolve(h, field, 0.0))
+        s = reduced_two_qubit_series(h, field, [0.0])
         assert s.rho22[0] == pytest.approx(1.0, abs=1e-10)
-        rho_ee, _ = partial_trace_to_qubit1(evolve(h, field, 0.0))
-        assert rho_ee == pytest.approx(1.0, abs=1e-10)
+        rho_ee, _ = qubit1_populations(s)
+        assert rho_ee[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_analytic_engine(self, weak_setup):
         params, field, h = weak_setup
-        for t in [0.5, 2.0, 5.0]:
-            tri = evolve(h, field, t)
-            s_or = partial_trace_field(tri)
-            s_an = two_qubit_states(params, field, [t])
-            assert np.abs(s_or.matrix() - s_an.matrix()).max() < 1e-8
-            rho_ee, rho_gg = partial_trace_to_qubit1(tri)
-            assert rho_ee == pytest.approx(s_an.rho11[0] + s_an.rho22[0], abs=1e-8)
-            assert rho_gg == pytest.approx(s_an.rho33[0] + s_an.rho44[0], abs=1e-8)
+        times = [0.5, 2.0, 5.0]
+        s_or = reduced_two_qubit_series(h, field, times)
+        s_an = two_qubit_states(params, field, times)
+        assert np.abs(s_or.matrix() - s_an.matrix()).max() < 1e-8
+        for got, want in zip(qubit1_populations(s_or), qubit1_populations(s_an)):
+            assert np.abs(got - want).max() < 1e-8
 
     def test_decoupled_half_swap(self):
         p = ModelParams(lam=10.0, g=0.0)
         field = build_thermal(0.0)
         h = build_hamiltonians(p, 2)
-        rho_ee, rho_gg = partial_trace_to_qubit1(evolve(h, field, np.pi / (4 * p.lam)))
-        assert rho_ee == pytest.approx(0.5, abs=1e-12)
-        assert rho_gg == pytest.approx(0.5, abs=1e-12)
+        s = reduced_two_qubit_series(h, field, [np.pi / (4 * p.lam)])
+        rho_ee, rho_gg = qubit1_populations(s)
+        assert rho_ee[0] == pytest.approx(0.5, abs=1e-12)
+        assert rho_gg[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_series_matches_dense_route(self, weak_setup):
-        params, field, h = weak_setup
+        _, field, h = weak_setup
         times = np.linspace(0, 2, 9)
         series = reduced_two_qubit_series(h, field, times)
-        dense = np.array([partial_trace_field(evolve(h, field, t)).matrix()[0] for t in times])
-        assert np.abs(series.matrix() - dense).max() < 1e-12
+        assert np.abs(series.matrix() - expm_reference(h, field, times)).max() < 1e-12
 
     def test_reductions_against_analytic_grid(self, weak_setup):
         params, field, h = weak_setup

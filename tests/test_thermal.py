@@ -45,6 +45,13 @@ def test_weight_extends_past_truncation():
     assert f.weight(-1) == 0.0
 
 
+@pytest.mark.parametrize("nbar", [0.0, 0.3, 2.5, 10.0, 12.0, 50.0])
+def test_weight_equals_stored_weights(nbar):
+    f = build_thermal(nbar, 1e-10)
+    assert [f.weight(n) for n in range(f.nmax + 1)] == f.weights.tolist()
+    assert f.weight(f.nmax + 1) < f.weights[-1]
+
+
 @pytest.mark.parametrize("nbar,eps", [(-1.0, 1e-10), (1.0, 0.0), (1.0, 1.0), (1.0, -0.5)])
 def test_domain_errors(nbar, eps):
     with pytest.raises(ValueError):
