@@ -288,8 +288,8 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     An item is a RunConfig or a (name, resolve) pair: resolve() builds the
     config inside the run's error isolation, and name labels the row when
     it fails. Items resolve in order, before any runs; an item whose output
-    file an earlier item writes fails without running. Each failed run's
-    error goes to stderr as one line.
+    directory does not exist, or whose output file an earlier item writes,
+    fails without running. Each failed run's error goes to stderr as one line.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
@@ -308,7 +308,11 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
         cfg = isolated(RunConfig(name=name), resolve)
         if isinstance(cfg, RunConfig) and cfg.output_path:
             path = os.path.abspath(cfg.output_path)
-            if path in writer:
+            directory = os.path.dirname(path)
+            if not os.path.isdir(directory):
+                cfg = RunResult(config=cfg, exit_code=EXIT_IO,
+                                error=f"output directory {directory} does not exist")
+            elif path in writer:
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path]}")
             else:

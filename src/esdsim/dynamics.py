@@ -6,9 +6,13 @@ sector is a 4x4 unitary with closed-form entries built from the two
 characteristic frequencies of the sector; the thermal state is a classical
 mixture over sectors.
 
-All sectors are evaluated together: ``SectorTable`` holds the per-sector
-constants as arrays over n, and the entry formulas broadcast over
-(sectors x times).
+All sectors are evaluated together. ``SectorTable`` holds, per sector, a
+real 4x4 coefficient matrix K that maps the basis T(t) = (cos w+ t,
+sin w+ t, cos w- t, sin w- t) to the four real factors of the propagator
+column. Times go in blocks of a base t_b plus offsets tau, evaluated as
+X = (K R(t_b)) T(tau) with R(t_b) the angle-addition rotation. A linspace
+grid shares one table T(j * step) across its blocks and needs trig only at
+each block's base; any other times are evaluated at base 0, where R = I.
 """
 
 from __future__ import annotations
@@ -21,14 +25,9 @@ from .model import ModelParams, ThermalField
 
 _POP_CLAMP = 1e-12
 _POSITIVITY_TOL = 1e-10
-# times per evaluation block; bounds the (sectors x times) temporaries to a
-# few MB at nmax ~ 240 whatever the length of the grid
-_BLOCK = 512
-
-# the amplitudes (C1, C2, C3, C4) reached from |e1, g2, n> are these phases
-# times the real factors _propagator_entries returns: C1 and C3 lie an odd
-# number of couplings from the start on the chain ee - eg - ge - gg
-_PHASE = (1j, 1.0, -1j, 1.0)
+# times per evaluation block; bounds a block's (sectors x 4 x times) arrays,
+# the shared trig table among them, to ~1 MB at nmax ~ 240 for any grid
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -108,76 +107,76 @@ def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
     )
 
 
-def _sin_over_w(s, w, t):
-    """s / w for s = sin(w t), with its limit t where w = 0."""
-    zero = w == 0
-    return np.where(zero, t, s / np.where(zero, 1.0, w))
-
-
-def _propagator_entries(f: SectorFrequencies, lam: float, t):
-    """Real factors of the propagator entries A_01, A_11, A_12, A_13: the
-    column reached from |e1, g2, n>, to be multiplied by _PHASE.
-
-    The frequencies and t broadcast: scalars give one entry, a column of
-    sectors against a row of times gives (sectors x times) arrays.
-    """
-    wp, wm, a, b, r = f.omega_plus, f.omega_minus, f.a, f.b, f.r
-    xp, xm = wp * t, wm * t
-    cp, cm = np.cos(xp), np.cos(xm)
-    sp, sm = np.sin(xp), np.sin(xm)
-    swp, swm = sp / wp, _sin_over_w(sm, wm, t)  # omega_plus >= lam > 0
-    b2, wp2, wm2 = b * b, wp * wp, wm * wm
-    return (
-        a * ((b2 - wp2) * swp - (b2 - wm2) * swm) / r,
-        ((wp2 - b2) * cp - (wm2 - b2) * cm) / r,
-        lam * (wp * sp - wm * sm) / r,
-        lam * b * (cp - cm) / r,
-    )
-
-
-def amplitude_table(params: ModelParams, nmax: int, times: np.ndarray):
-    """Amplitude arrays C_j[n, it] for n = 0 .. nmax over a time grid."""
-    times = np.asarray(times, dtype=float)
-    f = sector_frequencies(params, np.arange(nmax + 1).reshape((-1,) + (1,) * times.ndim))
-    return tuple(np.asarray(phase * x, dtype=complex)
-                 for phase, x in zip(_PHASE, _propagator_entries(f, params.lam, times)))
-
-
 class SectorTable:
     """Per-sector constants of one (params, field), evaluated over any time array.
 
     Sectors run over n = 0 .. nmax+1: the rho11 sum carries weights shifted
     by one index, so it is extended one slot past the field's truncation to
-    keep the stated tail bound.
+    keep the stated tail bound. coeffs[n] = K maps T(t) to the real factors
+    of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
         n = np.arange(field.nmax + 2)
-        self.lam = params.lam
-        self.freqs = sector_frequencies(params, n[:, None])
-        self.w = field.weights
-        self.w_ext = np.append(field.weights, field.weight(field.nmax + 1))
+        f = self.freqs = sector_frequencies(params, n)
+        wp, wm, a, b2, r, lam = f.omega_plus, f.omega_minus, f.a, f.b**2, f.r, params.lam
+        k = np.zeros((n.size, 4, 4))
+        k[:, 0, 1] = a * (b2 - wp**2) / (r * wp)  # omega_plus >= lam > 0
+        # omega_minus is 0 where a = g sqrt(n) is, which zeroes the term
+        np.divide(-a * (b2 - wm**2), r * wm, out=k[:, 0, 3], where=wm > 0)
+        k[:, 1, 0] = (wp**2 - b2) / r
+        k[:, 1, 2] = (b2 - wm**2) / r
+        k[:, 2, 1] = lam * wp / r
+        k[:, 2, 3] = -lam * wm / r
+        k[:, 3, 0] = lam * f.b / r
+        k[:, 3, 2] = -k[:, 3, 0]
+        self.coeffs = k
+        # weights of x_j^2 in rho_jj (row 1 also of x2 x3); only rho11 reaches nmax+1
+        self.pop_weights = np.zeros((4, n.size))
+        self.pop_weights[0] = np.append(field.weights, field.weight(field.nmax + 1))
+        self.pop_weights[1:, :-1] = field.weights
+
+    def basis(self, times: np.ndarray) -> np.ndarray:
+        """T(t) of every sector at each time, shape (sectors, 4, times)."""
+        xp = np.multiply.outer(self.freqs.omega_plus, times)
+        xm = np.multiply.outer(self.freqs.omega_minus, times)
+        return np.stack((np.cos(xp), np.sin(xp), np.cos(xm), np.sin(xm)), axis=1)
+
+    def _rotated(self, t_b: float) -> np.ndarray:
+        """K R(t_b), with R(t_b) the rotation T(t_b + tau) = R(t_b) T(tau)."""
+        t = self.basis(np.array(t_b))[:, None, :]
+        c, s, kc, ks = t[..., 0::2], t[..., 1::2], self.coeffs[..., 0::2], self.coeffs[..., 1::2]
+        return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(self.coeffs.shape)
+
+    def _evaluate(self, kr: np.ndarray, basis: np.ndarray):
+        """Populations (4, m) and rho23 (m,) from kr = K R(t_b) and basis = T(tau):
+        |C_j|^2 = x_j^2 and C2 conj(C3) = i x2 x3. Squaring each cell before
+        weighting keeps small populations accurate."""
+        x = kr @ basis
+        rho23 = 1j * (self.pop_weights[1] @ (x[:, 1] * x[:, 2]))
+        np.square(x, out=x)
+        return (self.pop_weights[:, None, :] @ x.transpose(1, 0, 2))[:, 0], rho23
 
     def series(self, times) -> StateSeries:
-        """The five X-state columns at each time, evaluated block by block."""
+        """The five X-state columns at each time, evaluated block by block.
+
+        A linspace grid (bit for bit, >= 2 points) shares T(j * step) across
+        its blocks, each rotated to its first time; other times are at base 0.
+        """
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = {
-            "rho11": np.empty(times.size), "rho22": np.empty(times.size),
-            "rho33": np.empty(times.size), "rho44": np.empty(times.size),
-            "rho23": np.empty(times.size, dtype=complex),
-        }
-        w, w_ext = self.w, self.w_ext
+        pops = np.empty((4, times.size))
+        rho23 = np.empty(times.size, dtype=complex)
+        uniform = times.size >= 2 and np.array_equal(
+            times, np.linspace(times[0], times[-1], times.size))
+        if uniform:
+            step = (times[-1] - times[0]) / (times.size - 1)
+            shared = self.basis(np.arange(min(_BLOCK, times.size)) * step)
         for start in range(0, times.size, _BLOCK):
             block = slice(start, start + _BLOCK)
-            # real factors: |C|^2 is their square and C2 conj(C3) = i x2 x3
-            x1, x2, x3, x4 = _propagator_entries(self.freqs, self.lam, times[block])
-            x2, x3, x4 = x2[:-1], x3[:-1], x4[:-1]
-            cols["rho11"][block] = w_ext[1:] @ x1[1:] ** 2
-            cols["rho22"][block] = w @ x2**2
-            cols["rho33"][block] = w @ x3**2
-            cols["rho44"][block] = w @ x4**2
-            cols["rho23"][block] = 1j * (w @ (x2 * x3))
-        return StateSeries(**cols)
+            kr, basis = ((self._rotated(times[start]), shared[..., : times[block].size])
+                         if uniform else (self.coeffs, self.basis(times[block])))
+            pops[:, block], rho23[block] = self._evaluate(kr, basis)
+        return StateSeries(*pops, rho23)
 
 
 def two_qubit_states(

@@ -1,6 +1,23 @@
 import numpy as np
 
 from esdsim import StateSeries
+from esdsim.dynamics import SectorTable
+from esdsim.model import ThermalField
+
+# the amplitudes (C1, C2, C3, C4) reached from |e1, g2, n> are these phases
+# times the real factors x_j: C1 and C3 lie an odd number of couplings from
+# the start on the chain ee - eg - ge - gg
+_PHASE = (1j, 1.0, -1j, 1.0)
+
+
+def amplitude_table(params, nmax: int, times):
+    """Amplitude arrays C_j[n, it] for n = 0 .. nmax over a time grid, from
+    SectorTable's coefficient matrix at base 0: x = K T(t)."""
+    times = np.asarray(times, dtype=float)
+    field = ThermalField(nbar=0.0, epsilon=1.0, nmax=nmax, weights=np.ones(nmax + 1))
+    table = SectorTable(params, field)
+    x = table.coeffs[: nmax + 1] @ table.basis(times)[: nmax + 1]
+    return tuple(np.asarray(phase * x[:, j], dtype=complex) for j, phase in enumerate(_PHASE))
 
 
 def random_xstates(rng, n) -> StateSeries:

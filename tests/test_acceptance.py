@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_xstates, sector_basis_indices
+from conftest import amplitude_table, random_xstates, sector_basis_indices
 
 from esdsim import (
     ModelParams,
@@ -21,7 +21,6 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim.cli import RunConfig, execute, main, preset_config
-from esdsim.dynamics import amplitude_table
 from esdsim.model import ThermalField
 from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from esdsim import ModelParams, build_thermal, scan_esd
+from esdsim import ModelParams, build_thermal, cli, scan_esd
 from esdsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -344,6 +344,19 @@ class TestMain:
         first = tmp_path / "a.csv"
         assert main(["run", "--config", str(tmp_path / "a" / "x.cfg"), "-o", str(first)]) == 0
         assert (tmp_path / "x.csv").read_bytes() == first.read_bytes()
+
+    def test_sweep_into_missing_directory_runs_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "execute", lambda cfg: calls.append(cfg))
+        missing = tmp_path / "missing"
+        code = main(["sweep", "fig1a", "fig2a", "--output-dir", str(missing)])
+        assert code == EXIT_IO and calls == []
+        captured = capsys.readouterr()
+        rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
+        assert rows == [["fig1a", "failed(4)"], ["fig2a", "failed(4)"]]
+        assert captured.err.splitlines() == [
+            f"esdsim: {name}: output directory {missing} does not exist"
+            for name in ("fig1a", "fig2a")]
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from conftest import amplitude_table
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from esdsim import (
@@ -9,8 +12,10 @@ from esdsim import (
     sector_frequencies,
     two_qubit_states,
 )
+from esdsim.cli import preset_config
 from esdsim.model import ThermalField
-from esdsim.dynamics import _BLOCK, amplitude_table
+from esdsim.dynamics import _BLOCK, SectorTable
+from esdsim.observables import separability
 
 
 def sector_hamiltonian(params, n):
@@ -21,6 +26,43 @@ def sector_hamiltonian(params, n):
     return np.array(
         [[0, a, 0, 0], [a, 0, lam, 0], [0, lam, 0, b], [0, 0, b, 0]], dtype=float
     )
+
+
+def lambda_mp(params, field, t, dps=40):
+    """Lambda(t) of the same truncated sector sums, weights and float inputs,
+    from the closed-form propagator factors in mpmath at dps digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        lam, g, t = mp.mpf(params.lam), mp.mpf(params.g), mp.mpf(float(t))
+        k2 = (g / lam) ** 2
+        rho = [mp.mpf(0)] * 5  # rho11, rho22, rho33, rho44, |rho23|
+        for n in range(field.nmax + 2):
+            w = mp.mpf(field.weight(n))
+            a, b = g * mp.sqrt(n), g * mp.sqrt(n + 1)
+            alpha = 1 + (2 * n + 1) * k2
+            beta = mp.sqrt((1 + k2) ** 2 + 4 * n * k2)
+            r = lam**2 * beta
+            wp = lam / mp.sqrt(2) * mp.sqrt(alpha + beta)
+            wm = lam / mp.sqrt(2) * mp.sqrt(4 * n * (n + 1) * k2**2 / (alpha + beta))
+            sinc_m = mp.sin(wm * t) / wm if wm else t
+            x1 = a * ((b**2 - wp**2) * mp.sin(wp * t) / wp - (b**2 - wm**2) * sinc_m) / r
+            x2 = ((wp**2 - b**2) * mp.cos(wp * t) - (wm**2 - b**2) * mp.cos(wm * t)) / r
+            x3 = lam * (wp * mp.sin(wp * t) - wm * mp.sin(wm * t)) / r
+            x4 = lam * b * (mp.cos(wp * t) - mp.cos(wm * t)) / r
+            rho[0] += w * x1**2
+            if n <= field.nmax:
+                for j, term in enumerate((x2**2, x3**2, x4**2, x2 * x3), start=1):
+                    rho[j] += w * term
+        return 2 * abs(rho[4]) - 2 * mp.sqrt(rho[0] * rho[3])
+
+
+def preset_lambda(name, rows):
+    """Lambda of preset name's grid series at the given rows, float and mpmath."""
+    cfg = preset_config(name)
+    params, field = cfg.params(), build_thermal(cfg.nbar, cfg.epsilon)
+    times = np.linspace(cfg.t0, cfg.t1, cfg.steps)
+    got = separability(two_qubit_states(params, field, times))[rows]
+    return got, [float(lambda_mp(params, field, t)) for t in times[rows]]
 
 
 def amplitudes(params, n, t):
@@ -235,3 +277,45 @@ class TestTwoQubitState:
         a = two_qubit_states(p, f1, times).matrix()
         b = two_qubit_states(p, f2, times).matrix()
         assert np.abs(a - b).max() <= eps
+
+
+class TestAccuracy:
+    """The grid series against 40-digit evaluations of the same sums."""
+
+    def test_small_population_keeps_relative_accuracy(self):
+        # fig1d at t ~ 0.6283: rho44 ~ 8.6e-9 sits under a sqrt in Lambda, so
+        # an absolute error of eps * (coefficient size) in it would show here
+        (got,), (want,) = preset_lambda("fig1d", [628])
+        assert abs(got - want) <= 2e-15
+
+    def test_long_window(self):
+        # fig1c ends at lam t = 400; there the last digits are set by the
+        # rounding of the phase, ulp(omega t), in either time path
+        got, want = preset_lambda("fig1c", slice(-20, None))
+        assert np.abs(got - np.array(want)).max() <= 2e-13
+
+
+class TestTimePaths:
+    """A linspace grid (shared rotated table) against the same times one at a
+    time (direct trig at base 0)."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        log_k=st.floats(-8.0, 1.0),
+        nbar=st.floats(0.0, 10.0),
+        t1=st.floats(0.0, 40.0, exclude_min=True),
+        steps=st.integers(2, 3 * _BLOCK),
+    )
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=1)
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=2)
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_BLOCK)
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_BLOCK + 1)
+    def test_grid_matches_pointwise(self, log_k, nbar, t1, steps):
+        table = SectorTable(ModelParams.from_k(10.0, 10.0**log_k), build_thermal(nbar))
+        times = np.linspace(0.0, t1, steps)
+        grid = table.series(times).matrix()
+        pointwise = np.array([table.series(np.array([t])).matrix()[0] for t in times])
+        # the paths round the phases differently, by up to ulp(t1) in time,
+        # and round sums of entries of size <= 1 in different orders
+        bound = 4 * table.freqs.omega_plus.max() * np.spacing(t1) + 8 * np.spacing(1.0)
+        assert np.abs(grid - pointwise).max() <= bound
