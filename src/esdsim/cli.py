@@ -100,15 +100,15 @@ class RunConfig:
     def __post_init__(self):
         self.observables = tuple(self.observables)
 
-    def validate(self):
+    def validate(self) -> RunConfig:
+        """self if it can run, else a UsageError (FileNotFoundError if the
+        output directory does not exist)."""
         if self.k is not None and self.g is not None:
             raise UsageError("give either k or g, not both")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.metadata["parse"] is float and value is not None and not math.isfinite(value):
                 raise UsageError(f"{f.name} must be finite, got {value}")
-        if self.lam <= 0:
-            raise UsageError(f"lambda must be > 0, got {self.lam}")
         if not self.t0 < self.t1:
             raise UsageError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
         if self.steps < 2:
@@ -125,6 +125,8 @@ class RunConfig:
             build_thermal(self.nbar, self.epsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        _check_output(self.output_path)
+        return self
 
     def params(self) -> ModelParams:
         if self.g is not None:
@@ -168,9 +170,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _atomic_write(path: str, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".esdsim-")
+def _check_output(path: str | None):
+    """Fail before any work if path's directory does not exist; no path is stdout."""
+    if path and not os.path.isdir(directory := os.path.dirname(os.path.abspath(path))):
+        raise FileNotFoundError(f"output directory {directory} does not exist")
+
+
+def _write(path: str | None, text: str):
+    """Write text to stdout, or atomically to path."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".esdsim-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
@@ -215,15 +226,7 @@ def execute(config: RunConfig) -> RunResult:
             for name in ("rho11", "rho22", "rho33", "rho44", "rho23")
         )
 
-    text = _render(config, params, times, columns, intervals, oracle_dev)
-    if config.output_path:
-        try:
-            _atomic_write(config.output_path, text)
-        except OSError as exc:
-            return RunResult(config=config, exit_code=EXIT_IO, error=str(exc))
-    else:
-        sys.stdout.write(text)
-
+    _write(config.output_path, _render(config, params, times, columns, intervals, oracle_dev))
     result = RunResult(
         config=config,
         exit_code=EXIT_OK,
@@ -245,17 +248,7 @@ def _render(config, params, times, columns, intervals, oracle_dev) -> str:
         doc = {
             "config": config.resolved(),
             "samples": [dict(zip(keys, row)) for row in zip(*(r.tolist() for r in rows))],
-            "events": [
-                {
-                    "t_death": iv.t_death,
-                    "t_birth": iv.t_birth,
-                    "min_lambda": iv.min_lambda,
-                    "refined": iv.refined,
-                    "open_left": iv.open_left,
-                    "open_right": iv.open_right,
-                }
-                for iv in intervals
-            ],
+            "events": [asdict(iv) for iv in intervals],
         }
         if oracle_dev is not None:
             doc["oracle"] = {
@@ -281,38 +274,40 @@ def _render(config, params, times, columns, intervals, oracle_dev) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _attempt(cfg: RunConfig, step: Callable):
+    """step(), or the RunResult of its failure for cfg: a UsageError exits 2,
+    any other error 4 (a file that cannot be read or written, for one)."""
+    try:
+        return step()
+    except UsageError as exc:
+        return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
+    except Exception as exc:  # isolate per-run failures
+        return RunResult(config=cfg, exit_code=EXIT_IO, error=str(exc))
+
+
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
           jobs: int = 1) -> tuple[str, int]:
     """Run several configs, return (summary CSV, aggregate exit code).
 
     An item is a RunConfig or a (name, resolve) pair: resolve() builds the
     config inside the run's error isolation, and name labels the row when
-    it fails. Items resolve in order, before any runs; an item whose output
-    directory does not exist, or whose output file an earlier item writes,
-    fails without running. Each failed run's error goes to stderr as one line.
+    it fails. Items resolve and validate in order, before any runs; an item
+    that fails validation (its output directory does not exist, say), or
+    whose output file an earlier item writes, fails without running. Each
+    failed run's error goes to stderr as one line.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
 
-    def isolated(cfg: RunConfig, step: Callable):
-        try:
-            return step()
-        except UsageError as exc:
-            return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
-        except Exception as exc:  # isolate per-run failures
-            return RunResult(config=cfg, exit_code=EXIT_IO, error=str(exc))
-
     runs, writer = [], {}
     for item in configs:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
-        cfg = isolated(RunConfig(name=name), resolve)
+        cfg = _attempt(RunConfig(name=name), resolve)
+        if isinstance(cfg, RunConfig):
+            cfg = _attempt(cfg, cfg.validate)
         if isinstance(cfg, RunConfig) and cfg.output_path:
             path = os.path.abspath(cfg.output_path)
-            directory = os.path.dirname(path)
-            if not os.path.isdir(directory):
-                cfg = RunResult(config=cfg, exit_code=EXIT_IO,
-                                error=f"output directory {directory} does not exist")
-            elif path in writer:
+            if path in writer:
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path]}")
             else:
@@ -320,7 +315,7 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
         runs.append(cfg)
 
     def one(cfg) -> RunResult:
-        return cfg if isinstance(cfg, RunResult) else isolated(cfg, lambda: execute(cfg))
+        return cfg if isinstance(cfg, RunResult) else _attempt(cfg, lambda: execute(cfg))
 
     if jobs > 1 and len(runs) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -443,19 +438,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
 
-    try:
-        if args.command == "run":
-            result = execute(_config_from_args(args))
-            if result.error:
-                print(f"esdsim: {result.error}", file=sys.stderr)
-            return result.exit_code
+    if args.command == "run":
+        result = _attempt(RunConfig(), lambda: execute(_config_from_args(args)))
+        if result.error:
+            print(f"esdsim: {result.error}", file=sys.stderr)
+        return result.exit_code
 
+    try:
+        _check_output(args.output)
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
         summary, exit_code = sweep(targets, jobs=args.jobs)
-        if args.output:
-            _atomic_write(args.output, summary)
-        else:
-            sys.stdout.write(summary)
+        _write(args.output, summary)
         return exit_code
     except UsageError as exc:
         print(f"esdsim: {exc}", file=sys.stderr)

@@ -103,27 +103,19 @@ def esd_intervals(table: SectorTable, times: np.ndarray, lam: np.ndarray) -> lis
     stretches = [(int(i), int(j), float(lam[i : j + 1].min())) for i, j in zip(starts, ends)]
     stretches = [(i, j, depth) for i, j, depth in stretches if depth < _GRAZE_DEPTH]
 
-    # the grid step [m, m+1] of each crossing inside the window, keyed by m
-    lo = np.array([i - 1 for i, _, _ in stretches if i > 0]
-                  + [j for _, j, _ in stretches if j < n_grid - 1], dtype=int)
-    roots, converged = _refine_crossings(table, times[lo], times[lo + 1], lam[lo] < 0)
-    crossing = dict(zip(lo.tolist(), zip(roots.tolist(), converged.tolist())))
+    # each kept stretch [i, j] is bounded by i and j + 1: the window ends 0 and
+    # n_grid stay, every inner bound m is the refined root of grid step [m-1, m]
+    m = np.array([b for i, j, _ in stretches for b in (i, j + 1) if 0 < b < n_grid], dtype=int)
+    roots, converged = _refine_crossings(table, times[m - 1], times[m], lam[m - 1] < 0)
+    bound = {0: (t0, False), n_grid: (t1, False),
+             **dict(zip(m.tolist(), zip(roots.tolist(), converged.tolist())))}
 
     intervals: list[EsdInterval] = []
     for i, j, depth in stretches:
-        t_death, refined_l = crossing.get(i - 1, (t0, False))
-        t_birth, refined_r = crossing.get(j, (t1, False))
+        (t_death, refined_l), (t_birth, refined_r) = bound[i], bound[j + 1]
         if t_birth - t_death >= _MIN_WIDTH:
-            intervals.append(
-                EsdInterval(
-                    t_death=t_death,
-                    t_birth=t_birth,
-                    min_lambda=depth,
-                    refined=refined_l and refined_r,
-                    open_left=i == 0,
-                    open_right=j == n_grid - 1,
-                )
-            )
+            intervals.append(EsdInterval(t_death, t_birth, depth, refined_l and refined_r,
+                                         open_left=i == 0, open_right=j == n_grid - 1))
     return intervals
 
 

@@ -1,6 +1,6 @@
 import argparse
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -192,9 +192,24 @@ class TestRun:
         assert set(doc["samples"][0]) >= {"t", "lambda_t", "concurrence"}
         assert isinstance(doc["events"], list)
 
-    def test_io_failure_exit_code(self):
-        cfg = RunConfig(steps=10, output_path="/nonexistent-dir/x/y.csv")
-        assert execute(cfg).exit_code == EXIT_IO
+    def test_json_events_are_the_intervals(self, tmp_path):
+        out = tmp_path / "esd.json"
+        cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
+                        output_format="json", output_path=str(out))
+        assert execute(cfg).exit_code == EXIT_OK
+        events = json.loads(out.read_text())["events"]
+        intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        assert events and events == [asdict(iv) for iv in intervals]
+        assert all(set(e) == {"t_death", "t_birth", "min_lambda", "refined",
+                              "open_left", "open_right"} for e in events)
+
+    def test_io_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "two_qubit_states", lambda *a: calls.append(a))
+        missing = tmp_path / "missing"
+        assert main(["run", "--steps", "10", "-o", str(missing / "x.csv")]) == EXIT_IO
+        assert capsys.readouterr().err == f"esdsim: output directory {missing} does not exist\n"
+        assert list(tmp_path.iterdir()) == [] and calls == []
 
     def test_event_rows_match_scan_esd(self, tmp_path):
         out = tmp_path / "esd.csv"
@@ -357,6 +372,36 @@ class TestMain:
         assert captured.err.splitlines() == [
             f"esdsim: {name}: output directory {missing} does not exist"
             for name in ("fig1a", "fig2a")]
+
+    def test_sweep_summary_into_missing_directory_runs_nothing(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = main(["sweep", "fig1a", "--output-dir", str(tmp_path),
+                     "-o", str(missing / "s.csv")])
+        assert code == EXIT_IO
+        captured = capsys.readouterr()
+        assert captured.err == f"esdsim: output directory {missing} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("content", [
+        "steps = abc\n", "t0 = 2\nt1 = 1\n", b"\xff\n", None,
+        "steps = 5\noutput_path = {tmp}/missing/x.csv\n", "steps = 5\n",
+    ], ids=["bad-value", "bad-window", "not-text", "directory", "missing-output-dir", "valid"])
+    def test_run_and_sweep_exit_alike(self, content, tmp_path, capsys):
+        path = tmp_path / "x.cfg"
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content.format(tmp=tmp_path))
+        code = main(["sweep", str(path), "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        status = captured.out.splitlines()[1].split(",")[1]
+        assert status == ("ok" if code == EXIT_OK else f"failed({code})")
+        assert len(captured.err.splitlines()) == (code != EXIT_OK)
+
+        assert main(["run", "--config", str(path)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

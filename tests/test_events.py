@@ -128,6 +128,17 @@ class TestScanEsd:
         assert any(not (iv.open_left or iv.open_right) for iv in intervals)
         assert not any(iv.refined for iv in intervals)
 
+    def test_negative_at_both_window_ends(self):
+        p = ModelParams.from_k(10.0, 0.5)
+        f = build_thermal(1.0)
+        closed = next(iv for iv in scan_esd(p, f, 0.0, 2.0, 4000)
+                      if not (iv.open_left or iv.open_right))
+        pad = 0.1 * closed.width
+        t0, t1 = closed.t_death + pad, closed.t_birth - pad
+        [iv] = scan_esd(p, f, t0, t1, 50)
+        assert (iv.t_death, iv.t_birth) == (t0, t1)
+        assert iv.open_left and iv.open_right and not iv.refined
+
     def test_argument_validation(self):
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(1.0)
