@@ -16,8 +16,8 @@ import numpy as np
 
 from . import __version__
 from .dynamics import SectorTable, two_qubit_states
-from .events import dwell_fraction, esd_intervals
-from .model import ModelParams, ThermalField, build_thermal
+from .events import EsdInterval, dwell_fraction, esd_intervals
+from .model import ModelParams, build_thermal, check_thermal
 from .observables import observable_columns
 from .oracle import build_hamiltonians, reduced_two_qubit_series
 
@@ -122,7 +122,7 @@ class RunConfig:
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
         try:
             self.params()
-            build_thermal(self.nbar, self.epsilon)
+            check_thermal(self.nbar, self.epsilon)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _check_output(self.output_path)
@@ -203,15 +203,45 @@ class RunResult:
     error: str | None = None
 
 
-def execute(config: RunConfig) -> RunResult:
-    """Evaluate one configuration and write its output file."""
-    config.validate()
+def _physics(config: RunConfig) -> tuple:
+    """What fixes a run's evaluation; runs with equal keys share one.
+
+    Floats enter by their bits: -0.0 and 0.0 are equal but print apart.
+    """
+    p = config.params()
+    floats = (p.lam, p.g, config.nbar, config.epsilon, config.t0, config.t1)
+    return (*(float(x).hex() for x in floats),
+            config.steps, config.detect_events, config.oracle_check)
+
+
+@dataclass
+class Evaluation:
+    """The outputs a run's physics fixes, shared by every run of it: the
+    columns t, lambda_t and every observable, the ESD intervals (when
+    detect_events) and the oracle deviation (when oracle_check)."""
+
+    columns: dict[str, np.ndarray]
+    intervals: list[EsdInterval]
+    oracle_dev: float | None
+    _text: dict[str, list[str]] = dc_field(default_factory=dict, init=False, repr=False)
+
+    def text(self, name: str) -> list[str]:
+        """Column name as _fmt strings, formatted once per evaluation."""
+        if name not in self._text:
+            column = self.columns[name].tolist()
+            # one %-format over the whole column costs less than one call per value
+            self._text[name] = (("%.17g\n" * len(column)) % tuple(column)).split("\n")[:-1]
+        return self._text[name]
+
+
+def evaluate(config: RunConfig) -> Evaluation:
+    """Evaluate the physics of a valid config (see _physics); writes nothing."""
     params = config.params()
     thermal = build_thermal(config.nbar, config.epsilon)
     times = np.linspace(config.t0, config.t1, config.steps)
 
     series = two_qubit_states(params, thermal, times)
-    columns = observable_columns(series)
+    columns = {"t": times, "lambda_t": params.lam * times, **observable_columns(series)}
 
     intervals = []
     if config.detect_events:
@@ -225,13 +255,22 @@ def execute(config: RunConfig) -> RunResult:
             float(np.abs(getattr(series, name) - getattr(oracle, name)).max())
             for name in ("rho11", "rho22", "rho33", "rho44", "rho23")
         )
+    return Evaluation(columns, intervals, oracle_dev)
 
-    _write(config.output_path, _render(config, params, times, columns, intervals, oracle_dev))
+
+def execute(config: RunConfig, evaluation: Evaluation | None = None) -> RunResult:
+    """Write one configuration's output from the evaluation of its physics,
+    evaluating it here when none is given."""
+    config.validate()
+    if evaluation is None:
+        evaluation = evaluate(config)
+    _write(config.output_path, _render(config, evaluation))
+    columns, oracle_dev = evaluation.columns, evaluation.oracle_dev
     result = RunResult(
         config=config,
         exit_code=EXIT_OK,
         max_concurrence=float(columns["concurrence"].max()),
-        dwell=dwell_fraction(intervals, config.t0, config.t1),
+        dwell=dwell_fraction(evaluation.intervals, config.t0, config.t1),
         final_entropy=float(columns["entropy"][-1]),
         oracle_deviation=oracle_dev,
     )
@@ -241,13 +280,14 @@ def execute(config: RunConfig) -> RunResult:
     return result
 
 
-def _render(config, params, times, columns, intervals, oracle_dev) -> str:
-    rows = [times, params.lam * times] + [columns[name] for name in config.observables]
+def _render(config: RunConfig, evaluation: Evaluation) -> str:
+    keys = ["t", "lambda_t", *config.observables]
+    intervals, oracle_dev = evaluation.intervals, evaluation.oracle_dev
     if config.output_format == "json":
-        keys = ["t", "lambda_t", *config.observables]
         doc = {
             "config": config.resolved(),
-            "samples": [dict(zip(keys, row)) for row in zip(*(r.tolist() for r in rows))],
+            "samples": [dict(zip(keys, row)) for row in
+                        zip(*(evaluation.columns[key].tolist() for key in keys))],
             "events": [asdict(iv) for iv in intervals],
         }
         if oracle_dev is not None:
@@ -258,9 +298,8 @@ def _render(config, params, times, columns, intervals, oracle_dev) -> str:
             }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    lines = ["t,lambda_t," + ",".join(config.observables)]
-    row_format = ",".join(["{:.17g}"] * len(rows))  # _fmt, for each column
-    lines += [row_format.format(*row) for row in zip(*(r.tolist() for r in rows))]
+    lines = [",".join(keys)]
+    lines += map(",".join, zip(*(evaluation.text(key) for key in keys)))
     if config.detect_events:
         lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined")
         for iv in intervals:
@@ -276,13 +315,59 @@ def _render(config, params, times, columns, intervals, oracle_dev) -> str:
 
 def _attempt(cfg: RunConfig, step: Callable):
     """step(), or the RunResult of its failure for cfg: a UsageError exits 2,
-    any other error 4 (a file that cannot be read or written, for one)."""
+    any other error 4 (a file that cannot be read or written, for one). The
+    message of any error but those and OSError or UnicodeError names its
+    type, since it comes from a defect rather than from the input."""
     try:
         return step()
     except UsageError as exc:
         return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
-    except Exception as exc:  # isolate per-run failures
+    except (OSError, UnicodeError) as exc:
         return RunResult(config=cfg, exit_code=EXIT_IO, error=str(exc))
+    except Exception as exc:  # isolate per-run failures
+        return RunResult(config=cfg, exit_code=EXIT_IO, error=f"{type(exc).__name__}: {exc}")
+
+
+def _resolve(name: str, resolve: Callable[[], RunConfig]) -> RunConfig | RunResult:
+    """resolve()'s config, validated, or the RunResult of its failure, named name."""
+    cfg = _attempt(RunConfig(name=name), resolve)
+    return cfg if isinstance(cfg, RunResult) else _attempt(cfg, cfg.validate)
+
+
+def _run_group(group: list[RunConfig]) -> list[RunResult]:
+    """Evaluate the physics group shares once, then write each member's output.
+    A failed evaluation fails every member with its message."""
+    evaluation = _attempt(group[0], lambda: evaluate(group[0]))
+    if isinstance(evaluation, RunResult):
+        return [replace(evaluation, config=cfg) for cfg in group]
+    return [_attempt(cfg, lambda: execute(cfg, evaluation)) for cfg in group]
+
+
+def _run(runs: list[RunConfig | RunResult], jobs: int = 1) -> list[RunResult]:
+    """The result of each run, in order; a RunResult is its own result.
+
+    Configs with the same physics form one group, which one job evaluates
+    once and writes out; with one job, one group's evaluation is held at a
+    time.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(runs):
+        if isinstance(cfg, RunConfig):
+            groups.setdefault(_physics(cfg), []).append(i)
+
+    def one(members: list[int]) -> list[RunResult]:
+        return _run_group([runs[i] for i in members])
+
+    if jobs > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            done = list(pool.map(one, groups.values()))
+    else:
+        done = map(one, groups.values())
+    results = list(runs)
+    for members, group_results in zip(groups.values(), done):
+        for i, res in zip(members, group_results):
+            results[i] = res
+    return results
 
 
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
@@ -293,18 +378,16 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     config inside the run's error isolation, and name labels the row when
     it fails. Items resolve and validate in order, before any runs; an item
     that fails validation (its output directory does not exist, say), or
-    whose output file an earlier item writes, fails without running. Each
-    failed run's error goes to stderr as one line.
+    whose output file an earlier item writes, fails without running. Items
+    with the same physics are evaluated once, and each writes its own
+    output and row. Each failed run's error goes to stderr as one line.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
 
     runs, writer = [], {}
     for item in configs:
-        name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
-        cfg = _attempt(RunConfig(name=name), resolve)
-        if isinstance(cfg, RunConfig):
-            cfg = _attempt(cfg, cfg.validate)
+        cfg = _resolve(*((item.name, lambda: item) if isinstance(item, RunConfig) else item))
         if isinstance(cfg, RunConfig) and cfg.output_path:
             path = os.path.abspath(cfg.output_path)
             if path in writer:
@@ -314,18 +397,9 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
                 writer[path] = cfg.name
         runs.append(cfg)
 
-    def one(cfg) -> RunResult:
-        return cfg if isinstance(cfg, RunResult) else _attempt(cfg, lambda: execute(cfg))
-
-    if jobs > 1 and len(runs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, runs))
-    else:
-        results = [one(cfg) for cfg in runs]
-
     lines = ["name,status,max_concurrence,dwell_fraction,final_entropy"]
     exit_code = EXIT_OK
-    for res in results:
+    for res in _run(runs, jobs):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
         lines.append(",".join([
             res.config.name, status,
@@ -439,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     if args.command == "run":
-        result = _attempt(RunConfig(), lambda: execute(_config_from_args(args)))
+        [result] = _run([_resolve("run", lambda: _config_from_args(args))])
         if result.error:
             print(f"esdsim: {result.error}", file=sys.stderr)
         return result.exit_code

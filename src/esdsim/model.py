@@ -67,6 +67,14 @@ def _bose_weights(nbar: float, n):
     return np.power(nbar / (1.0 + nbar), n) / (1.0 + nbar)
 
 
+def check_thermal(nbar: float, epsilon: float):
+    """Raise ValueError unless build_thermal(nbar, epsilon) can build a field."""
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    if not (math.isfinite(epsilon) and 0 < epsilon < 1):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+
+
 def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     """Construct the truncated thermal photon number distribution.
 
@@ -74,10 +82,7 @@ def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     the tail of the geometric distribution is exact, so the stored weights
     sum to at least 1 - epsilon.
     """
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    if not (math.isfinite(epsilon) and 0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    check_thermal(nbar, epsilon)
 
     if nbar == 0.0:
         return ThermalField(nbar=0.0, epsilon=epsilon, nmax=0, weights=np.array([1.0]))

@@ -1,6 +1,8 @@
 import argparse
 import json
-from dataclasses import asdict, fields
+import weakref
+from dataclasses import asdict, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,27 @@ RUN_OPTIONS = ["-h", "--help", "--preset", "--config", "--lam", "--lambda", "--k
                "--detect-events", "--oracle-check", "--output-format", "-o", "--output"]
 SWEEP_OPTIONS = ["-h", "--help", "--jobs", "--output-dir", "-o", "--output"]
 FLAGS = [(f, flag) for f in fields(RunConfig) for flag in f.metadata["flags"]]
+
+
+def reduced(preset, directory, **changes):
+    """A preset at 200 steps over lam*t in [0, 10], written into directory."""
+    return replace(preset_config(preset), **{
+        "steps": 200, "t1": 1.0, "output_path": str(directory / f"{preset}.csv"), **changes})
+
+
+def count_evaluations(monkeypatch, fail_k=None):
+    """The k of every cli.two_qubit_states call, in call order; a call at
+    k == fail_k raises RuntimeError("boom")."""
+    calls, real = [], cli.two_qubit_states
+
+    def counting(params, field, times):
+        calls.append(params.k)
+        if params.k == fail_k:
+            raise RuntimeError("boom")
+        return real(params, field, times)
+
+    monkeypatch.setattr(cli, "two_qubit_states", counting)
+    return calls
 
 
 def read_table(path):
@@ -211,6 +234,27 @@ class TestRun:
         assert capsys.readouterr().err == f"esdsim: output directory {missing} does not exist\n"
         assert list(tmp_path.iterdir()) == [] and calls == []
 
+    @pytest.mark.parametrize("exc,code,message", [
+        (KeyError("concurrence"), EXIT_IO, "KeyError: 'concurrence'"),
+        (RuntimeError("boom"), EXIT_IO, "RuntimeError: boom"),
+        (FileNotFoundError("output directory d does not exist"), EXIT_IO,
+         "output directory d does not exist"),
+        (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), EXIT_IO,
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (UsageError("steps must be >= 2, got 1"), EXIT_USAGE, "steps must be >= 2, got 1"),
+    ], ids=["KeyError", "RuntimeError", "OSError", "UnicodeError", "UsageError"])
+    def test_failure_messages(self, exc, code, message):
+        def fail():
+            raise exc
+        result = cli._attempt(RunConfig(), fail)
+        assert (result.exit_code, result.error) == (code, message)
+
+    def test_defect_names_its_exception_type(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "observable_columns", lambda series: {})
+        assert main(["run", "--steps", "3"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "esdsim: KeyError: 'concurrence'\n")
+
     def test_event_rows_match_scan_esd(self, tmp_path):
         out = tmp_path / "esd.csv"
         cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
@@ -257,6 +301,87 @@ class TestSweep:
         assert (tmp_path / "good.csv").exists()
 
 
+class TestSharedPhysics:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_evaluation_per_physics(self, jobs, tmp_path, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        summary, code = sweep([reduced(f"fig{fig}a", tmp_path) for fig in (1, 3, 5, 7)],
+                              jobs=jobs)
+        assert code == EXIT_OK and calls == [0.1]
+        assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
+            [f"fig{fig}a", "ok"] for fig in (1, 3, 5, 7)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_outputs_match_separate_runs(self, jobs, tmp_path, monkeypatch):
+        names = [f"fig{fig}a" for fig in range(1, 9)]  # four observables at each of two k
+        (tmp_path / "swept").mkdir()
+        (tmp_path / "alone").mkdir()
+        calls = count_evaluations(monkeypatch)
+        summary, code = sweep([reduced(n, tmp_path / "swept") for n in names], jobs=jobs)
+        assert code == EXIT_OK and sorted(calls) == [0.1, 0.5]
+        assert [row.split(",")[0] for row in summary.splitlines()[1:]] == names
+        for n in names:
+            out = tmp_path / "alone" / f"{n}.csv"
+            assert main(["run", "--preset", n, "--steps", "200", "--t1", "1.0",
+                         "-o", str(out)]) == EXIT_OK
+            assert (tmp_path / "swept" / f"{n}.csv").read_bytes() == out.read_bytes()
+
+    @pytest.mark.parametrize("a,b", [
+        ({"epsilon": 1e-10}, {"epsilon": 1e-6}),
+        ({"steps": 200}, {"steps": 201}),
+        ({"detect_events": False}, {"detect_events": True}),
+        ({"oracle_check": False}, {"oracle_check": True}),
+        ({"t0": -1.0, "t1": 0.0}, {"t0": -1.0, "t1": -0.0}),  # equal, but print apart
+    ], ids=["epsilon", "steps", "detect_events", "oracle_check", "signed-zero"])
+    def test_different_physics_evaluated_apart(self, a, b, tmp_path, monkeypatch):
+        configs = [reduced("fig2a", tmp_path, name=n, output_path=str(tmp_path / f"{n}.csv"),
+                           **changes) for n, changes in (("a", a), ("b", b))]
+        calls = count_evaluations(monkeypatch)
+        assert sweep(configs)[1] == EXIT_OK and calls == [0.5, 0.5]
+        for cfg in configs:
+            alone = replace(cfg, output_path=str(tmp_path / "alone.csv"))
+            assert execute(alone).exit_code == EXIT_OK
+            assert (tmp_path / "alone.csv").read_bytes() == (
+                tmp_path / f"{cfg.name}.csv").read_bytes()
+
+    def test_presentation_shares_the_evaluation(self, tmp_path, monkeypatch):
+        by_k = reduced("fig2a", tmp_path, observables=("lambda", "entropy"), name="by_k")
+        by_g = replace(by_k, k=None, g=5.0, output_format="json", name="by_g",
+                       output_path=str(tmp_path / "by_g.json"))
+        calls = count_evaluations(monkeypatch)
+        assert sweep([by_k, by_g])[1] == EXIT_OK and calls == [0.5]
+        for cfg in (by_k, by_g):
+            alone = replace(cfg, output_path=str(tmp_path / "alone"))
+            assert execute(alone).exit_code == EXIT_OK
+            swept = Path(cfg.output_path).read_text().replace(cfg.output_path, alone.output_path)
+            assert (tmp_path / "alone").read_text() == swept
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_evaluation_fails_its_group(self, jobs, tmp_path, monkeypatch, capsys):
+        calls = count_evaluations(monkeypatch, fail_k=0.1)
+        names = ["fig1a", "fig2a", "fig3a", "fig4a"]
+        summary, code = sweep([reduced(n, tmp_path) for n in names], jobs=jobs)
+        assert code == EXIT_IO and sorted(calls) == [0.1, 0.5]
+        assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
+            ["fig1a", "failed(4)"], ["fig2a", "ok"], ["fig3a", "failed(4)"], ["fig4a", "ok"]]
+        assert capsys.readouterr().err.splitlines() == [
+            "esdsim: fig1a: RuntimeError: boom", "esdsim: fig3a: RuntimeError: boom"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig2a.csv", "fig4a.csv"]
+
+    def test_one_evaluation_held_at_a_time(self, tmp_path, monkeypatch):
+        held, real = [], cli.evaluate
+
+        def tracked(cfg):
+            assert all(ref() is None for ref in held), "an earlier evaluation is still held"
+            evaluation = real(cfg)
+            held.append(weakref.ref(evaluation))
+            return evaluation
+
+        monkeypatch.setattr(cli, "evaluate", tracked)
+        summary, code = sweep([reduced(n, tmp_path) for n in ["fig1a", "fig2a", "fig3a", "fig1d"]])
+        assert code == EXIT_OK and len(held) == 3
+
+
 class TestMain:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -275,6 +400,8 @@ class TestMain:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t,lambda_t,concurrence"
         assert len(lines) == 6
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            [f"{t:.17g}", f"{10.0 * t:.17g}"] for t in np.linspace(0.0, 2.0, 5).tolist()]
 
     def test_usage_error(self, capsys):
         assert main(["run", "--k", "0.1", "--g", "1.0"]) == EXIT_USAGE
