@@ -13,6 +13,8 @@ column. Times go in blocks of a base t_b plus offsets tau, evaluated as
 X = (K R(t_b)) T(tau) with R(t_b) the angle-addition rotation. A linspace
 grid shares one table T(j * step) across its blocks and needs trig only at
 each block's base; any other times are evaluated at base 0, where R = I.
+Root refinement also needs the slope of the state: T'(t) = D T(t), so the
+slope matrix K' = K D maps the same T(t) to the factors' time derivatives.
 """
 
 from __future__ import annotations
@@ -61,6 +63,9 @@ class StateSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "rho23", np.atleast_1d(self.rho23))
+        for name in ("rho11", "rho22", "rho33", "rho44", "rho23"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} has a non-finite entry")
         for name in ("rho11", "rho22", "rho33", "rho44"):
             p = np.atleast_1d(getattr(self, name))
             if np.any(p < -_POP_CLAMP):
@@ -113,7 +118,8 @@ class SectorTable:
     Sectors run over n = 0 .. nmax+1: the rho11 sum carries weights shifted
     by one index, so it is extended one slot past the field's truncation to
     keep the stated tail bound. coeffs[n] = K maps T(t) to the real factors
-    of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>.
+    of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
+    slopes[n] = K' maps it to their time derivatives.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
@@ -131,6 +137,11 @@ class SectorTable:
         k[:, 3, 0] = lam * f.b / r
         k[:, 3, 2] = -k[:, 3, 0]
         self.coeffs = k
+        # K' = K D: D takes (cos wt, sin wt) to (-w sin wt, w cos wt)
+        w = np.stack((wp, wm), axis=-1)[:, None, :]
+        self.slopes = np.empty_like(k)
+        self.slopes[..., 0::2] = w * k[..., 1::2]
+        self.slopes[..., 1::2] = -w * k[..., 0::2]
         # weights of x_j^2 in rho_jj (row 1 also of x2 x3); only rho11 reaches nmax+1
         self.pop_weights = np.zeros((4, n.size))
         self.pop_weights[0] = np.append(field.weights, field.weight(field.nmax + 1))
@@ -148,11 +159,10 @@ class SectorTable:
         c, s, kc, ks = t[..., 0::2], t[..., 1::2], self.coeffs[..., 0::2], self.coeffs[..., 1::2]
         return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(self.coeffs.shape)
 
-    def _evaluate(self, kr: np.ndarray, basis: np.ndarray):
-        """Populations (4, m) and rho23 (m,) from kr = K R(t_b) and basis = T(tau):
-        |C_j|^2 = x_j^2 and C2 conj(C3) = i x2 x3. Squaring each cell before
-        weighting keeps small populations accurate."""
-        x = kr @ basis
+    def _evaluate(self, x: np.ndarray):
+        """Populations (4, m) and rho23 (m,) from the factors x (sectors, 4, m),
+        which it overwrites: |C_j|^2 = x_j^2 and C2 conj(C3) = i x2 x3.
+        Squaring each cell before weighting keeps small populations accurate."""
         rho23 = 1j * (self.pop_weights[1] @ (x[:, 1] * x[:, 2]))
         np.square(x, out=x)
         return (self.pop_weights[:, None, :] @ x.transpose(1, 0, 2))[:, 0], rho23
@@ -175,8 +185,22 @@ class SectorTable:
             block = slice(start, start + _BLOCK)
             kr, basis = ((self._rotated(times[start]), shared[..., : times[block].size])
                          if uniform else (self.coeffs, self.basis(times[block])))
-            pops[:, block], rho23[block] = self._evaluate(kr, basis)
+            pops[:, block], rho23[block] = self._evaluate(kr @ basis)
         return StateSeries(*pops, rho23)
+
+    def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
+        """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
+        which has the sign of Lambda. One product [K; K'] T(t) gives both:
+        rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c, c' = sum w (x2' x3 + x2 x3')."""
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        xs = np.concatenate((self.coeffs, self.slopes), axis=1) @ self.basis(times)
+        x, dx = xs[:, :4], xs[:, 4:]
+        w = self.pop_weights
+        dc = w[1] @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
+        d11, d44 = 2.0 * w[0] @ (x[:, 0] * dx[:, 0]), 2.0 * w[3] @ (x[:, 3] * dx[:, 3])
+        pops, rho23 = self._evaluate(x)
+        s = StateSeries(*pops, rho23)
+        return s, 2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44
 
 
 def two_qubit_states(

@@ -1,10 +1,11 @@
 """Detection of entanglement sudden death / sudden birth intervals.
 
 An interval is reported wherever the separability function Lambda(t) is
-strictly negative; its endpoints are sign crossings refined by bisection
-on the continuous analytic Lambda(t). Tangential touches of zero (as in
-the isolated-pair case, where the concurrence is |sin 2 lam t|) are not
-deaths.
+strictly negative; its endpoints are sign crossings refined by safeguarded
+Newton on f(t) = |rho23|^2 - rho11 rho44, a smooth trig sum with the sign
+of Lambda and an exact slope, falling back to bisection (rtsafe, Press et
+al., Numerical Recipes 9.4). Tangential touches of zero (as in the
+isolated-pair case, where the concurrence is |sin 2 lam t|) are not deaths.
 """
 
 from __future__ import annotations
@@ -44,32 +45,40 @@ class EsdInterval:
 
 
 def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative):
-    """Bisect every bracketed sign change of Lambda together.
+    """Refine every bracketed sign change of Lambda together.
 
-    Each step evaluates one midpoint per bracket still open, all in one
-    table call. A bracket closes at the first midpoint with |Lambda| <= tol;
-    those still open after _MAX_BISECT steps return their last midpoint
-    and are flagged as not converged. lo_negative is the sign of Lambda at
-    each bracket's lower end, which bisection keeps.
+    Each step evaluates one point per bracket still open, all in one table
+    call that also gives f'. The first point is the bracket's midpoint;
+    the sign of Lambda there shrinks the bracket, and the next point is the
+    Newton point t - f/f' when it lies strictly inside the new bracket, else
+    its midpoint. A bracket closes at the first point with |Lambda| <= tol
+    and returns that point's Newton point if it lies inside the bracket,
+    else the point itself. Those still open after _MAX_BISECT steps return
+    their next point and are flagged as not converged. lo_negative is the
+    sign of Lambda at each bracket's lower end.
     Returns (crossing times, converged flags).
     """
-    t_lo, t_hi = t_lo.copy(), t_hi.copy()
     roots = np.empty_like(t_lo)
     converged = np.zeros(t_lo.size, dtype=bool)
-    active = np.arange(t_lo.size)
+    # the brackets still open: their indices, ends, lower-end signs and next points
+    active, lo, hi, lo_neg = np.arange(t_lo.size), t_lo, t_hi, lo_negative
+    t = 0.5 * (lo + hi)
     for _ in range(_MAX_BISECT):
         if not active.size:
             break
-        t_mid = 0.5 * (t_lo[active] + t_hi[active])
-        f_mid = separability(table.series(t_mid))
-        hit = np.abs(f_mid) <= _CROSSING_TOL
-        roots[active[hit]] = t_mid[hit]
+        series, slope = table.series_and_slope(t)
+        lam = separability(series)
+        move_lo = (lam < 0) == lo_neg
+        lo, hi = np.where(move_lo, t, lo), np.where(move_lo, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = t - (np.abs(series.rho23) ** 2 - series.rho11 * series.rho44) / slope
+        inside = (lo < newton) & (newton < hi)
+        hit = np.abs(lam) <= _CROSSING_TOL
+        roots[active[hit]] = np.where(inside, newton, t)[hit]
         converged[active[hit]] = True
-        move_lo = (f_mid < 0) == lo_negative[active]
-        t_lo[active[move_lo]] = t_mid[move_lo]
-        t_hi[active[~move_lo]] = t_mid[~move_lo]
-        active = active[~hit]
-    roots[active] = 0.5 * (t_lo[active] + t_hi[active])
+        t = np.where(inside, newton, 0.5 * (lo + hi))
+        active, lo, hi, lo_neg, t = (a[~hit] for a in (active, lo, hi, lo_neg, t))
+    roots[active] = t
     return roots, converged
 
 
@@ -81,6 +90,8 @@ def scan_esd(
     n_grid: int,
 ) -> list[EsdInterval]:
     """Scan [t0, t1] for intervals with Lambda < 0; empty list if none."""
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise ValueError(f"need a finite window, got [{t0}, {t1}]")
     if not t0 < t1:
         raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
     if n_grid < 2:

@@ -28,32 +28,51 @@ def sector_hamiltonian(params, n):
     )
 
 
+def entries_mp(mp, params, field, t):
+    """(rho11, rho22, rho33, rho44, c) with rho23 = i c, from the same truncated
+    sector sums, weights and float inputs as SectorTable, at mpf time t and
+    the working precision, from the closed-form propagator factors."""
+    lam, g = mp.mpf(params.lam), mp.mpf(params.g)
+    k2 = (g / lam) ** 2
+    rho = [mp.mpf(0)] * 5
+    for n in range(field.nmax + 2):
+        w = mp.mpf(field.weight(n))
+        a, b = g * mp.sqrt(n), g * mp.sqrt(n + 1)
+        alpha = 1 + (2 * n + 1) * k2
+        beta = mp.sqrt((1 + k2) ** 2 + 4 * n * k2)
+        r = lam**2 * beta
+        wp = lam / mp.sqrt(2) * mp.sqrt(alpha + beta)
+        wm = lam / mp.sqrt(2) * mp.sqrt(4 * n * (n + 1) * k2**2 / (alpha + beta))
+        sinc_m = mp.sin(wm * t) / wm if wm else t
+        x1 = a * ((b**2 - wp**2) * mp.sin(wp * t) / wp - (b**2 - wm**2) * sinc_m) / r
+        x2 = ((wp**2 - b**2) * mp.cos(wp * t) - (wm**2 - b**2) * mp.cos(wm * t)) / r
+        x3 = lam * (wp * mp.sin(wp * t) - wm * mp.sin(wm * t)) / r
+        x4 = lam * b * (mp.cos(wp * t) - mp.cos(wm * t)) / r
+        rho[0] += w * x1**2
+        if n <= field.nmax:
+            for j, term in enumerate((x2**2, x3**2, x4**2, x2 * x3), start=1):
+                rho[j] += w * term
+    return rho
+
+
 def lambda_mp(params, field, t, dps=40):
-    """Lambda(t) of the same truncated sector sums, weights and float inputs,
-    from the closed-form propagator factors in mpmath at dps digits."""
+    """Lambda(t) from entries_mp at dps digits."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(dps):
-        lam, g, t = mp.mpf(params.lam), mp.mpf(params.g), mp.mpf(float(t))
-        k2 = (g / lam) ** 2
-        rho = [mp.mpf(0)] * 5  # rho11, rho22, rho33, rho44, |rho23|
-        for n in range(field.nmax + 2):
-            w = mp.mpf(field.weight(n))
-            a, b = g * mp.sqrt(n), g * mp.sqrt(n + 1)
-            alpha = 1 + (2 * n + 1) * k2
-            beta = mp.sqrt((1 + k2) ** 2 + 4 * n * k2)
-            r = lam**2 * beta
-            wp = lam / mp.sqrt(2) * mp.sqrt(alpha + beta)
-            wm = lam / mp.sqrt(2) * mp.sqrt(4 * n * (n + 1) * k2**2 / (alpha + beta))
-            sinc_m = mp.sin(wm * t) / wm if wm else t
-            x1 = a * ((b**2 - wp**2) * mp.sin(wp * t) / wp - (b**2 - wm**2) * sinc_m) / r
-            x2 = ((wp**2 - b**2) * mp.cos(wp * t) - (wm**2 - b**2) * mp.cos(wm * t)) / r
-            x3 = lam * (wp * mp.sin(wp * t) - wm * mp.sin(wm * t)) / r
-            x4 = lam * b * (mp.cos(wp * t) - mp.cos(wm * t)) / r
-            rho[0] += w * x1**2
-            if n <= field.nmax:
-                for j, term in enumerate((x2**2, x3**2, x4**2, x2 * x3), start=1):
-                    rho[j] += w * term
-        return 2 * abs(rho[4]) - 2 * mp.sqrt(rho[0] * rho[3])
+        rho11, _, _, rho44, c = entries_mp(mp, params, field, mp.mpf(float(t)))
+        return 2 * abs(c) - 2 * mp.sqrt(rho11 * rho44)
+
+
+def slope_mp(params, field, t, dps=40):
+    """f'(t) of f = |rho23|^2 - rho11 rho44, by mpmath.diff of f from entries_mp at dps digits."""
+    mp = pytest.importorskip("mpmath")
+
+    def f(tau):
+        rho11, _, _, rho44, c = entries_mp(mp, params, field, tau)
+        return c**2 - rho11 * rho44
+
+    with mp.workdps(dps):
+        return mp.diff(f, mp.mpf(float(t)))
 
 
 def preset_lambda(name, rows):
@@ -266,6 +285,18 @@ class TestTwoQubitState:
         with pytest.raises(ValueError):
             StateSeries(**dict(ok, rho33=np.full(2, 0.3), rho23=np.array([0.0, 0.6 + 0j])))
 
+    def test_non_finite_rejected(self):
+        p = ModelParams.from_k(10.0, 0.5)
+        with pytest.raises(ValueError, match="non-finite"):
+            two_qubit_states(p, build_thermal(1.0), [np.nan])
+        ok = dict(rho11=np.zeros(2), rho22=np.ones(2), rho33=np.zeros(2),
+                  rho44=np.zeros(2), rho23=np.zeros(2, dtype=complex))
+        for name, bad in (("rho11", np.array([0.0, np.nan])),
+                          ("rho44", np.array([np.inf, 0.0])),
+                          ("rho23", np.array([0.0, complex(np.nan, 0.0)]))):
+            with pytest.raises(ValueError, match=name):
+                StateSeries(**dict(ok, **{name: bad}))
+
     def test_monotone_truncation(self):
         p = ModelParams.from_k(10.0, 0.5)
         eps = 1e-8
@@ -293,6 +324,21 @@ class TestAccuracy:
         # rounding of the phase, ulp(omega t), in either time path
         got, want = preset_lambda("fig1c", slice(-20, None))
         assert np.abs(got - np.array(want)).max() <= 2e-13
+
+
+class TestSlope:
+    """f' of f = |rho23|^2 - rho11 rho44 from the slope matrix K' = K D."""
+
+    @pytest.mark.parametrize("k", [1e-6, 0.1, 0.5])
+    @pytest.mark.parametrize("nbar", [0.5, 10.0])
+    def test_matches_mpmath_derivative(self, k, nbar):
+        p, f = ModelParams.from_k(10.0, k), build_thermal(nbar)
+        table = SectorTable(p, f)
+        times = np.array([0.013, 0.37, 1.9])
+        series, slope = table.series_and_slope(times)
+        want = np.array([float(slope_mp(p, f, t)) for t in times])
+        assert np.abs(slope - want).max() <= 1e-12
+        assert np.abs(series.matrix() - table.series(times).matrix()).max() <= 1e-15
 
 
 class TestTimePaths:

@@ -10,6 +10,8 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim import events
+from esdsim.cli import preset_config
+from esdsim.dynamics import SectorTable
 from esdsim.events import EsdInterval
 from esdsim.observables import separability
 
@@ -20,13 +22,15 @@ def lambda_at(params, field, t):
 
 
 def reference_scan(params, field, t0, t1, n_grid):
-    """scan_esd one bracket at a time, one single-time state per bisection step."""
+    """scan_esd one bracket at a time, one single-time state per bisection step.
+
+    Each bisection runs until its bracket is at most 4 ulp wide, so it
+    locates the true crossing rather than any point of the |Lambda| <= 1e-9 band.
+    """
     def bisect(t_lo, t_hi, f_lo):
-        for _ in range(60):
+        while t_hi - t_lo > 4 * np.spacing(t_hi):
             t_mid = 0.5 * (t_lo + t_hi)
             f_mid = lambda_at(params, field, t_mid)
-            if abs(f_mid) <= 1e-9:
-                return t_mid
             if (f_lo < 0) == (f_mid < 0):
                 t_lo, f_lo = t_mid, f_mid
             else:
@@ -128,6 +132,27 @@ class TestScanEsd:
         assert any(not (iv.open_left or iv.open_right) for iv in intervals)
         assert not any(iv.refined for iv in intervals)
 
+    def test_newton_evaluations_per_endpoint(self, monkeypatch):
+        brackets, evals = [], []
+        refine, evaluate = events._refine_crossings, SectorTable.series_and_slope
+        monkeypatch.setattr(events, "_refine_crossings",
+                            lambda table, t_lo, *a: brackets.append(t_lo.size)
+                            or refine(table, t_lo, *a))
+        monkeypatch.setattr(SectorTable, "series_and_slope",
+                            lambda self, t: evals.append(np.size(t)) or evaluate(self, t))
+        cfg = preset_config("fig2f")
+        intervals = scan_esd(cfg.params(), build_thermal(cfg.nbar, cfg.epsilon),
+                             cfg.t0, cfg.t1, cfg.steps)
+        assert all(iv.refined for iv in intervals if not (iv.open_left or iv.open_right))
+        assert sum(brackets) > 100
+        assert sum(evals) <= 6 * sum(brackets)
+
+    def test_isolated_pair_makes_no_refinement_call(self, monkeypatch):
+        def fail(self, t):
+            raise AssertionError("refinement evaluated")
+        monkeypatch.setattr(SectorTable, "series_and_slope", fail)
+        assert scan_esd(ModelParams(lam=10.0, g=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
+
     def test_negative_at_both_window_ends(self):
         p = ModelParams.from_k(10.0, 0.5)
         f = build_thermal(1.0)
@@ -146,6 +171,9 @@ class TestScanEsd:
             scan_esd(p, f, 1.0, 1.0, 100)
         with pytest.raises(ValueError):
             scan_esd(p, f, 0.0, 1.0, 1)
+        for t0, t1 in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                scan_esd(p, f, t0, t1, 100)
 
 
 class TestDwellFraction:
