@@ -118,6 +118,8 @@ class RunConfig:
         unknown = set(self.observables) - set(ALL_OBSERVABLES)
         if unknown:
             raise UsageError(f"unknown observables: {sorted(unknown)}")
+        if len(set(self.observables)) < len(self.observables):
+            raise UsageError(f"observables repeat: {' '.join(self.observables)}")
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
         try:
@@ -258,12 +260,9 @@ def evaluate(config: RunConfig) -> Evaluation:
     return Evaluation(columns, intervals, oracle_dev)
 
 
-def execute(config: RunConfig, evaluation: Evaluation | None = None) -> RunResult:
-    """Write one configuration's output from the evaluation of its physics,
-    evaluating it here when none is given."""
-    config.validate()
-    if evaluation is None:
-        evaluation = evaluate(config)
+def execute(config: RunConfig, evaluation: Evaluation) -> RunResult:
+    """Render and write a valid config's output from the evaluation of its
+    physics, and return its RunResult; validates and evaluates nothing."""
     _write(config.output_path, _render(config, evaluation))
     columns, oracle_dev = evaluation.columns, evaluation.oracle_dev
     result = RunResult(
@@ -328,78 +327,61 @@ def _attempt(cfg: RunConfig, step: Callable):
         return RunResult(config=cfg, exit_code=EXIT_IO, error=f"{type(exc).__name__}: {exc}")
 
 
-def _resolve(name: str, resolve: Callable[[], RunConfig]) -> RunConfig | RunResult:
-    """resolve()'s config, validated, or the RunResult of its failure, named name."""
-    cfg = _attempt(RunConfig(name=name), resolve)
-    return cfg if isinstance(cfg, RunResult) else _attempt(cfg, cfg.validate)
+def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
+         jobs: int = 1) -> list[RunResult]:
+    """The RunResult of each item, in order.
 
-
-def _run_group(group: list[RunConfig]) -> list[RunResult]:
-    """Evaluate the physics group shares once, then write each member's output.
-    A failed evaluation fails every member with its message."""
-    evaluation = _attempt(group[0], lambda: evaluate(group[0]))
-    if isinstance(evaluation, RunResult):
-        return [replace(evaluation, config=cfg) for cfg in group]
-    return [_attempt(cfg, lambda: execute(cfg, evaluation)) for cfg in group]
-
-
-def _run(runs: list[RunConfig | RunResult], jobs: int = 1) -> list[RunResult]:
-    """The result of each run, in order; a RunResult is its own result.
-
-    Configs with the same physics form one group, which one job evaluates
-    once and writes out; with one job, one group's evaluation is held at a
-    time.
+    An item is a (name, resolve) pair, or a RunConfig, which is its own
+    resolve: resolve() builds the config inside the item's error isolation,
+    and name labels its result when that fails. Items resolve and validate
+    once, in order, before any evaluation; one that fails, or whose output
+    file an earlier item writes, fails without running. Valid items with the
+    same physics form one group, which one job evaluates once and writes
+    member by member (a failed evaluation fails every member); with one job,
+    one group's evaluation is held at a time.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, cfg in enumerate(runs):
+    if jobs < 1:
+        raise UsageError(f"jobs must be >= 1, got {jobs}")
+    # results[i] holds item i's config until its group (its one writer) puts the result there
+    results, groups, writer = [], {}, {}
+    for item in items:
+        name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
+        cfg = _attempt(RunConfig(name=name), resolve)
         if isinstance(cfg, RunConfig):
-            groups.setdefault(_physics(cfg), []).append(i)
+            cfg = _attempt(cfg, cfg.validate)
+        if isinstance(cfg, RunConfig):
+            path = cfg.output_path and os.path.abspath(cfg.output_path)
+            if path and writer.setdefault(path, cfg) is not cfg:
+                cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
+                                error=f"output {path} already written by {writer[path].name}")
+            else:
+                groups.setdefault(_physics(cfg), []).append(len(results))
+        results.append(cfg)
 
-    def one(members: list[int]) -> list[RunResult]:
-        return _run_group([runs[i] for i in members])
+    def run_group(members: list[int]):
+        first = results[members[0]]
+        evaluation = _attempt(first, lambda: evaluate(first))
+        for i in members:
+            cfg = results[i]
+            results[i] = (replace(evaluation, config=cfg) if isinstance(evaluation, RunResult)
+                          else _attempt(cfg, lambda: execute(cfg, evaluation)))
 
     if jobs > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            done = list(pool.map(one, groups.values()))
+            list(pool.map(run_group, groups.values()))
     else:
-        done = map(one, groups.values())
-    results = list(runs)
-    for members, group_results in zip(groups.values(), done):
-        for i, res in zip(members, group_results):
-            results[i] = res
+        for members in groups.values():
+            run_group(members)
     return results
 
 
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
           jobs: int = 1) -> tuple[str, int]:
-    """Run several configs, return (summary CSV, aggregate exit code).
-
-    An item is a RunConfig or a (name, resolve) pair: resolve() builds the
-    config inside the run's error isolation, and name labels the row when
-    it fails. Items resolve and validate in order, before any runs; an item
-    that fails validation (its output directory does not exist, say), or
-    whose output file an earlier item writes, fails without running. Items
-    with the same physics are evaluated once, and each writes its own
-    output and row. Each failed run's error goes to stderr as one line.
-    """
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
-
-    runs, writer = [], {}
-    for item in configs:
-        cfg = _resolve(*((item.name, lambda: item) if isinstance(item, RunConfig) else item))
-        if isinstance(cfg, RunConfig) and cfg.output_path:
-            path = os.path.abspath(cfg.output_path)
-            if path in writer:
-                cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
-                                error=f"output {path} already written by {writer[path]}")
-            else:
-                writer[path] = cfg.name
-        runs.append(cfg)
-
+    """Run the items as _run does and return (summary CSV, aggregate exit
+    code): one row per item, and one stderr line per failed item's error."""
     lines = ["name,status,max_concurrence,dwell_fraction,final_entropy"]
     exit_code = EXIT_OK
-    for res in _run(runs, jobs):
+    for res in _run(configs, jobs):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
         lines.append(",".join([
             res.config.name, status,
@@ -512,24 +494,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return EXIT_USAGE
 
-    if args.command == "run":
-        [result] = _run([_resolve("run", lambda: _config_from_args(args))])
-        if result.error:
-            print(f"esdsim: {result.error}", file=sys.stderr)
-        return result.exit_code
-
-    try:
+    def sweep_command() -> RunResult:
         _check_output(args.output)
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
         summary, exit_code = sweep(targets, jobs=args.jobs)
         _write(args.output, summary)
-        return exit_code
-    except UsageError as exc:
-        print(f"esdsim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"esdsim: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
+
+    if args.command == "run":
+        [result] = _run([("run", lambda: _config_from_args(args))])
+    else:
+        result = _attempt(RunConfig(name="sweep"), sweep_command)
+    if result.error:
+        print(f"esdsim: {result.error}", file=sys.stderr)
+    return result.exit_code
 
 
 if __name__ == "__main__":

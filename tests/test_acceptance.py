@@ -20,7 +20,7 @@ from esdsim import (
     sector_frequencies,
     two_qubit_states,
 )
-from esdsim.cli import RunConfig, execute, main, preset_config
+from esdsim.cli import main
 from esdsim.model import ThermalField
 from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series
 

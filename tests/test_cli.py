@@ -168,7 +168,7 @@ class TestRun:
         out = tmp_path / "out.csv"
         cfg = RunConfig(g=0.0, k=None, nbar=0.0, steps=200, t1=2.0,
                         observables=("concurrence",), output_path=str(out))
-        assert execute(cfg).exit_code == EXIT_OK
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         header, data = read_table(out)
         assert header == ["t", "lambda_t", "concurrence"]
         t = data[:, 0]
@@ -180,7 +180,7 @@ class TestRun:
         cfg = preset_config("fig1d")
         cfg.t1, cfg.steps = 4.0, 2000
         cfg.output_path = str(out)
-        assert execute(cfg).exit_code == EXIT_OK
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         _, data = read_table(out)
         assert (data[:, 2] == 0.0).sum() >= 1
 
@@ -188,7 +188,7 @@ class TestRun:
         out = tmp_path / "o.csv"
         cfg = RunConfig(k=0.5, nbar=1.0, steps=200, observables=("concurrence",),
                         oracle_check=True, output_path=str(out))
-        res = execute(cfg)
+        res = execute(cfg, cli.evaluate(cfg))
         assert res.exit_code == EXIT_OK
         assert res.oracle_deviation < 1e-8
         assert "# oracle_max_deviation" in out.read_text()
@@ -199,7 +199,7 @@ class TestRun:
             out = tmp_path / name
             cfg = RunConfig(k=0.5, nbar=1.0, steps=100, detect_events=True,
                             output_path=str(out))
-            assert execute(cfg).exit_code == EXIT_OK
+            assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -207,7 +207,7 @@ class TestRun:
         out = tmp_path / "run.json"
         cfg = RunConfig(k=0.1, nbar=1.0, steps=10, output_format="json",
                         detect_events=True, output_path=str(out))
-        assert execute(cfg).exit_code == EXIT_OK
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         doc = json.loads(out.read_text())
         assert doc["config"]["g"] == pytest.approx(1.0)
         assert doc["config"]["epsilon"] == 1e-10
@@ -219,7 +219,7 @@ class TestRun:
         out = tmp_path / "esd.json"
         cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
                         output_format="json", output_path=str(out))
-        assert execute(cfg).exit_code == EXIT_OK
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         events = json.loads(out.read_text())["events"]
         intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert events and events == [asdict(iv) for iv in intervals]
@@ -259,7 +259,7 @@ class TestRun:
         out = tmp_path / "esd.csv"
         cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
                         observables=("lambda",), output_path=str(out))
-        assert execute(cfg).exit_code == EXIT_OK
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         rows = [l[2:].split(",") for l in out.read_text().splitlines()[402:]]
         intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert len(intervals) >= 1
@@ -340,7 +340,7 @@ class TestSharedPhysics:
         assert sweep(configs)[1] == EXIT_OK and calls == [0.5, 0.5]
         for cfg in configs:
             alone = replace(cfg, output_path=str(tmp_path / "alone.csv"))
-            assert execute(alone).exit_code == EXIT_OK
+            assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
             assert (tmp_path / "alone.csv").read_bytes() == (
                 tmp_path / f"{cfg.name}.csv").read_bytes()
 
@@ -352,7 +352,7 @@ class TestSharedPhysics:
         assert sweep([by_k, by_g])[1] == EXIT_OK and calls == [0.5]
         for cfg in (by_k, by_g):
             alone = replace(cfg, output_path=str(tmp_path / "alone"))
-            assert execute(alone).exit_code == EXIT_OK
+            assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
             swept = Path(cfg.output_path).read_text().replace(cfg.output_path, alone.output_path)
             assert (tmp_path / "alone").read_text() == swept
 
@@ -447,6 +447,21 @@ class TestMain:
         rows = capsys.readouterr().out.splitlines()
         assert rows[1].startswith("hot,failed(2),")
 
+    def test_repeated_observable_exits_2(self, tmp_path, capsys):
+        # a CSV would carry the column twice while JSON samples keep one key
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("steps = 3\nobservables = concurrence concurrence\n")
+        message = "observables repeat: concurrence concurrence\n"
+        for argv in (["run", "--steps", "3", "--observables", "concurrence", "concurrence"],
+                     ["run", "--config", str(cfg)]):
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr() == ("", f"esdsim: {message}")
+        assert main(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("twice,failed(2),")
+        assert captured.err == f"esdsim: twice: {message}"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
+
     def test_sweep_isolates_targets_that_do_not_resolve(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("steps = abc\n")
         (tmp_path / "dir.cfg").mkdir()  # exists but cannot be read as a file
@@ -489,7 +504,7 @@ class TestMain:
 
     def test_sweep_into_missing_directory_runs_nothing(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "execute", lambda cfg: calls.append(cfg))
+        monkeypatch.setattr(cli, "evaluate", lambda cfg: calls.append(cfg))
         missing = tmp_path / "missing"
         code = main(["sweep", "fig1a", "fig2a", "--output-dir", str(missing)])
         assert code == EXIT_IO and calls == []
@@ -499,6 +514,14 @@ class TestMain:
         assert captured.err.splitlines() == [
             f"esdsim: {name}: output directory {missing} does not exist"
             for name in ("fig1a", "fig2a")]
+
+    def test_sweep_level_defect_names_its_exception_type(self, tmp_path, capsys, monkeypatch):
+        def fail(target, output_dir):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "_sweep_target", fail)
+        assert main(["sweep", "fig1a", "--output-dir", str(tmp_path)]) == EXIT_IO
+        assert capsys.readouterr() == ("", "esdsim: RuntimeError: boom\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_summary_into_missing_directory_runs_nothing(self, tmp_path, capsys):
         missing = tmp_path / "missing"
