@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from collections.abc import Callable
@@ -15,6 +16,7 @@ from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import __version__
+from ._text import g17
 from .dynamics import SectorTable, two_qubit_states
 from .events import EsdInterval, dwell_fraction, esd_intervals
 from .model import ModelParams, build_thermal, check_thermal
@@ -225,14 +227,12 @@ class Evaluation:
     columns: dict[str, np.ndarray]
     intervals: list[EsdInterval]
     oracle_dev: float | None
-    _text: dict[str, list[str]] = dc_field(default_factory=dict, init=False, repr=False)
+    _text: dict[str, np.ndarray] = dc_field(default_factory=dict, init=False, repr=False)
 
-    def text(self, name: str) -> list[str]:
-        """Column name as _fmt strings, formatted once per evaluation."""
+    def text(self, name: str) -> np.ndarray:
+        """Column name as a g17 byte matrix, formatted once per evaluation."""
         if name not in self._text:
-            column = self.columns[name].tolist()
-            # one %-format over the whole column costs less than one call per value
-            self._text[name] = (("%.17g\n" * len(column)) % tuple(column)).split("\n")[:-1]
+            self._text[name] = g17(self.columns[name])
         return self._text[name]
 
 
@@ -297,19 +297,23 @@ def _render(config: RunConfig, evaluation: Evaluation) -> str:
             }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-    lines = [",".join(keys)]
-    lines += map(",".join, zip(*(evaluation.text(key) for key in keys)))
+    # one byte row per sample: each cell and its ',', the last ',' made '\n'
+    cells = [evaluation.text(key) for key in keys]
+    comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
+    body = np.hstack([part for cell in cells for part in (cell, comma)])
+    body[:, -1] = ord("\n")
+    lines = [",".join(keys) + "\n", body.tobytes().translate(None, b"\0").decode("ascii")]
     if config.detect_events:
-        lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined")
+        lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined\n")
         for iv in intervals:
             lines.append(
                 "# " + ",".join([_fmt(iv.t_death), _fmt(iv.t_birth),
-                                 _fmt(iv.min_lambda), str(iv.refined).lower()])
+                                 _fmt(iv.min_lambda), str(iv.refined).lower()]) + "\n"
             )
     if oracle_dev is not None:
         ok = "pass" if oracle_dev <= ORACLE_FAIL_THRESHOLD else "FAIL"
-        lines.append(f"# oracle_max_deviation,{_fmt(oracle_dev)},{ok}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"# oracle_max_deviation,{_fmt(oracle_dev)},{ok}\n")
+    return "".join(lines)
 
 
 def _attempt(cfg: RunConfig, step: Callable):
@@ -451,6 +455,9 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
+    # before Python 3.12 argparse reads "-1e-3" as an option, so "--t0 -1e-3"
+    # lacked its value; every negative number, exponent form too, is a value
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     p.add_argument("--preset", help="named figure-panel regime, e.g. fig1d")
     p.add_argument("--config", help="key=value config file; flags override it")
     for f in fields(RunConfig):

@@ -71,6 +71,8 @@ def check_thermal(nbar: float, epsilon: float):
     """Raise ValueError unless build_thermal(nbar, epsilon) can build a field."""
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    if nbar / (1.0 + nbar) == 1.0:
+        raise ValueError(f"nbar too large: nbar/(1+nbar) rounds to 1, got {nbar}")
     if not (math.isfinite(epsilon) and 0 < epsilon < 1):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 

@@ -427,6 +427,21 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith("esdsim: ") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("nbar", ["1e16", "1e300"])
+    def test_nbar_whose_ratio_rounds_to_one_exits_2(self, nbar, capsys):
+        # nbar/(1+nbar) == 1.0 made the truncation divide by log(1) = 0
+        assert main(["run", "--nbar", nbar, "--steps", "3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("esdsim: nbar ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t0", ["-1e-3", "-1E-3", "-1.0e-3"])
+    def test_negative_exponent_values_are_values(self, t0, capsys):
+        # argparse before Python 3.12 read "-1e-3" as an option
+        assert main(["run", "--t0", t0, "--t1", "1", "--steps", "3"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("-0.001,")
+        assert main(["run", "--lam", "-1e3", "--steps", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err == "esdsim: lam must be finite and > 0, got -1000.0\n"
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = abc\n")

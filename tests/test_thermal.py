@@ -52,7 +52,8 @@ def test_weight_equals_stored_weights(nbar):
     assert f.weight(f.nmax + 1) < f.weights[-1]
 
 
-@pytest.mark.parametrize("nbar,eps", [(-1.0, 1e-10), (1.0, 0.0), (1.0, 1.0), (1.0, -0.5)])
+@pytest.mark.parametrize("nbar,eps", [(-1.0, 1e-10), (1.0, 0.0), (1.0, 1.0), (1.0, -0.5),
+                                      (1e16, 1e-10), (1e300, 1e-10)])
 def test_domain_errors(nbar, eps):
     with pytest.raises(ValueError):
         build_thermal(nbar, eps)
