@@ -456,8 +456,11 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
 
 def _add_run_flags(p: argparse.ArgumentParser):
     # before Python 3.12 argparse reads "-1e-3" as an option, so "--t0 -1e-3"
-    # lacked its value; every negative number, exponent form too, is a value
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+    # lacked its value; every negative number, exponent form too, is a value,
+    # and so are -inf and -nan, which validate() then refuses by name
+    p._negative_number_matcher = re.compile(
+        r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+    )
     p.add_argument("--preset", help="named figure-panel regime, e.g. fig1d")
     p.add_argument("--config", help="key=value config file; flags override it")
     for f in fields(RunConfig):

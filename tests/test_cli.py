@@ -442,6 +442,15 @@ class TestMain:
         assert main(["run", "--lam", "-1e3", "--steps", "3"]) == EXIT_USAGE
         assert capsys.readouterr().err == "esdsim: lam must be finite and > 0, got -1000.0\n"
 
+    @pytest.mark.parametrize("flag,value,shown", [
+        ("--t0", "-inf", "-inf"), ("--t0", "-Infinity", "-inf"),
+        ("--lam", "-nan", "nan"), ("--k", "-NaN", "nan"),
+    ])
+    def test_negative_non_finite_values_reach_validate(self, flag, value, shown, capsys):
+        # argparse read "-inf" as an unknown option: "expected one argument"
+        assert main(["run", flag, value, "--steps", "3"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"esdsim: {flag[2:]} must be finite, got {shown}\n"
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = abc\n")

@@ -20,6 +20,18 @@ def expm_reference(h, field, times):
     return np.array(out)
 
 
+def kron_hamiltonian(params, fock_cutoff):
+    """h1 from truncated ladder and Pauli matrices by Kronecker products."""
+    sp = np.array([[0.0, 1.0], [0.0, 0.0]])   # |e><g|
+    sm, i2 = sp.T, np.eye(2)
+    nf = fock_cutoff + 1
+    a = np.diag(np.sqrt(np.arange(1.0, nf)), 1)
+    idf = np.eye(nf)
+    return params.lam * (
+        np.kron(np.kron(sp, sm), idf) + np.kron(np.kron(sm, sp), idf)
+    ) + params.g * (np.kron(np.kron(i2, sp), a) + np.kron(np.kron(i2, sm), a.T))
+
+
 def qubit1_populations(series):
     """(rho_ee, rho_gg) of qubit 1 from the two-qubit series."""
     return series.rho11 + series.rho22, series.rho33 + series.rho44
@@ -53,6 +65,28 @@ class TestHamiltonian:
         assert np.abs(h.h1 - h.h1.T).max() == 0.0
         h0 = free_hamiltonian(h.fock_cutoff)
         assert np.abs(h0 - h0.conj().T).max() == 0.0
+
+    @pytest.mark.parametrize("lam,g,cutoff", [
+        (10.0, 1.0, 1), (10.0, 0.0, 2), (0.3, 7.5, 5), (1e-3, 2.0**-30, 40), (123.456, 0.1, 73),
+    ])
+    def test_matches_kron_formula(self, lam, g, cutoff):
+        h = build_hamiltonians(ModelParams(lam=lam, g=g), cutoff)
+        want = kron_hamiltonian(ModelParams(lam=lam, g=g), cutoff)
+        assert h.h1.dtype == want.dtype and h.h1.shape == want.shape
+        assert (h.h1 == want).all()
+
+    def test_eigensystem_is_jordan_wielandt(self, weak_setup):
+        _, _, h = weak_setup
+        sigma, w = h.eigensystem()
+        assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
+        assert (sigma >= 0).all()
+        # h1 W = W diag(sigma): (u, v)/sqrt(2) is an eigenvector for +sigma
+        scale = np.abs(h.h1).max()
+        assert np.abs(h.h1 @ w - w * sigma).max() < 1e-12 * scale
+        assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
+        # and (u, -v)/sqrt(2) for -sigma
+        flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
+        assert np.abs(h.h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
 
     def test_decoupled_block_structure(self):
         p = ModelParams(lam=10.0, g=0.0)
@@ -102,12 +136,34 @@ class TestHamiltonian:
 
     def test_off_x_detected(self, weak_setup):
         params, field, h = weak_setup
-        # a transverse drive on qubit 1 breaks excitation conservation
+        # a transverse drive on qubit 1 breaks excitation conservation but
+        # flips the parity, so it passes the parity check and shows as off-X
         sx = np.array([[0.0, 1.0], [1.0, 0.0]])
         drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
         driven = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
         with pytest.raises(ValueError, match="off-X"):
             reduced_two_qubit_series(driven, field, np.linspace(0, 2, 9))
+
+    @pytest.mark.parametrize("op", [np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])],
+                             ids=["detuning", "drive"])
+    def test_parity_breaking_refused(self, weak_setup, op):
+        params, field, h = weak_setup
+        # sigma_z or sigma_x on qubit 2 keeps s1 and n, so it couples states
+        # of the same parity
+        extra = np.kron(np.kron(np.eye(2), op), np.eye(h.fock_cutoff + 1))
+        broken = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * extra, fock_cutoff=h.fock_cutoff)
+        with pytest.raises(ValueError, match="parity"):
+            reduced_two_qubit_series(broken, field, np.linspace(0, 2, 9))
+
+    @pytest.mark.parametrize("name,p", [("even", 0), ("odd", 1)])
+    def test_parity_check_is_exact_and_named(self, weak_setup, name, p):
+        _, field, h = weak_setup
+        a, b = np.flatnonzero(h.parity.ravel() == p)[[0, -1]]
+        h1 = h.h1.copy()
+        h1[a, b] = h1[b, a] = 1e-300
+        broken = HamiltonianMatrix(h1=h1, fock_cutoff=h.fock_cutoff)
+        with pytest.raises(ValueError, match=f"two {name}-parity states"):
+            reduced_two_qubit_series(broken, field, [0.1])
 
 
 class TestEvolve:
@@ -154,6 +210,17 @@ class TestPartialTraces:
     def test_series_matches_dense_route(self, weak_setup):
         _, field, h = weak_setup
         times = np.linspace(0, 2, 9)
+        series = reduced_two_qubit_series(h, field, times)
+        assert np.abs(series.matrix() - expm_reference(h, field, times)).max() < 1e-12
+
+    @pytest.mark.parametrize("k,nbar", [(1e-6, 3.0), (0.3, 3.0)])
+    def test_series_matches_expm(self, k, nbar):
+        # k = 1e-6 makes the singular values nearly degenerate (all close to
+        # lam); nbar = 3 starts from many kets |e g, n> of both parities
+        params = ModelParams.from_k(10.0, k)
+        field = build_thermal(nbar, 1e-10)
+        h = build_hamiltonians(params, field.nmax + 2)
+        times = np.array([0.0, 0.37, 1.9, 13.0])
         series = reduced_two_qubit_series(h, field, times)
         assert np.abs(series.matrix() - expm_reference(h, field, times)).max() < 1e-12
 
