@@ -180,14 +180,26 @@ def _check_output(path: str | None):
         raise FileNotFoundError(f"output directory {directory} does not exist")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# the mode open() gives a new file; mkstemp's is 0600. Read once, because the
+# umask can only be read by setting it, for the whole process, and runs may be threads
+_FILE_MODE = 0o666 & ~_umask()
+
+
 def _write(path: str | None, text: str):
-    """Write text to stdout, or atomically to path."""
+    """Write text to stdout, or atomically to path with the mode open() would give it."""
     if not path:
         sys.stdout.write(text)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".esdsim-")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
+            os.fchmod(fh.fileno(), _FILE_MODE)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -12,7 +12,8 @@ sin w+ t, cos w- t, sin w- t) to the four real factors of the propagator
 column. Times go in blocks of a base t_b plus offsets tau, evaluated as
 X = (K R(t_b)) T(tau) with R(t_b) the angle-addition rotation. A linspace
 grid shares one table T(j * step) across its blocks and needs trig only at
-each block's base; any other times are evaluated at base 0, where R = I.
+the blocks' bases; K R(t_b) is computed for a chunk of bases at a time, in
+one vectorised call. Any other times are evaluated at base 0, where R = I.
 Root refinement also needs the slope of the state: T'(t) = D T(t), so the
 slope matrix K' = K D maps the same T(t) to the factors' time derivatives.
 """
@@ -28,8 +29,11 @@ from .model import ModelParams, ThermalField
 _POP_CLAMP = 1e-12
 _POSITIVITY_TOL = 1e-10
 # times per evaluation block; bounds a block's (sectors x 4 x times) arrays,
-# the shared trig table among them, to ~1 MB at nmax ~ 240 for any grid
+# the shared trig table among them, to ~1 MB at nmax ~ 240 for any grid.
+# K R(t_b) is computed per chunk of _CHUNK block bases, in one call into one
+# (bases x sectors x 4 x 4) buffer: half a block's factors, whatever the grid
 _BLOCK = 128
+_CHUNK = _BLOCK // 8
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,9 @@ class SectorTable:
         n = np.arange(field.nmax + 2)
         f = self.freqs = sector_frequencies(params, n)
         wp, wm, a, b2, r, lam = f.omega_plus, f.omega_minus, f.a, f.b**2, f.r, params.lam
-        k = np.zeros((n.size, 4, 4))
+        # [K; K'] in one array, so series_and_slope needs one product and no copy
+        self._coeffs_and_slopes = np.zeros((n.size, 8, 4))
+        k = self.coeffs = self._coeffs_and_slopes[:, :4]
         k[:, 0, 1] = a * (b2 - wp**2) / (r * wp)  # omega_plus >= lam > 0
         # omega_minus is 0 where a = g sqrt(n) is, which zeroes the term
         np.divide(-a * (b2 - wm**2), r * wm, out=k[:, 0, 3], where=wm > 0)
@@ -136,10 +142,9 @@ class SectorTable:
         k[:, 2, 3] = -lam * wm / r
         k[:, 3, 0] = lam * f.b / r
         k[:, 3, 2] = -k[:, 3, 0]
-        self.coeffs = k
         # K' = K D: D takes (cos wt, sin wt) to (-w sin wt, w cos wt)
         w = np.stack((wp, wm), axis=-1)[:, None, :]
-        self.slopes = np.empty_like(k)
+        self.slopes = self._coeffs_and_slopes[:, 4:]
         self.slopes[..., 0::2] = w * k[..., 1::2]
         self.slopes[..., 1::2] = -w * k[..., 0::2]
         # weights of x_j^2 in rho_jj (row 1 also of x2 x3); only rho11 reaches nmax+1
@@ -153,11 +158,24 @@ class SectorTable:
         xm = np.multiply.outer(self.freqs.omega_minus, times)
         return np.stack((np.cos(xp), np.sin(xp), np.cos(xm), np.sin(xm)), axis=1)
 
-    def _rotated(self, t_b: float) -> np.ndarray:
-        """K R(t_b), with R(t_b) the rotation T(t_b + tau) = R(t_b) T(tau)."""
-        t = self.basis(np.array(t_b))[:, None, :]
-        c, s, kc, ks = t[..., 0::2], t[..., 1::2], self.coeffs[..., 0::2], self.coeffs[..., 1::2]
-        return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(self.coeffs.shape)
+    def _rotated(self, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """K R(t_b) for each base t_b into out, shape (bases, sectors, 4, 4), with
+        R(t_b) the rotation T(t_b + tau) = R(t_b) T(tau)."""
+        # sectors last, so that every elementwise loop runs along them:
+        # T as (4, bases, sectors) and K R as (4, 4, bases, sectors)
+        t = np.ascontiguousarray(np.moveaxis(self.basis(bases), 0, -1))
+        k = np.ascontiguousarray(np.moveaxis(self.coeffs, 0, -1))[:, :, None]
+        c, s, kc, ks = t[0::2], t[1::2], k[:, 0::2], k[:, 1::2]
+        kr = np.empty((4, 4, *t.shape[1:]))
+        even, odd = kr[:, 0::2], kr[:, 1::2]
+        tmp = np.empty_like(even)
+        # kc c + ks s and ks c - kc s, each product rounded before the sum
+        np.multiply(kc, c, out=even)
+        even += np.multiply(ks, s, out=tmp)
+        np.multiply(ks, c, out=odd)
+        odd -= np.multiply(kc, s, out=tmp)
+        out[...] = kr.transpose(2, 3, 0, 1)
+        return out
 
     def _evaluate(self, x: np.ndarray):
         """Populations (4, m) and rho23 (m,) from the factors x (sectors, 4, m),
@@ -171,7 +189,8 @@ class SectorTable:
         """The five X-state columns at each time, evaluated block by block.
 
         A linspace grid (bit for bit, >= 2 points) shares T(j * step) across
-        its blocks, each rotated to its first time; other times are at base 0.
+        its blocks, each rotated to its first time, _CHUNK bases per rotation
+        call into one reused buffer; other times are at base 0.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
         pops = np.empty((4, times.size))
@@ -181,9 +200,13 @@ class SectorTable:
         if uniform:
             step = (times[-1] - times[0]) / (times.size - 1)
             shared = self.basis(np.arange(min(_BLOCK, times.size)) * step)
-        for start in range(0, times.size, _BLOCK):
+            rotated = np.empty((_CHUNK, *self.coeffs.shape))
+        for i, start in enumerate(range(0, times.size, _BLOCK)):
             block = slice(start, start + _BLOCK)
-            kr, basis = ((self._rotated(times[start]), shared[..., : times[block].size])
+            if uniform and i % _CHUNK == 0:
+                bases = times[start : start + _CHUNK * _BLOCK : _BLOCK]
+                self._rotated(bases, out=rotated[: bases.size])
+            kr, basis = ((rotated[i % _CHUNK], shared[..., : times[block].size])
                          if uniform else (self.coeffs, self.basis(times[block])))
             pops[:, block], rho23[block] = self._evaluate(kr @ basis)
         return StateSeries(*pops, rho23)
@@ -193,7 +216,7 @@ class SectorTable:
         which has the sign of Lambda. One product [K; K'] T(t) gives both:
         rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c, c' = sum w (x2' x3 + x2 x3')."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        xs = np.concatenate((self.coeffs, self.slopes), axis=1) @ self.basis(times)
+        xs = self._coeffs_and_slopes @ self.basis(times)
         x, dx = xs[:, :4], xs[:, 4:]
         w = self.pop_weights
         dc = w[1] @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -576,6 +579,24 @@ class TestMain:
 
         assert main(["run", "--config", str(path)]) == code
         assert len(capsys.readouterr().err.splitlines()) == (code != EXIT_OK)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_files_get_the_umask_mode(self, umask, tmp_path):
+        # the CLI reads the umask once at import, so it runs in a fresh interpreter
+        script = ("from esdsim.cli import main; raise SystemExit("
+                  "main(['run', '--preset', 'fig1a', '-o', 'run.csv']) or "
+                  "main(['sweep', 'fig1a', '--output-dir', 'sweep', '-o', 'summary.csv']))")
+        (tmp_path / "sweep").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        old = os.umask(umask)
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                  capture_output=True, text=True, timeout=120)
+        finally:
+            os.umask(old)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        for name in ("run.csv", "sweep/fig1a.csv", "summary.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import amplitude_table
@@ -14,7 +16,7 @@ from esdsim import (
 )
 from esdsim.cli import preset_config
 from esdsim.model import ThermalField
-from esdsim.dynamics import _BLOCK, SectorTable
+from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable
 from esdsim.observables import separability
 
 
@@ -267,13 +269,49 @@ class TestTwoQubitState:
         assert np.all(np.abs(s.rho23) ** 2 <= s.rho22 * s.rho33 + 1e-10)
 
     def test_blocks_match_pointwise(self):
-        p = ModelParams.from_k(10.0, 0.5)
-        f = build_thermal(10.0)
-        times = np.linspace(0.0, 2.0, 2 * _BLOCK + 3)
-        series = two_qubit_states(p, f, times)
+        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(10.0))
+        # one full rotation chunk, then two full blocks and a short one in a second
+        times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 2 * _BLOCK + 3)
+        series = table.series(times)
         assert len(series) == times.size
-        pointwise = np.array([two_qubit_states(p, f, [t]).matrix()[0] for t in times])
+        pointwise = np.array([table.series([t]).matrix()[0] for t in times])
         assert np.abs(series.matrix() - pointwise).max() <= 1e-15
+
+    def test_working_memory_does_not_grow_with_the_grid(self):
+        table = SectorTable(ModelParams.from_k(10.0, 0.1), build_thermal(10.0))
+
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                table.series(np.linspace(0.0, 40.0, steps))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = traced_peak(8_000), traced_peak(64_000)
+        # per time: the four population columns and rho23 that series fills,
+        # and the clamped copies of the populations that StateSeries keeps
+        columns = (64_000 - 8_000) * (4 * 8 + 16 + 4 * 8)
+        block = table.coeffs.shape[0] * 4 * _BLOCK * 8
+        assert long - short <= columns + block
+
+    def test_batched_rotation_is_stacked_single_rotations(self):
+        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(10.0))
+        bases = np.linspace(0.0, 40.0, _CHUNK + 3)
+        kc, ks = table.coeffs[..., 0::2], table.coeffs[..., 1::2]
+
+        def one_base(t_b):
+            # K R(t_b) column pairs (kc c + ks s, ks c - kc s) from T(t_b) alone
+            t = table.basis(np.array(t_b))[:, None, :]
+            c, s = t[..., 0::2], t[..., 1::2]
+            return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(kc.shape[0], 4, 4)
+
+        want = np.stack([one_base(t_b) for t_b in bases])
+        single = np.stack([table._rotated(bases[i : i + 1], np.empty_like(want[:1]))[0]
+                           for i in range(bases.size)])
+        batched = table._rotated(bases, np.empty_like(want))
+        for got in (batched, single):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_series_rejects_what_the_state_rejects(self):
         ok = dict(rho11=np.zeros(2), rho22=np.ones(2), rho33=np.zeros(2),
@@ -356,6 +394,8 @@ class TestTimePaths:
     @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=2)
     @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_BLOCK)
     @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_BLOCK + 1)
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_CHUNK * _BLOCK)
+    @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_CHUNK * _BLOCK + 1)
     def test_grid_matches_pointwise(self, log_k, nbar, t1, steps):
         table = SectorTable(ModelParams.from_k(10.0, 10.0**log_k), build_thermal(nbar))
         times = np.linspace(0.0, t1, steps)
