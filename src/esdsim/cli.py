@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import re
 import sys
 import tempfile
+import threading
+from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
@@ -16,10 +19,10 @@ from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 import numpy as np
 
 from . import __version__
-from ._text import g17
-from .dynamics import SectorTable, two_qubit_states
+from ._text import WIDTH, g17
+from .dynamics import SectorTable, sector_frequencies, two_qubit_states
 from .events import EsdInterval, dwell_fraction, esd_intervals
-from .model import ModelParams, build_thermal, check_thermal
+from .model import ModelParams, build_thermal
 from .observables import observable_columns
 from .oracle import build_hamiltonians, reduced_two_qubit_series
 
@@ -125,8 +128,7 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
         try:
-            self.params()
-            check_thermal(self.nbar, self.epsilon)
+            _check_couplings(self.params(), build_thermal(self.nbar, self.epsilon).nmax)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _check_output(self.output_path)
@@ -145,6 +147,22 @@ class RunConfig:
         d["k"] = self.params().k
         d["observables"] = list(self.observables)
         return d
+
+
+def _check_couplings(params: ModelParams, nmax: int):
+    """Raise ValueError unless the sector constants of a run with this
+    truncation are finite. They grow with n, and the largest products
+    SectorTable builds them from are the last sector's (n = nmax+1)
+    r = lam^2 beta, omega_plus^2 and r omega_plus."""
+    try:
+        with np.errstate(over="ignore"):
+            f = sector_frequencies(params, nmax + 1)
+            finite = all(map(math.isfinite, (f.r, f.omega_plus**2, f.r * f.omega_plus)))
+    except OverflowError:  # Python's float power raises where numpy's gives inf
+        finite = False
+    if not finite:
+        raise ValueError(f"couplings too large: lam = {params.lam}, k = {params.k}, "
+                         f"g = {params.g} overflow the frequencies of sector {nmax + 1}")
 
 
 def preset_names() -> list[str]:
@@ -219,33 +237,57 @@ class RunResult:
     error: str | None = None
 
 
-def _physics(config: RunConfig) -> tuple:
-    """What fixes a run's evaluation; runs with equal keys share one.
+_GRID = ("t", "lambda_t")
 
-    Floats enter by their bits: -0.0 and 0.0 are equal but print apart.
-    """
-    p = config.params()
-    floats = (p.lam, p.g, config.nbar, config.epsilon, config.t0, config.t1)
-    return (*(float(x).hex() for x in floats),
-            config.steps, config.detect_events, config.oracle_check)
+
+def _grid(config: RunConfig) -> tuple:
+    """What fixes a run's _GRID columns; runs with equal keys print the same
+    ones. Floats enter by their bits: -0.0 and 0.0 are equal but print apart."""
+    return (*(float(x).hex() for x in (config.lam, config.t0, config.t1)), config.steps)
+
+
+def _physics(config: RunConfig) -> tuple:
+    """What fixes a run's evaluation, its grid first; runs with equal keys
+    share one."""
+    floats = (config.params().g, config.nbar, config.epsilon)
+    return (*_grid(config), *(float(x).hex() for x in floats),
+            config.detect_events, config.oracle_check)
 
 
 @dataclass
 class Evaluation:
     """The outputs a run's physics fixes, shared by every run of it: the
     columns t, lambda_t and every observable, the ESD intervals (when
-    detect_events) and the oracle deviation (when oracle_check)."""
+    detect_events) and the oracle deviation (when oracle_check).
+
+    text holds the g17 cells of the columns formatted so far, by name; see
+    _format. A run's CSV rows are its columns' cells joined."""
 
     columns: dict[str, np.ndarray]
     intervals: list[EsdInterval]
     oracle_dev: float | None
-    _text: dict[str, np.ndarray] = dc_field(default_factory=dict, init=False, repr=False)
+    text: dict[str, np.ndarray] = dc_field(default_factory=dict, repr=False)
 
-    def text(self, name: str) -> np.ndarray:
-        """Column name as a g17 byte matrix, formatted once per evaluation."""
-        if name not in self._text:
-            self._text[name] = g17(self.columns[name])
-        return self._text[name]
+
+# values per g17 call, about: five 2,000-row columns. g17's temporaries take
+# ~150 B a value, so an 8,000-row group of four columns formats in four calls
+# that each hold ~1.5 MB, not in one that holds ~5 MB
+_FORMAT_VALUES = 10_000
+
+
+def _format(evaluation: Evaluation, names):
+    """Put the g17 cells of every column of names that evaluation.text
+    lacks there, formatted together: in one g17 call, or in as few calls
+    of equal row ranges as keep each near _FORMAT_VALUES values."""
+    missing = [name for name in dict.fromkeys(names) if name not in evaluation.text]
+    if missing:
+        values = np.column_stack([evaluation.columns[name] for name in missing])
+        cells = np.empty((*values.shape, WIDTH), np.uint8)
+        step = math.ceil(len(values) / math.ceil(values.size / _FORMAT_VALUES))  # rows a call
+        for start in range(0, len(values), step):
+            rows = slice(start, start + step)
+            cells[rows] = g17(values[rows]).reshape(-1, len(missing), WIDTH)
+        evaluation.text.update((name, cells[:, j]) for j, name in enumerate(missing))
 
 
 def evaluate(config: RunConfig) -> Evaluation:
@@ -310,7 +352,8 @@ def _render(config: RunConfig, evaluation: Evaluation) -> str:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     # one byte row per sample: each cell and its ',', the last ',' made '\n'
-    cells = [evaluation.text(key) for key in keys]
+    _format(evaluation, keys)
+    cells = [evaluation.text[key] for key in keys]
     comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
     body = np.hstack([part for cell in cells for part in (cell, comma)])
     body[:, -1] = ord("\n")
@@ -353,13 +396,17 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     once, in order, before any evaluation; one that fails, or whose output
     file an earlier item writes, fails without running. Valid items with the
     same physics form one group, which one job evaluates once and writes
-    member by member (a failed evaluation fails every member); with one job,
-    one group's evaluation is held at a time.
+    member by member (a failed evaluation fails every member). Before
+    writing, a group formats the observables its CSV members print together
+    (see _format); the groups on one grid share its _GRID cells, formatted
+    by the first of them to write CSV and dropped once the last has written.
+    Groups run grid by grid, so with one job, one group's evaluation and
+    one grid's cells are held at a time.
     """
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     # results[i] holds item i's config until its group (its one writer) puts the result there
-    results, groups, writer = [], {}, {}
+    results, grids, writer = [], {}, {}
     for item in items:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
         cfg = _attempt(RunConfig(name=name), resolve)
@@ -371,22 +418,49 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path].name}")
             else:
-                groups.setdefault(_physics(cfg), []).append(len(results))
+                grids.setdefault(_grid(cfg), {}).setdefault(_physics(cfg), []).append(len(results))
         results.append(cfg)
 
+    groups = [members for by_physics in grids.values() for members in by_physics.values()]
+
+    def csv_of(members: list[int]) -> list[RunConfig]:
+        return [results[i] for i in members if results[i].output_format == "csv"]
+
+    # per grid, its _GRID cells once formatted and the count of its CSV groups yet to write
+    grid_text, lock = {}, threading.Lock()
+    writing = Counter(_grid(results[members[0]]) for members in groups if csv_of(members))
+
     def run_group(members: list[int]):
-        first = results[members[0]]
-        evaluation = _attempt(first, lambda: evaluate(first))
+        first, csv = results[members[0]], csv_of(members)
+        grid = _grid(first)
+
+        def evaluate_group() -> Evaluation:
+            evaluation = evaluate(first)
+            if csv:
+                with lock:
+                    if grid not in grid_text:
+                        _format(evaluation, _GRID)
+                        grid_text[grid] = {name: evaluation.text[name] for name in _GRID}
+                    evaluation.text.update(grid_text[grid])
+                _format(evaluation, [name for cfg in csv for name in cfg.observables])
+            return evaluation
+
+        evaluation = _attempt(first, evaluate_group)
         for i in members:
             cfg = results[i]
             results[i] = (replace(evaluation, config=cfg) if isinstance(evaluation, RunResult)
                           else _attempt(cfg, lambda: execute(cfg, evaluation)))
+        if csv:
+            with lock:
+                writing[grid] -= 1
+                if not writing[grid]:
+                    grid_text.pop(grid, None)
 
     if jobs > 1 and len(groups) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_group, groups.values()))
+            list(pool.map(run_group, groups))
     else:
-        for members in groups.values():
+        for members in groups:
             run_group(members)
     return results
 
@@ -481,7 +555,10 @@ def _add_run_flags(p: argparse.ArgumentParser):
                            **f.metadata["flag_kw"])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="esdsim",
         description="Exact dynamics of two coupled qubits with a single-mode "

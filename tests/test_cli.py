@@ -63,6 +63,18 @@ def count_evaluations(monkeypatch, fail_k=None):
     return calls
 
 
+def count_formatting(monkeypatch):
+    """The number of values of every cli.g17 call, in call order."""
+    calls, real = [], cli.g17
+
+    def counting(x):
+        calls.append(np.size(x))
+        return real(x)
+
+    monkeypatch.setattr(cli, "g17", counting)
+    return calls
+
+
 def read_table(path):
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
@@ -385,6 +397,107 @@ class TestSharedPhysics:
         assert code == EXIT_OK and len(held) == 3
 
 
+class TestFormatting:
+    def test_one_call_per_evaluation_and_grid(self, tmp_path, monkeypatch):
+        # two physics on one grid: its t and lambda_t once, then each group's observables
+        calls = count_formatting(monkeypatch)
+        configs = [reduced(n, tmp_path) for n in ["fig1a", "fig2a", "fig3a", "fig4a"]]
+        assert sweep(configs)[1] == EXIT_OK and calls == [2 * 200] * 3
+
+    def test_run_formats_in_two_calls(self, tmp_path, monkeypatch):
+        calls = count_formatting(monkeypatch)
+        out = tmp_path / "events.csv"
+        assert main(["run", "--k", "0.5", "--nbar", "1", "--steps", "50", "--detect-events",
+                     "-o", str(out)]) == EXIT_OK
+        assert calls == [2 * 50, 5 * 50]
+        assert "# esd_intervals" in out.read_text()
+
+    def test_calls_keep_near_the_value_budget(self, tmp_path, monkeypatch):
+        # g17's temporaries grow with the values of one call
+        calls = count_formatting(monkeypatch)
+        assert main(["run", "--steps", "4000", "-o", str(tmp_path / "run.csv")]) == EXIT_OK
+        assert cli._FORMAT_VALUES == 10_000 and calls == [8000, 10_000, 10_000]
+
+    def test_long_columns_format_in_equal_row_ranges(self, tmp_path, monkeypatch):
+        argv = ["run", "--k", "0.5", "--nbar", "1", "--steps", "37", "--detect-events"]
+        assert main([*argv, "-o", str(tmp_path / "whole.csv")]) == EXIT_OK
+        monkeypatch.setattr(cli, "_FORMAT_VALUES", 40)
+        calls = count_formatting(monkeypatch)
+        assert main([*argv, "-o", str(tmp_path / "split.csv")]) == EXIT_OK
+        # t and lambda_t in 2 calls of 19 and 18 rows, the 5 observables in 5 of 8 rows
+        assert calls == [38, 36, 40, 40, 40, 40, 25]
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+    def test_json_formats_nothing(self, tmp_path, monkeypatch):
+        calls = count_formatting(monkeypatch)
+        assert main(["run", "--steps", "20", "--output-format", "json",
+                     "-o", str(tmp_path / "run.json")]) == EXIT_OK
+        assert calls == []
+
+    def test_lone_execute_renders_what_run_writes(self, tmp_path, monkeypatch, capsys):
+        argv = ["run", "--k", "0.3", "--nbar", "2", "--steps", "30", "--detect-events",
+                "--observables", "entropy", "concurrence"]
+        assert main(argv) == EXIT_OK
+        cfg = _config_from_args(build_parser().parse_args(argv))
+        calls = count_formatting(monkeypatch)
+        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert calls == [4 * 30]
+        out = capsys.readouterr().out
+        assert out.count("t,lambda_t,entropy,concurrence\n") == 2
+        assert out[: len(out) // 2] == out[len(out) // 2:]
+
+    def test_one_grid_held_at_a_time(self, tmp_path, monkeypatch):
+        # the grids interleave in this order; each one's cells go before the next one's come
+        grid_cells, real = [], cli._format
+
+        def tracked(evaluation, names):
+            if names == cli._GRID:
+                assert all(ref() is None for ref in grid_cells), "an earlier grid is still held"
+            real(evaluation, names)
+            if names == cli._GRID:
+                grid_cells.append(weakref.ref(evaluation.text["t"]))
+
+        monkeypatch.setattr(cli, "_format", tracked)
+        names = ["fig1a", "fig1b", "fig2a", "fig2b"]
+        configs = [reduced(n, tmp_path, steps=40 if n[-1] == "a" else 60) for n in names]
+        assert sweep(configs)[1] == EXIT_OK
+        assert len(grid_cells) == 2 and all(ref() is None for ref in grid_cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_grid_cells_match_separate_runs(self, jobs, tmp_path):
+        # two grids, each shared by two physics, and a third physics on the
+        # first; with two jobs a grid's groups run on both threads
+        steps = {"fig1a": 40, "fig1b": 60, "fig2a": 40, "fig2b": 60, "fig1d": 40}
+        (tmp_path / "swept").mkdir()
+        configs = [reduced(n, tmp_path / "swept", steps=k) for n, k in steps.items()]
+        assert sweep(configs, jobs=jobs)[1] == EXIT_OK
+        for n, k in steps.items():
+            out = tmp_path / f"{n}.csv"
+            assert main(["run", "--preset", n, "--steps", str(k), "--t1", "1.0",
+                         "-o", str(out)]) == EXIT_OK
+            assert (tmp_path / "swept" / f"{n}.csv").read_bytes() == out.read_bytes()
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["run", "--steps", "400", "--detect-events", "-o", str(first)]) == EXIT_OK
+        assert main(["run", "--steps", "400", "-o", str(second)]) == EXIT_OK
+        assert "# esd_intervals" in first.read_text()
+        assert "# esd_intervals" not in second.read_text()
+        assert first.read_text().startswith(second.read_text())
+
+    def test_bad_flag_leaves_it_usable(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--no-such-flag"])
+        assert exc.value.code == EXIT_USAGE
+        assert main(["run", "--steps", "3", "--observables", "lambda"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[0] == "t,lambda_t,lambda"
+
+
 class TestMain:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -436,6 +549,19 @@ class TestMain:
         assert main(["run", "--nbar", nbar, "--steps", "3"]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("esdsim: nbar ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags,shown", [
+        (["--lam", "1e200"], "lam = 1e+200"),
+        (["--k", "1e200"], "k = 1e+200"),
+        (["--lam", "1e150", "--k", ".5", "--nbar", "1", "--t1", "2e-150"], "lam = 1e+150"),
+    ], ids=["lam", "k", "lam-t-small"])
+    def test_overflowing_coupling_exits_2(self, flags, shown, capsys):
+        # each crashed with exit 4: an OverflowError, or non-finite sector constants
+        assert main(["run", *flags, "--steps", "3"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("esdsim: couplings too large: ")
+        assert shown in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("t0", ["-1e-3", "-1E-3", "-1.0e-3"])
     def test_negative_exponent_values_are_values(self, t0, capsys):
