@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import math
 import os
@@ -152,17 +154,17 @@ class RunConfig:
 def _check_couplings(params: ModelParams, nmax: int):
     """Raise ValueError unless the sector constants of a run with this
     truncation are finite. They grow with n, and the largest products
-    SectorTable builds them from are the last sector's (n = nmax+1)
+    SectorTable builds them from are the last sector's (n = nmax)
     r = lam^2 beta, omega_plus^2 and r omega_plus."""
     try:
         with np.errstate(over="ignore"):
-            f = sector_frequencies(params, nmax + 1)
+            f = sector_frequencies(params, nmax)
             finite = all(map(math.isfinite, (f.r, f.omega_plus**2, f.r * f.omega_plus)))
     except OverflowError:  # Python's float power raises where numpy's gives inf
         finite = False
     if not finite:
         raise ValueError(f"couplings too large: lam = {params.lam}, k = {params.k}, "
-                         f"g = {params.g} overflow the frequencies of sector {nmax + 1}")
+                         f"g = {params.g} overflow the frequencies of sector {nmax}")
 
 
 def preset_names() -> list[str]:
@@ -387,16 +389,17 @@ def _attempt(cfg: RunConfig, step: Callable):
 
 
 def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
-         jobs: int = 1) -> list[RunResult]:
+         jobs: int = 1, summary_path: str | None = None) -> list[RunResult]:
     """The RunResult of each item, in order.
 
     An item is a (name, resolve) pair, or a RunConfig, which is its own
     resolve: resolve() builds the config inside the item's error isolation,
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
-    file an earlier item writes, fails without running. Valid items with the
-    same physics form one group, which one job evaluates once and writes
-    member by member (a failed evaluation fails every member). Before
+    file summary_path or an earlier item writes, fails without running.
+    Valid items with the same physics form one group, which one job
+    evaluates once and writes member by member (a failed evaluation fails
+    every member). Before
     writing, a group formats the observables its CSV members print together
     (see _format); the groups on one grid share its _GRID cells, formatted
     by the first of them to write CSV and dropped once the last has written.
@@ -406,7 +409,10 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     if jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     # results[i] holds item i's config until its group (its one writer) puts the result there
-    results, grids, writer = [], {}, {}
+    results, grids = [], {}
+    writer = {}
+    if summary_path:
+        writer[os.path.abspath(summary_path)] = RunConfig(name="the summary")
     for item in items:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
         cfg = _attempt(RunConfig(name=name), resolve)
@@ -466,21 +472,23 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
 
 
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
-          jobs: int = 1) -> tuple[str, int]:
-    """Run the items as _run does and return (summary CSV, aggregate exit
-    code): one row per item, and one stderr line per failed item's error."""
-    lines = ["name,status,max_concurrence,dwell_fraction,final_entropy"]
+          jobs: int = 1, summary_path: str | None = None) -> tuple[str, int]:
+    """Run the items as _run does, none of them writing summary_path, and
+    return (summary CSV, aggregate exit code): one row per item, its
+    fields quoted where they hold a comma or a line break, and one stderr
+    line per failed item's error."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["name", "status", "max_concurrence", "dwell_fraction", "final_entropy"])
     exit_code = EXIT_OK
-    for res in _run(configs, jobs):
+    for res in _run(configs, jobs, summary_path):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
-        lines.append(",".join([
-            res.config.name, status,
-            _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy),
-        ]))
+        rows.writerow([res.config.name, status,
+                       _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy)])
         exit_code = max(exit_code, res.exit_code)
         if res.error:
             print(f"esdsim: {res.config.name}: {res.error}", file=sys.stderr)
-    return "\n".join(lines) + "\n", exit_code
+    return out.getvalue(), exit_code
 
 
 def _read_config_file(path: str) -> dict:
@@ -534,6 +542,8 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
         if cfg.name == "run":
             cfg.name = name
         if cfg.output_path is None:
+            if not cfg.name or os.sep in cfg.name or (os.altsep and os.altsep in cfg.name):
+                raise UsageError(f"name {cfg.name!r} cannot name an output file in {output_dir}")
             cfg.output_path = os.path.join(output_dir, f"{cfg.name}.{cfg.output_format}")
         return cfg
 
@@ -596,7 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     def sweep_command() -> RunResult:
         _check_output(args.output)
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
-        summary, exit_code = sweep(targets, jobs=args.jobs)
+        summary, exit_code = sweep(targets, jobs=args.jobs, summary_path=args.output)
         _write(args.output, summary)
         return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
 

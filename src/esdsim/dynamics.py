@@ -119,15 +119,15 @@ def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
 class SectorTable:
     """Per-sector constants of one (params, field), evaluated over any time array.
 
-    Sectors run over n = 0 .. nmax+1: the rho11 sum carries weights shifted
-    by one index, so it is extended one slot past the field's truncation to
-    keep the stated tail bound. coeffs[n] = K maps T(t) to the real factors
-    of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
-    slopes[n] = K' maps it to their time derivatives.
+    Sectors run over n = 0 .. nmax, the field's truncation, and every entry
+    sums them with the field's weights. coeffs[n] = K maps T(t) to the real
+    factors of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>,
+    and slopes[n] = K' maps it to their time derivatives.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
-        n = np.arange(field.nmax + 2)
+        self.weights = field.weights
+        n = np.arange(field.nmax + 1)
         f = self.freqs = sector_frequencies(params, n)
         wp, wm, a, b2, r, lam = f.omega_plus, f.omega_minus, f.a, f.b**2, f.r, params.lam
         # [K; K'] in one array, so series_and_slope needs one product and no copy
@@ -147,10 +147,6 @@ class SectorTable:
         self.slopes = self._coeffs_and_slopes[:, 4:]
         self.slopes[..., 0::2] = w * k[..., 1::2]
         self.slopes[..., 1::2] = -w * k[..., 0::2]
-        # weights of x_j^2 in rho_jj (row 1 also of x2 x3); only rho11 reaches nmax+1
-        self.pop_weights = np.zeros((4, n.size))
-        self.pop_weights[0] = np.append(field.weights, field.weight(field.nmax + 1))
-        self.pop_weights[1:, :-1] = field.weights
 
     def basis(self, times: np.ndarray) -> np.ndarray:
         """T(t) of every sector at each time, shape (sectors, 4, times)."""
@@ -181,9 +177,10 @@ class SectorTable:
         """Populations (4, m) and rho23 (m,) from the factors x (sectors, 4, m),
         which it overwrites: |C_j|^2 = x_j^2 and C2 conj(C3) = i x2 x3.
         Squaring each cell before weighting keeps small populations accurate."""
-        rho23 = 1j * (self.pop_weights[1] @ (x[:, 1] * x[:, 2]))
+        w = self.weights
+        rho23 = 1j * (w @ (x[:, 1] * x[:, 2]))
         np.square(x, out=x)
-        return (self.pop_weights[:, None, :] @ x.transpose(1, 0, 2))[:, 0], rho23
+        return (w @ x.reshape(w.size, -1)).reshape(4, -1), rho23
 
     def series(self, times) -> StateSeries:
         """The five X-state columns at each time, evaluated block by block.
@@ -218,9 +215,9 @@ class SectorTable:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         xs = self._coeffs_and_slopes @ self.basis(times)
         x, dx = xs[:, :4], xs[:, 4:]
-        w = self.pop_weights
-        dc = w[1] @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
-        d11, d44 = 2.0 * w[0] @ (x[:, 0] * dx[:, 0]), 2.0 * w[3] @ (x[:, 3] * dx[:, 3])
+        w = self.weights
+        dc = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
+        d11, d44 = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])
         pops, rho23 = self._evaluate(x)
         s = StateSeries(*pops, rho23)
         return s, 2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44

@@ -48,23 +48,10 @@ class ThermalField:
     nmax: int
     weights: np.ndarray = field(repr=False)
 
-    def weight(self, n: int) -> float:
-        """P_n for arbitrary n >= 0, beyond the stored truncation if needed."""
-        if n < 0:
-            return 0.0
-        return float(_bose_weights(self.nbar, n))
-
     @property
     def tail_bound(self) -> float:
         """Exact probability mass dropped by the truncation."""
         return (self.nbar / (1.0 + self.nbar)) ** (self.nmax + 1)
-
-
-def _bose_weights(nbar: float, n):
-    """P_n = q^n / (1+nbar) with q = nbar/(1+nbar), for an int or an array
-    of n. This form cannot overflow, and one numpy power for both makes
-    weight(n) equal weights[n] exactly."""
-    return np.power(nbar / (1.0 + nbar), n) / (1.0 + nbar)
 
 
 def check_thermal(nbar: float, epsilon: float):
@@ -97,5 +84,6 @@ def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     while nmax > 0 and q**nmax <= epsilon:
         nmax -= 1
 
-    weights = _bose_weights(nbar, np.arange(nmax + 1))
+    # P_n = q^n / (1+nbar), a form that cannot overflow
+    weights = np.power(q, np.arange(nmax + 1)) / (1.0 + nbar)
     return ThermalField(nbar=nbar, epsilon=epsilon, nmax=nmax, weights=weights)

@@ -16,7 +16,7 @@ def amplitude_table(params, nmax: int, times):
     times = np.asarray(times, dtype=float)
     field = ThermalField(nbar=0.0, epsilon=1.0, nmax=nmax, weights=np.ones(nmax + 1))
     table = SectorTable(params, field)
-    x = table.coeffs[: nmax + 1] @ table.basis(times)[: nmax + 1]
+    x = table.coeffs @ table.basis(times)
     return tuple(np.asarray(phase * x[:, j], dtype=complex) for j, phase in enumerate(_PHASE))
 
 

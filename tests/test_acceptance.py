@@ -21,7 +21,6 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim.cli import main
-from esdsim.model import ThermalField
 from esdsim.oracle import build_hamiltonians, reduced_two_qubit_series
 
 GRID_K = (0.1, 0.5)
@@ -194,11 +193,7 @@ def test_criterion_10_truncation_robustness():
     for k in GRID_K:
         params = ModelParams.from_k(LAM, k)
         base = build_thermal(1.0, eps)
-        n2 = 2 * base.nmax
-        doubled = ThermalField(
-            nbar=1.0, epsilon=eps, nmax=n2,
-            weights=np.array([base.weight(n) for n in range(n2 + 1)]),
-        )
+        doubled = build_thermal(1.0, 0.5 ** (2 * base.nmax + 1))
         ma = observable_columns(two_qubit_states(params, base, times))
         mb = observable_columns(two_qubit_states(params, doubled, times))
         for name in ("concurrence", "lambda", "coherence", "inversion", "entropy"):

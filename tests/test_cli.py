@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -654,6 +656,41 @@ class TestMain:
         first = tmp_path / "a.csv"
         assert main(["run", "--config", str(tmp_path / "a" / "x.cfg"), "-o", str(first)]) == 0
         assert (tmp_path / "x.csv").read_bytes() == first.read_bytes()
+
+    def test_sweep_summary_is_the_first_writer_of_its_file(self, tmp_path, capsys):
+        summary = tmp_path / "fig1a.csv"
+        code = main(["sweep", "fig1a", "fig2a", "--output-dir", str(tmp_path),
+                     "-o", str(summary)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"esdsim: fig1a: output {summary} already written by the summary\n")
+        rows = [row.split(",")[:2] for row in summary.read_text().splitlines()]
+        assert rows == [["name", "status"], ["fig1a", "failed(2)"], ["fig2a", "ok"]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1a.csv", "fig2a.csv"]
+
+    @pytest.mark.parametrize("name", ["../escape", "", "a/b"])
+    def test_sweep_refuses_a_name_that_is_not_a_file_name(self, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (tmp_path / "c.cfg").write_text(f"name = {name}\nsteps = 5\n")
+        code = main(["sweep", str(tmp_path / "c.cfg"), "fig1a", "--output-dir", str(out)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
+        assert rows == [["c", "failed(2)"], ["fig1a", "ok"]]
+        assert captured.err.startswith(f"esdsim: c: name {name!r} ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.cfg", "fig1a.csv", "out"]
+
+    def test_sweep_summary_quotes_commas_and_line_breaks(self, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text("name = a,b\nsteps = 5\n")
+        assert main(["sweep", str(tmp_path / "c.cfg"), "--output-dir", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith('"a,b",ok,')
+        assert (tmp_path / "a,b.csv").exists()
+        multiline = RunConfig(name="x\ny", steps=5, output_path=str(tmp_path / "x.csv"))
+        summary, code = sweep([multiline])
+        assert code == EXIT_OK
+        rows = list(csv.reader(io.StringIO(summary, newline="")))
+        assert [len(row) for row in rows] == [5, 5] and rows[1][:2] == ["x\ny", "ok"]
 
     def test_sweep_into_missing_directory_runs_nothing(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -15,7 +15,6 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim.cli import preset_config
-from esdsim.model import ThermalField
 from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable
 from esdsim.observables import separability
 
@@ -37,8 +36,7 @@ def entries_mp(mp, params, field, t):
     lam, g = mp.mpf(params.lam), mp.mpf(params.g)
     k2 = (g / lam) ** 2
     rho = [mp.mpf(0)] * 5
-    for n in range(field.nmax + 2):
-        w = mp.mpf(field.weight(n))
+    for n, w in enumerate(map(mp.mpf, field.weights)):
         a, b = g * mp.sqrt(n), g * mp.sqrt(n + 1)
         alpha = 1 + (2 * n + 1) * k2
         beta = mp.sqrt((1 + k2) ** 2 + 4 * n * k2)
@@ -50,10 +48,8 @@ def entries_mp(mp, params, field, t):
         x2 = ((wp**2 - b**2) * mp.cos(wp * t) - (wm**2 - b**2) * mp.cos(wm * t)) / r
         x3 = lam * (wp * mp.sin(wp * t) - wm * mp.sin(wm * t)) / r
         x4 = lam * b * (mp.cos(wp * t) - mp.cos(wm * t)) / r
-        rho[0] += w * x1**2
-        if n <= field.nmax:
-            for j, term in enumerate((x2**2, x3**2, x4**2, x2 * x3), start=1):
-                rho[j] += w * term
+        for j, term in enumerate((x1**2, x2**2, x3**2, x4**2, x2 * x3)):
+            rho[j] += w * term
     return rho
 
 
@@ -268,6 +264,18 @@ class TestTwoQubitState:
         assert np.all(trace <= 1.0 + 1e-12)
         assert np.all(np.abs(s.rho23) ** 2 <= s.rho22 * s.rho33 + 1e-10)
 
+    @pytest.mark.parametrize("k,nbar", [(0.1, 1.0), (0.5, 10.0)])  # fig1a, fig2d
+    def test_trace_is_the_kept_weight(self, k, nbar):
+        # every entry sums sectors 0 .. nmax with the field's weights, and
+        # each sector's four amplitudes keep unit norm, so Tr rho = sum P_n
+        f = build_thermal(nbar)
+        table = SectorTable(ModelParams.from_k(10.0, k), f)
+        times = np.array([0.013, 0.37, 1.9, 7.5, 40.0])  # lam t up to 400
+        for s in (table.series(times), table.series_and_slope(times)[0],
+                  table.series(np.linspace(0.0, 40.0, 4001))):
+            trace = s.rho11 + s.rho22 + s.rho33 + s.rho44
+            assert np.abs(trace - f.weights.sum()).max() <= 1e-14
+
     def test_blocks_match_pointwise(self):
         table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(10.0))
         # one full rotation chunk, then two full blocks and a short one in a second
@@ -339,9 +347,8 @@ class TestTwoQubitState:
         p = ModelParams.from_k(10.0, 0.5)
         eps = 1e-8
         f1 = build_thermal(1.0, eps)
-        n2 = 2 * f1.nmax
-        w2 = np.array([f1.weight(n) for n in range(n2 + 1)])
-        f2 = ThermalField(nbar=1.0, epsilon=eps, nmax=n2, weights=w2)
+        # at nbar = 1, q = 1/2: this epsilon gives nmax = 2 f1.nmax and f1's weights first
+        f2 = build_thermal(1.0, 0.5 ** (2 * f1.nmax + 1))
         times = np.linspace(0, 2, 20)
         a = two_qubit_states(p, f1, times).matrix()
         b = two_qubit_states(p, f2, times).matrix()

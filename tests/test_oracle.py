@@ -198,6 +198,18 @@ class TestPartialTraces:
         for got, want in zip(qubit1_populations(s_or), qubit1_populations(s_an)):
             assert np.abs(got - want).max() < 1e-8
 
+    @pytest.mark.parametrize("k", [0.1, 0.5])
+    @pytest.mark.parametrize("nbar", [1.0, 10.0])
+    def test_analytic_engine_reduces_the_same_truncated_state(self, k, nbar):
+        # criterion 1's grid: both routes start from the thermal mix cut at
+        # nmax, so they differ by rounding only, not by a truncation tail
+        params, field = ModelParams.from_k(10.0, k), build_thermal(nbar)
+        h = build_hamiltonians(params, field.nmax + 2)
+        times = np.linspace(0.0, 2.0, 200)
+        s_or = reduced_two_qubit_series(h, field, times)
+        s_an = two_qubit_states(params, field, times)
+        assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
+
     def test_decoupled_half_swap(self):
         p = ModelParams(lam=10.0, g=0.0)
         field = build_thermal(0.0)

@@ -39,17 +39,13 @@ def test_invariants(nbar):
     assert np.all(f.weights > 0) and np.all(f.weights <= 1)
 
 
-def test_weight_extends_past_truncation():
-    f = build_thermal(1.0, 1e-4)
-    assert f.weight(f.nmax + 1) == pytest.approx(0.5 ** (f.nmax + 2), rel=1e-14)
-    assert f.weight(-1) == 0.0
-
-
 @pytest.mark.parametrize("nbar", [0.0, 0.3, 2.5, 10.0, 12.0, 50.0])
-def test_weight_equals_stored_weights(nbar):
-    f = build_thermal(nbar, 1e-10)
-    assert [f.weight(n) for n in range(f.nmax + 1)] == f.weights.tolist()
-    assert f.weight(f.nmax + 1) < f.weights[-1]
+def test_smaller_epsilon_extends_the_same_weights(nbar):
+    # a deeper truncation stores the same leading weights bit for bit and
+    # continues them, as the doubled fields of the truncation tests assume
+    f, deeper = build_thermal(nbar, 1e-10), build_thermal(nbar, 1e-20)
+    assert deeper.weights[: f.nmax + 1].tolist() == f.weights.tolist()
+    assert nbar == 0.0 or deeper.weights[f.nmax + 1] < f.weights[-1]
 
 
 @pytest.mark.parametrize("nbar,eps", [(-1.0, 1e-10), (1.0, 0.0), (1.0, 1.0), (1.0, -0.5),
