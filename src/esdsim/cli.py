@@ -298,12 +298,13 @@ def evaluate(config: RunConfig) -> Evaluation:
     thermal = build_thermal(config.nbar, config.epsilon)
     times = np.linspace(config.t0, config.t1, config.steps)
 
-    series = two_qubit_states(params, thermal, times)
+    table = SectorTable(params, thermal)   # one table for the series and the ESD refinement
+    series = two_qubit_states(params, thermal, times, table)
     columns = {"t": times, "lambda_t": params.lam * times, **observable_columns(series)}
 
     intervals = []
     if config.detect_events:
-        intervals = esd_intervals(SectorTable(params, thermal), times, columns["lambda"])
+        intervals = esd_intervals(table, times, columns["lambda"])
 
     oracle_dev = None
     if config.oracle_check:
@@ -532,8 +533,15 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.preset, args.config, flags)
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")   # C0, DEL and C1
+
+
 def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunConfig]]:
-    """(row name, resolve) of a preset name or config file path for sweep()."""
+    """(row name, resolve) of a preset name or config file path for sweep().
+
+    A name with a control character would break its summary row or stderr
+    line, so it is refused, and the row shows it with the character escaped.
+    """
     is_file = os.path.exists(target)
     name = os.path.splitext(os.path.basename(target))[0] if is_file else target
 
@@ -541,13 +549,15 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
         cfg = load_config(path=target) if is_file else load_config(preset=target)
         if cfg.name == "run":
             cfg.name = name
+        if _CONTROL.search(cfg.name):
+            raise UsageError(f"name {cfg.name!r} holds a control character")
         if cfg.output_path is None:
             if not cfg.name or os.sep in cfg.name or (os.altsep and os.altsep in cfg.name):
                 raise UsageError(f"name {cfg.name!r} cannot name an output file in {output_dir}")
             cfg.output_path = os.path.join(output_dir, f"{cfg.name}.{cfg.output_format}")
         return cfg
 
-    return name, resolve
+    return _CONTROL.sub(lambda char: repr(char[0])[1:-1], name), resolve
 
 
 def _add_run_flags(p: argparse.ArgumentParser):

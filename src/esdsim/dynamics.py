@@ -224,7 +224,9 @@ class SectorTable:
 
 
 def two_qubit_states(
-    params: ModelParams, field: ThermalField, times: np.ndarray
+    params: ModelParams, field: ThermalField, times: np.ndarray,
+    table: SectorTable | None = None,
 ) -> StateSeries:
-    """Thermally averaged two-qubit states over a whole time grid, as columns."""
-    return SectorTable(params, field).series(times)
+    """Thermally averaged two-qubit states over a whole time grid, as columns;
+    table, when given, is the caller's SectorTable of (params, field)."""
+    return (SectorTable(params, field) if table is None else table).series(times)

@@ -8,9 +8,13 @@ package.
 
 Every term of H moves exactly one excitation, so H anticommutes with the
 parity (-1)^(s1 + n) (s1 = 1 when qubit 1 is excited): in parity order
-H = [[0, B], [B^T, 0]], and one SVD of the half-size block B gives its
+H = [[0, B], [B^T, 0]], and the SVD of the half-size block B gives its
 whole spectrum (the Jordan-Wielandt matrix; Golub & Van Loan, Matrix
-Computations).
+Computations). B is split into the connected blocks of its nonzero
+pattern, read as a bipartite graph of rows and columns, and each block is
+decomposed on its own, blocks of one shape in one batched SVD. The split
+reads only which entries of B are zero, never a basis label or sector, so
+a Hamiltonian that connects every state is one block and one dense SVD.
 """
 
 from __future__ import annotations
@@ -47,8 +51,12 @@ class HamiltonianMatrix:
 
         With B = h1[even, odd] = U diag(sigma) V^T, the eigenpairs of h1 are
         +-sigma with vectors (u, +-v)/sqrt(2); W (dim x dim/2) holds U on the
-        even rows and V on the odd rows. Raises ValueError if h1 couples two
-        states of the same parity, so that this form does not hold.
+        even rows and V on the odd rows. B is decomposed block by block: each
+        connected block of its nonzero pattern gets an SVD, in one batched
+        call per block shape, and the null vectors that non-square blocks,
+        empty rows and empty columns leave pair up with sigma = 0 (as many
+        left as right ones, since B is square). Raises ValueError if h1
+        couples two states of the same parity, so that this form does not hold.
         """
         even = self.parity.ravel() == 0
         for name, rows in (("even", even), ("odd", ~even)):
@@ -57,10 +65,71 @@ class HamiltonianMatrix:
                     f"h1 couples two {name}-parity states; the validator needs "
                     f"H to anticommute with the parity (-1)^(s1 + n)"
                 )
-        u, sigma, vt = np.linalg.svd(self.h1[np.ix_(even, ~even)])
-        w = np.empty((self.dim, sigma.size))
-        w[even], w[~even] = u, vt.T
+        b = self.h1[np.ix_(even, ~even)]
+        half = b.shape[0]
+        sigma, w = np.zeros(half), np.zeros((self.dim, half))
+        even_rows, odd_rows = np.flatnonzero(even), np.flatnonzero(~even)
+        # singular pairs fill W's columns from the first, null vectors from
+        # the last: the k-th left and the k-th right null vector from the end
+        # share a column, with sigma = 0
+        col, left, right = 0, half, half
+        for rows, cols in _blocks(b):
+            (n, r), c = rows.shape, cols.shape[1]
+            p = min(r, c)
+            if p:
+                u, s, vt = np.linalg.svd(b[rows[:, :, None], cols[:, None, :]])
+                v = vt.transpose(0, 2, 1)
+            else:   # an empty row or column is its own null vector
+                u, s, v = np.ones((n, r, r)), np.empty((n, 0)), np.ones((n, c, c))
+            left, right = left - n * (r - p), right - n * (c - p)
+            out = col + np.arange(n * p).reshape(n, p)
+            left_null = left + np.arange(n * (r - p)).reshape(n, r - p)
+            right_null = right + np.arange(n * (c - p)).reshape(n, c - p)
+            sigma[out] = s
+            w[even_rows[rows][:, :, None], np.hstack([out, left_null])[:, None, :]] = u
+            w[odd_rows[cols][:, :, None], np.hstack([out, right_null])[:, None, :]] = v
+            col += out.size
         return sigma, w
+
+
+def _components(b: np.ndarray) -> np.ndarray:
+    """Connected-block roots of b's rows and then its columns, read as the
+    nodes of a bipartite graph with one edge per nonzero entry. Each pass
+    hooks the larger root of every edge under the smaller one and jumps
+    every pointer to its root; it stops when each edge has one root."""
+    r, c = np.nonzero(b)
+    c = c + b.shape[0]   # columns are the nodes after the rows
+    root = np.arange(sum(b.shape))
+    while True:
+        while not np.array_equal(up := root[root], root):   # pointers only point down
+            root = up
+        lo, hi = np.minimum(root[r], root[c]), np.maximum(root[r], root[c])
+        if np.array_equal(lo, hi):
+            return root
+        np.minimum.at(root, hi, lo)
+
+
+def _blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected blocks of b's nonzero pattern, one (rows, cols) pair of
+    index arrays per block shape (r, c), shaped (blocks, r) and (blocks, c);
+    an empty row is a (1, 0) block and an empty column a (0, 1) block."""
+    root = _components(b)
+    is_root = root == np.arange(root.size)
+    label = (np.cumsum(is_root) - 1)[root]   # blocks numbered 0, 1, ... by root
+    sides = []
+    for side in (label[: b.shape[0]], label[b.shape[0] :]):
+        size = np.bincount(side, minlength=np.count_nonzero(is_root))
+        sides.append((np.argsort(side, kind="stable"), np.cumsum(size) - size, size))
+    (row_order, row_start, r), (col_order, col_start, c) = sides
+    key = r * (b.shape[1] + 1) + c   # one number per block shape
+    shapes = np.sort(key)
+    out = []
+    for k in shapes[np.diff(shapes, prepend=-1) > 0]:
+        which = np.flatnonzero(key == k)
+        rows, cols = divmod(int(k), b.shape[1] + 1)
+        out.append((row_order[row_start[which, None] + np.arange(rows)],
+                    col_order[col_start[which, None] + np.arange(cols)]))
+    return out
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:

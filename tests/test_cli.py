@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from esdsim import ModelParams, build_thermal, cli, scan_esd
+from esdsim import ModelParams, build_thermal, cli, dynamics, scan_esd
 from esdsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -55,11 +55,11 @@ def count_evaluations(monkeypatch, fail_k=None):
     k == fail_k raises RuntimeError("boom")."""
     calls, real = [], cli.two_qubit_states
 
-    def counting(params, field, times):
+    def counting(params, field, times, *table):
         calls.append(params.k)
         if params.k == fail_k:
             raise RuntimeError("boom")
-        return real(params, field, times)
+        return real(params, field, times, *table)
 
     monkeypatch.setattr(cli, "two_qubit_states", counting)
     return calls
@@ -327,6 +327,23 @@ class TestSharedPhysics:
         assert code == EXIT_OK and calls == [0.1]
         assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
             [f"fig{fig}a", "ok"] for fig in (1, 3, 5, 7)]
+
+    def test_one_sector_table_per_evaluation(self, tmp_path, monkeypatch):
+        # the series and the ESD refinement share the evaluation's one table
+        built = []
+
+        class Counting(dynamics.SectorTable):
+            def __init__(self, params, field):
+                built.append(params.k)
+                super().__init__(params, field)
+
+        monkeypatch.setattr(cli, "SectorTable", Counting)
+        monkeypatch.setattr(dynamics, "SectorTable", Counting)
+        out = tmp_path / "fig1a.json"
+        cfg = reduced("fig1a", tmp_path, detect_events=True, output_format="json",
+                      output_path=str(out))
+        assert sweep([cfg])[1] == EXIT_OK
+        assert built == [0.1] and json.loads(out.read_text())["events"]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_outputs_match_separate_runs(self, jobs, tmp_path, monkeypatch):
@@ -680,6 +697,32 @@ class TestMain:
         assert rows == [["c", "failed(2)"], ["fig1a", "ok"]]
         assert captured.err.startswith(f"esdsim: c: name {name!r} ")
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.cfg", "fig1a.csv", "out"]
+
+    @pytest.mark.parametrize("stem", ["a\rb", "a\nb", "a\x1bb", "a\x85b"])
+    def test_sweep_refuses_a_control_character_in_a_name(self, stem, tmp_path, capsys):
+        # csv.writer quotes "\n" but not a lone "\r", which csv.reader splits on
+        for name in (stem, "ok"):
+            (tmp_path / f"{name}.cfg").write_text("steps = 5\n")
+        summary = tmp_path / "summary.csv"
+        code = main(["sweep", str(tmp_path / f"{stem}.cfg"), str(tmp_path / "ok.cfg"),
+                     "--output-dir", str(tmp_path), "-o", str(summary)])
+        assert code == EXIT_USAGE
+        with open(summary, newline="") as fh:
+            rows = list(csv.reader(fh))
+        escaped = repr(stem)[1:-1]
+        assert [row[:2] for row in rows[1:]] == [[escaped, "failed(2)"], ["ok", "ok"]]
+        assert capsys.readouterr().err.splitlines() == [
+            f"esdsim: {escaped}: name {stem!r} holds a control character"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [f"{stem}.cfg", "ok.cfg", "ok.csv", "summary.csv"])
+
+    def test_sweep_refuses_a_control_character_in_a_config_name(self, tmp_path, capsys):
+        (tmp_path / "c.cfg").write_text("name = a\tb\nsteps = 5\n")
+        code = main(["sweep", str(tmp_path / "c.cfg"), "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert list(csv.reader(io.StringIO(captured.out, newline="")))[1][:2] == ["c", "failed(2)"]
+        assert captured.err == "esdsim: c: name 'a\\tb' holds a control character\n"
 
     def test_sweep_summary_quotes_commas_and_line_breaks(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text("name = a,b\nsteps = 5\n")

@@ -4,6 +4,7 @@ from conftest import sector_basis_indices
 from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
+from esdsim import oracle
 from esdsim.oracle import HamiltonianMatrix, build_hamiltonians, reduced_two_qubit_series
 
 
@@ -48,6 +49,46 @@ def free_hamiltonian(fock_cutoff, omega=100.0):
         + 0.5 * np.kron(np.kron(i2, sz), idf)
         + np.kron(np.kron(i2, i2), number)
     )
+
+
+def planted_hamiltonian(rng, shapes, fock_cutoff):
+    """A Jordan-Wielandt h1 whose parity-flipping block B holds random blocks
+    of the given shapes on its diagonal, empty rows and columns filling it
+    out, with its rows and columns then permuted at random; returns (h, B)."""
+    m = 2 * (fock_cutoff + 1)
+    b = np.zeros((m, m))
+    r = c = 0
+    for rows, cols in shapes:
+        sign = rng.choice([-1.0, 1.0], (rows, cols))
+        b[r : r + rows, c : c + cols] = sign * rng.uniform(0.5, 2.0, (rows, cols))
+        r, c = r + rows, c + cols
+    # a 2x2 rotation block has one doubly degenerate singular value
+    angle = rng.uniform(0, np.pi / 2)
+    b[r : r + 2, c : c + 2] = 1.5 * np.array([[np.cos(angle), -np.sin(angle)],
+                                               [np.sin(angle), np.cos(angle)]])
+    b = b[rng.permutation(m)][:, rng.permutation(m)]
+    h1 = np.zeros((2 * m, 2 * m))
+    even = HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff).parity.ravel() == 0
+    h1[np.ix_(even, ~even)], h1[np.ix_(~even, even)] = b, b.T
+    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff), b
+
+
+def block_shapes(b):
+    """{(rows, cols): count} of the connected blocks the validator finds in b."""
+    return {(rows.shape[1], cols.shape[1]): len(rows) for rows, cols in oracle._blocks(b)}
+
+
+def assert_jordan_wielandt(h):
+    """sigma and W from h.eigensystem() diagonalise h1 as (u, +-v)/sqrt(2)."""
+    sigma, w = h.eigensystem()
+    assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
+    assert (sigma >= 0).all()
+    scale = np.abs(h.h1).max()
+    assert np.abs(h.h1 @ w - w * sigma).max() < 1e-12 * scale
+    assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
+    flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
+    assert np.abs(h.h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
+    return sigma, w
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +205,65 @@ class TestHamiltonian:
         broken = HamiltonianMatrix(h1=h1, fock_cutoff=h.fock_cutoff)
         with pytest.raises(ValueError, match=f"two {name}-parity states"):
             reduced_two_qubit_series(broken, field, [0.1])
+
+
+class TestBlockSplit:
+    # with the 2x2 rotation block, 14 of B's 16 rows and 15 of its columns
+    # are planted, so 2 rows and 1 column are empty
+    SHAPES = [(3, 3), (2, 2), (2, 2), (1, 2), (1, 2), (2, 1), (1, 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_blocks_are_found(self, seed):
+        _, b = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
+        assert block_shapes(b) == {
+            (3, 3): 1, (2, 2): 3, (1, 2): 2, (2, 1): 1, (1, 1): 1, (1, 0): 2, (0, 1): 1}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_blocks_give_the_jordan_wielandt_form(self, seed):
+        h, b = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
+        sigma, _ = assert_jordan_wielandt(h)
+        assert np.abs(np.sort(sigma) - np.sort(np.linalg.svd(b, compute_uv=False))).max() < 1e-14
+        # left null vectors: 2 empty rows and one of the (2, 1) block; right
+        # ones: 1 empty column and one of each (1, 2) block
+        assert (sigma == 0).sum() == 3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_blocks_give_cos_and_sin(self, seed):
+        h, _ = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
+        sigma, w = h.eigensystem()
+        same = h.parity.ravel()[:, None] == h.parity.ravel()[None, :]
+        for t in (0.0, 0.37, 1.9, 13.0):
+            u = expm(-1j * t * h.h1)   # cos(Ht) - i sin(Ht), h1 real symmetric
+            cos = np.where(same, (w * np.cos(sigma * t)) @ w.T, 0.0)
+            sin = np.where(same, 0.0, (w * np.sin(sigma * t)) @ w.T)
+            assert np.abs(cos - u.real).max() <= 1e-12
+            assert np.abs(sin + u.imag).max() <= 1e-12
+
+    def test_driven_hamiltonian_is_one_block(self, weak_setup):
+        params, field, h = weak_setup
+        # the qubit-1 drive of test_off_x_detected connects every state
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
+        driven = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+        even = driven.parity.ravel() == 0
+        assert block_shapes(driven.h1[np.ix_(even, ~even)]) == {(h.dim // 2, h.dim // 2): 1}
+        assert_jordan_wielandt(driven)
+        with pytest.raises(ValueError, match="off-X"):
+            reduced_two_qubit_series(driven, field, np.linspace(0, 2, 9))
+
+    def test_uncoupled_field_matches_analytic_engine(self):
+        # k = 0: only |e g, n> <-> |g e, n> is coupled, so every |e e, n> and
+        # |g g, n> is isolated and half the singular values are 0
+        params, field = ModelParams.from_k(10.0, 0.0), build_thermal(3.0)
+        h = build_hamiltonians(params, field.nmax + 2)
+        even = h.parity.ravel() == 0
+        shapes = block_shapes(h.h1[np.ix_(even, ~even)])
+        assert set(shapes) == {(1, 1), (1, 0), (0, 1)} and shapes[1, 1] == h.fock_cutoff + 1
+        assert_jordan_wielandt(h)
+        times = np.linspace(0.0, 2.0, 200)
+        s_or = reduced_two_qubit_series(h, field, times)
+        s_an = two_qubit_states(params, field, times)
+        assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
 
 
 class TestEvolve:
