@@ -12,10 +12,7 @@ import os
 import re
 import sys
 import tempfile
-import threading
-from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
 import numpy as np
@@ -130,7 +127,8 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
         try:
-            _check_couplings(self.params(), build_thermal(self.nbar, self.epsilon).nmax)
+            _check_numbers(self.params(), build_thermal(self.nbar, self.epsilon).nmax,
+                           self.t0, self.t1)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         _check_output(self.output_path)
@@ -151,20 +149,30 @@ class RunConfig:
         return d
 
 
-def _check_couplings(params: ModelParams, nmax: int):
-    """Raise ValueError unless the sector constants of a run with this
-    truncation are finite. They grow with n, and the largest products
-    SectorTable builds them from are the last sector's (n = nmax)
-    r = lam^2 beta, omega_plus^2 and r omega_plus."""
+def _check_numbers(params: ModelParams, nmax: int, t0: float, t1: float):
+    """Raise ValueError unless a run with this truncation and window stays in
+    finite, normal floats. The sector constants grow with n: the largest
+    products SectorTable builds them from are the last sector's (n = nmax)
+    r = lam^2 beta, omega_plus^2 and r omega_plus, and its smallest divisor
+    is sector 0's r omega_plus, about lam^3. The largest phase is the last
+    sector's omega_plus t at the window's farther end."""
     try:
         with np.errstate(over="ignore"):
-            f = sector_frequencies(params, nmax)
-            finite = all(map(math.isfinite, (f.r, f.omega_plus**2, f.r * f.omega_plus)))
+            f = sector_frequencies(params, np.array([0, nmax]))
+            r, wp = f.r[-1], float(f.omega_plus[-1])
+            finite = all(map(math.isfinite, (r, wp**2, r * wp)))
     except OverflowError:  # Python's float power raises where numpy's gives inf
         finite = False
+    couplings = f"lam = {params.lam}, k = {params.k}, g = {params.g}"
     if not finite:
-        raise ValueError(f"couplings too large: lam = {params.lam}, k = {params.k}, "
-                         f"g = {params.g} overflow the frequencies of sector {nmax}")
+        raise ValueError(f"couplings too large: {couplings} overflow the frequencies "
+                         f"of sector {nmax}")
+    if not f.r[0] * f.omega_plus[0] >= np.finfo(float).tiny:
+        raise ValueError(f"couplings too small: {couplings} underflow the divisor "
+                         f"r omega_plus of sector 0")
+    if not (math.isfinite(t1 - t0) and math.isfinite(wp * max(abs(t0), abs(t1)))):
+        raise ValueError(f"time window [{t0}, {t1}] too wide: its span or the phase "
+                         f"omega_plus t of sector {nmax} overflows")
 
 
 def preset_names() -> list[str]:
@@ -207,7 +215,7 @@ def _umask() -> int:
 
 
 # the mode open() gives a new file; mkstemp's is 0600. Read once, because the
-# umask can only be read by setting it, for the whole process, and runs may be threads
+# umask can only be read by setting it, for the whole process
 _FILE_MODE = 0o666 & ~_umask()
 
 
@@ -390,7 +398,7 @@ def _attempt(cfg: RunConfig, step: Callable):
 
 
 def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
-         jobs: int = 1, summary_path: str | None = None) -> list[RunResult]:
+         summary_path: str | None = None) -> list[RunResult]:
     """The RunResult of each item, in order.
 
     An item is a (name, resolve) pair, or a RunConfig, which is its own
@@ -398,17 +406,15 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
     file summary_path or an earlier item writes, fails without running.
-    Valid items with the same physics form one group, which one job
-    evaluates once and writes member by member (a failed evaluation fails
-    every member). Before
+    Valid items with the same physics form one group, evaluated once and
+    written member by member (a failed evaluation fails every member).
+    Groups run one at a time on the calling thread, grid by grid. Before
     writing, a group formats the observables its CSV members print together
-    (see _format); the groups on one grid share its _GRID cells, formatted
-    by the first of them to write CSV and dropped once the last has written.
-    Groups run grid by grid, so with one job, one group's evaluation and
-    one grid's cells are held at a time.
+    (see _format); a grid's _GRID cells are formatted by its first group
+    with CSV members, shared by its other groups, and dropped when the loop
+    leaves the grid. So one group's evaluation and one grid's cells are
+    held at a time.
     """
-    if jobs < 1:
-        raise UsageError(f"jobs must be >= 1, got {jobs}")
     # results[i] holds item i's config until its group (its one writer) puts the result there
     results, grids = [], {}
     writer = {}
@@ -428,27 +434,18 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
                 grids.setdefault(_grid(cfg), {}).setdefault(_physics(cfg), []).append(len(results))
         results.append(cfg)
 
-    groups = [members for by_physics in grids.values() for members in by_physics.values()]
-
-    def csv_of(members: list[int]) -> list[RunConfig]:
-        return [results[i] for i in members if results[i].output_format == "csv"]
-
-    # per grid, its _GRID cells once formatted and the count of its CSV groups yet to write
-    grid_text, lock = {}, threading.Lock()
-    writing = Counter(_grid(results[members[0]]) for members in groups if csv_of(members))
-
-    def run_group(members: list[int]):
-        first, csv = results[members[0]], csv_of(members)
-        grid = _grid(first)
+    def run_group(members: list[int], grid_text: dict[str, np.ndarray]):
+        # a function, so that its evaluation is dropped before the next group's
+        first = results[members[0]]
+        csv = [results[i] for i in members if results[i].output_format == "csv"]
 
         def evaluate_group() -> Evaluation:
             evaluation = evaluate(first)
             if csv:
-                with lock:
-                    if grid not in grid_text:
-                        _format(evaluation, _GRID)
-                        grid_text[grid] = {name: evaluation.text[name] for name in _GRID}
-                    evaluation.text.update(grid_text[grid])
+                if not grid_text:
+                    _format(evaluation, _GRID)
+                    grid_text.update((name, evaluation.text[name]) for name in _GRID)
+                evaluation.text.update(grid_text)
                 _format(evaluation, [name for cfg in csv for name in cfg.observables])
             return evaluation
 
@@ -457,23 +454,16 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
             cfg = results[i]
             results[i] = (replace(evaluation, config=cfg) if isinstance(evaluation, RunResult)
                           else _attempt(cfg, lambda: execute(cfg, evaluation)))
-        if csv:
-            with lock:
-                writing[grid] -= 1
-                if not writing[grid]:
-                    grid_text.pop(grid, None)
 
-    if jobs > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(run_group, groups))
-    else:
-        for members in groups:
-            run_group(members)
+    for by_physics in grids.values():
+        grid_text = {}   # the grid's _GRID cells, once its first CSV group has formatted them
+        for members in by_physics.values():
+            run_group(members, grid_text)
     return results
 
 
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
-          jobs: int = 1, summary_path: str | None = None) -> tuple[str, int]:
+          summary_path: str | None = None) -> tuple[str, int]:
     """Run the items as _run does, none of them writing summary_path, and
     return (summary CSV, aggregate exit code): one row per item, its
     fields quoted where they hold a comma or a line break, and one stderr
@@ -482,7 +472,7 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     rows = csv.writer(out, lineterminator="\n")
     rows.writerow(["name", "status", "max_concurrence", "dwell_fraction", "final_entropy"])
     exit_code = EXIT_OK
-    for res in _run(configs, jobs, summary_path):
+    for res in _run(configs, summary_path):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
         rows.writerow([res.config.name, status,
                        _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy)])
@@ -595,7 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="run several presets/configs, print a summary")
     sweep_p.add_argument("targets", nargs="*",
                          help="preset names or config file paths; default: all 48 presets")
-    sweep_p.add_argument("--jobs", type=int, default=1)
+    sweep_p.add_argument("--jobs", type=int, default=1,
+                         help="accepted for compatibility; sweep runs on one thread")
     sweep_p.add_argument("--output-dir", default=".",
                          help="directory for per-run CSV files")
     sweep_p.add_argument("-o", "--output", default=None, help="summary file (default stdout)")
@@ -615,8 +606,10 @@ def main(argv: list[str] | None = None) -> int:
 
     def sweep_command() -> RunResult:
         _check_output(args.output)
+        if args.jobs < 1:
+            raise UsageError(f"jobs must be >= 1, got {args.jobs}")
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
-        summary, exit_code = sweep(targets, jobs=args.jobs, summary_path=args.output)
+        summary, exit_code = sweep(targets, summary_path=args.output)
         _write(args.output, summary)
         return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
 

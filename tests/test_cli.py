@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -299,7 +300,7 @@ class TestSweep:
             cfg.steps, cfg.t1 = 200, 1.0
             cfg.output_path = str(tmp_path / f"{name}.csv")
             configs.append(cfg)
-        summary, code = sweep(configs, jobs=2)
+        summary, code = sweep(configs)
         assert code == EXIT_OK
         rows = summary.splitlines()
         assert len(rows) == 5
@@ -319,11 +320,9 @@ class TestSweep:
 
 
 class TestSharedPhysics:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_one_evaluation_per_physics(self, jobs, tmp_path, monkeypatch):
+    def test_one_evaluation_per_physics(self, tmp_path, monkeypatch):
         calls = count_evaluations(monkeypatch)
-        summary, code = sweep([reduced(f"fig{fig}a", tmp_path) for fig in (1, 3, 5, 7)],
-                              jobs=jobs)
+        summary, code = sweep([reduced(f"fig{fig}a", tmp_path) for fig in (1, 3, 5, 7)])
         assert code == EXIT_OK and calls == [0.1]
         assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
             [f"fig{fig}a", "ok"] for fig in (1, 3, 5, 7)]
@@ -345,14 +344,13 @@ class TestSharedPhysics:
         assert sweep([cfg])[1] == EXIT_OK
         assert built == [0.1] and json.loads(out.read_text())["events"]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_outputs_match_separate_runs(self, jobs, tmp_path, monkeypatch):
+    def test_outputs_match_separate_runs(self, tmp_path, monkeypatch):
         names = [f"fig{fig}a" for fig in range(1, 9)]  # four observables at each of two k
         (tmp_path / "swept").mkdir()
         (tmp_path / "alone").mkdir()
         calls = count_evaluations(monkeypatch)
-        summary, code = sweep([reduced(n, tmp_path / "swept") for n in names], jobs=jobs)
-        assert code == EXIT_OK and sorted(calls) == [0.1, 0.5]
+        summary, code = sweep([reduced(n, tmp_path / "swept") for n in names])
+        assert code == EXIT_OK and calls == [0.1, 0.5]
         assert [row.split(",")[0] for row in summary.splitlines()[1:]] == names
         for n in names:
             out = tmp_path / "alone" / f"{n}.csv"
@@ -390,12 +388,11 @@ class TestSharedPhysics:
             swept = Path(cfg.output_path).read_text().replace(cfg.output_path, alone.output_path)
             assert (tmp_path / "alone").read_text() == swept
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_failed_evaluation_fails_its_group(self, jobs, tmp_path, monkeypatch, capsys):
+    def test_failed_evaluation_fails_its_group(self, tmp_path, monkeypatch, capsys):
         calls = count_evaluations(monkeypatch, fail_k=0.1)
         names = ["fig1a", "fig2a", "fig3a", "fig4a"]
-        summary, code = sweep([reduced(n, tmp_path) for n in names], jobs=jobs)
-        assert code == EXIT_IO and sorted(calls) == [0.1, 0.5]
+        summary, code = sweep([reduced(n, tmp_path) for n in names])
+        assert code == EXIT_IO and calls == [0.1, 0.5]
         assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
             ["fig1a", "failed(4)"], ["fig2a", "ok"], ["fig3a", "failed(4)"], ["fig4a", "ok"]]
         assert capsys.readouterr().err.splitlines() == [
@@ -482,14 +479,12 @@ class TestFormatting:
         assert sweep(configs)[1] == EXIT_OK
         assert len(grid_cells) == 2 and all(ref() is None for ref in grid_cells)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_shared_grid_cells_match_separate_runs(self, jobs, tmp_path):
-        # two grids, each shared by two physics, and a third physics on the
-        # first; with two jobs a grid's groups run on both threads
+    def test_shared_grid_cells_match_separate_runs(self, tmp_path):
+        # two grids, each shared by two physics, and a third physics on the first
         steps = {"fig1a": 40, "fig1b": 60, "fig2a": 40, "fig2b": 60, "fig1d": 40}
         (tmp_path / "swept").mkdir()
         configs = [reduced(n, tmp_path / "swept", steps=k) for n, k in steps.items()]
-        assert sweep(configs, jobs=jobs)[1] == EXIT_OK
+        assert sweep(configs)[1] == EXIT_OK
         for n, k in steps.items():
             out = tmp_path / f"{n}.csv"
             assert main(["run", "--preset", n, "--steps", str(k), "--t1", "1.0",
@@ -582,6 +577,42 @@ class TestMain:
         assert captured.err.startswith("esdsim: couplings too large: ")
         assert shown in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("values,shown", [
+        ({"lambda": "1e-110", "k": "0.5"}, "couplings too small: lam = 1e-110, k = 0.5, "),
+        ({"lambda": "1e-200"}, "couplings too small: lam = 1e-200, k = 0.0, "),
+        ({"t1": "1e308"}, "time window [0.0, 1e+308] too wide: "),
+        ({"t0": "-9e307", "t1": "9e307"}, "time window [-9e+307, 9e+307] too wide: "),
+        ({"lambda": "1e-5", "t0": "-1e308", "t1": "1e308"},
+         "time window [-1e+308, 1e+308] too wide: "),
+    ], ids=["lam-k", "lam", "phase", "span", "span-small-lam"])
+    def test_underflowing_coupling_or_overflowing_window_exits_2(self, values, shown,
+                                                                 tmp_path, capsys):
+        # each exited 4 ("rho11 has a non-finite entry") after RuntimeWarnings,
+        # which the test configuration makes errors; now validate refuses them
+        flags = [part for key, value in values.items() for part in (f"--{key}", value)]
+        assert main(["run", *flags, "--steps", "5"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"esdsim: {shown}")
+        cfg = tmp_path / "edge.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        assert main(["sweep", str(cfg), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1].startswith("edge,failed(2),")
+        assert captured.err.count("\n") == 1 and captured.err.startswith(f"esdsim: edge: {shown}")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edge.cfg"]
+
+    def test_smallest_normal_divisor_still_runs(self, tmp_path):
+        # at lam = 1e-102 sector 0's r omega_plus (~1e-306) is a normal float, and
+        # the run is the lam = 1 one on a time axis stretched 1e102-fold
+        small, unit = tmp_path / "small.csv", tmp_path / "unit.csv"
+        argv = ["run", "--k", "0.5", "--nbar", "1"]
+        assert main([*argv, "--lam", "1e-102", "--t1", "2e102", "-o", str(small)]) == EXIT_OK
+        assert main([*argv, "--lam", "1", "--t1", "2", "-o", str(unit)]) == EXIT_OK
+        (header, got), (_, want) = read_table(small), read_table(unit)
+        assert header[1] == "lambda_t"
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0, atol=1e-14)
+
     @pytest.mark.parametrize("t0", ["-1e-3", "-1E-3", "-1.0e-3"])
     def test_negative_exponent_values_are_values(self, t0, capsys):
         # argparse before Python 3.12 read "-1e-3" as an option
@@ -654,6 +685,26 @@ class TestMain:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "fig1a.csv").exists()
+
+    def test_sweep_evaluates_on_the_main_thread(self, tmp_path, monkeypatch):
+        # --jobs is accepted and selects nothing: every group runs on the calling thread
+        threads, real = [], cli.evaluate
+
+        def tracked(cfg):
+            threads.append(threading.current_thread())
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "evaluate", tracked)
+        code = main(["sweep", "fig1a", "fig2a", "fig1d", "fig2d", "--jobs", "2",
+                     "--output-dir", str(tmp_path)])
+        assert code == EXIT_OK and threads == [threading.main_thread()] * 4
+
+    def test_cli_imports_no_thread_pool(self):
+        script = "import sys, esdsim.cli; raise SystemExit('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_sweep_writes_each_output_once(self, jobs, tmp_path, capsys):
