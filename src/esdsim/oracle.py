@@ -15,6 +15,14 @@ pattern, read as a bipartite graph of rows and columns, and each block is
 decomposed on its own, blocks of one shape in one batched SVD. The split
 reads only which entries of B are zero, never a basis label or sector, so
 a Hamiltonian that connects every state is one block and one dense SVD.
+
+The reduction to the two qubits splits W's columns the same way, by the
+connected blocks of W's own nonzero pattern (a sigma = 0 column that pairs
+null vectors of two blocks of B joins them). Its kernels vanish between
+these blocks, so they are built per block shape in a fixed number of
+batched calls, and every entry is one product of the pair products of the
+blocks' cos and sin columns with the stacked kernels, per block shape and
+block of times.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .dynamics import StateSeries
 from .model import ModelParams, ThermalField
 
 _OFF_X_TOL = 1e-8
-_BLOCK = 512
+_CELLS = 2**18   # pair-product cells per block of times, one time row at least
 
 
 @dataclass(frozen=True)
@@ -153,8 +161,57 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
     return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff)
 
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("tk,tk->t", a, b)
+def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
+    """All 16 entries of the two-qubit reductions, shape (times, 4, 4), by the
+    formula of reduced_two_qubit_series, one block shape of W at a time."""
+    nf = h.fock_cutoff + 1
+    sigma, w = h.eigensystem()
+    s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
+    start = np.zeros((4, nf))   # thermal weight of each basis row
+    start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
+    j, m = np.triu_indices(4)
+    same = s1[j] == s1[m]
+    upper = np.zeros((times.size, j.size))
+    for rows, cols in _blocks(w):
+        nb, c = cols.shape
+        wb = w[rows[:, :, None], cols[:, None, :]]   # (nb, r, c)
+        qubits, fock = np.divmod(rows, nf)
+        parity, weight = h.parity.ravel()[rows], start.ravel()[rows]
+        # the block's rows by Fock level (from the block's lowest) and qubit
+        # pair state; G_p is the Gram of its rows of parity p against all
+        low = fock.min(axis=1, keepdims=True)
+        at = (np.arange(nb)[:, None], fock - low, qubits)
+        right = np.zeros((nb, int((fock - low).max()) + 1, 4, c))
+        right[at] = wb
+        mass, gram = [], []
+        for p in (0, 1):
+            on = (parity == p)[..., None]
+            mass.append((wb * on * weight[..., None]).transpose(0, 2, 1) @ wb)
+            left = np.zeros_like(right)
+            left[at] = wb * on
+            g = left.reshape(nb, -1, 4 * c).transpose(0, 2, 1) @ right.reshape(nb, -1, 4 * c)
+            gram.append(g.reshape(nb, 4, c, 4, c)[:, j, :, m])   # (10, nb, c, c)
+        k_a = gram[0] * mass[0] + gram[1] * mass[1]
+        k_b = gram[0] * mass[1] + gram[1] * mass[0]
+        # s^T K_B c = c^T K_B^T s, so three pair products serve the 10 entries:
+        # cc and ss weigh K_A and K_B of the 6 entries with qubit 1 the same,
+        # cs weighs K_A - K_B^T of the other 4; rows ordered as the products
+        k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(-1, 6)
+        k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
+        step = max(1, _CELLS // (3 * nb * c * c))
+        for b in range(0, times.size, step):
+            angle = times[b : b + step, None, None] * sigma[cols.T]   # (times, c, nb)
+            cos, sin = np.cos(angle), np.sin(angle)
+            pair = np.empty((len(angle), 3, c, c, nb))
+            for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
+                np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
+            pair = pair.reshape(len(angle), -1)
+            upper[b : b + step, same] += pair[:, : len(k_same)] @ k_same
+            upper[b : b + step, ~same] += pair[:, len(k_same) :] @ k_diff
+    rho4 = np.empty((times.size, 4, 4), dtype=complex)
+    rho4[:, j, m] = np.where(same, upper, 1j * upper)
+    rho4[:, m, j] = rho4[:, j, m].conj()
+    return rho4
 
 
 def reduced_two_qubit_series(
@@ -173,43 +230,19 @@ def reduced_two_qubit_series(
     the same state in j and m, else i (c^T K_A s - s^T K_B c). All 16
     entries are computed; any outside the X pattern above 1e-8 at any time
     is an error.
+
+    M_p, and so K_A and K_B, vanish between two column blocks of W's
+    nonzero pattern, so the kernels are taken block by block, blocks of one
+    shape stacked. With s^T K_B c = c^T K_B^T s, the pair products
+    c_a c_a', s_a s_a' and c_a s_a' of a block's columns, in blocks of times
+    of at most _CELLS cells, times the stacked kernels give every entry.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(
             f"fock_cutoff {h.fock_cutoff} leaves no headroom above "
             f"the thermal truncation nmax={field.nmax}; need nmax + 2"
         )
-    nf = h.fock_cutoff + 1
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    sigma, w = h.eigensystem()
-    parity = h.parity
-    rows = w.reshape(4, nf, -1)
-    start = rows[1, : field.nmax + 1]   # rows |e g, n>, n = 0 .. nmax
-    start_parity = parity[1, : field.nmax + 1]
-    mass = [
-        (start[sel].T * field.weights[sel]) @ start[sel]
-        for sel in (start_parity == 0, start_parity == 1)
-    ]
-
-    # the trig tables are computed once; times go in blocks through the kernels
-    angle = np.outer(times, sigma)
-    cos, sin = np.cos(angle), np.sin(angle)
-    del angle
-    rho4 = np.empty((times.size, 4, 4), dtype=complex)
-    for j, m in zip(*np.triu_indices(4)):
-        g0, g1 = (rows[j][sel].T @ rows[m][sel] for sel in (parity[j] == 0, parity[j] == 1))
-        k_a = g0 * mass[0] + g1 * mass[1]
-        k_b = g0 * mass[1] + g1 * mass[0]
-        same = parity[j, 0] == parity[m, 0]   # qubit 1 in the same state
-        for b in range(0, times.size, _BLOCK):
-            c, s = cos[b : b + _BLOCK], sin[b : b + _BLOCK]
-            ck, sk = c @ k_a, s @ k_b
-            if same:
-                rho4[b : b + _BLOCK, j, m] = _rowdot(ck, c) + _rowdot(sk, s)
-            else:
-                rho4[b : b + _BLOCK, j, m] = 1j * (_rowdot(ck, s) - _rowdot(sk, c))
-        rho4[:, m, j] = rho4[:, j, m].conj()
-
+    rho4 = _reduce(h, field, np.atleast_1d(np.asarray(times, dtype=float)))
     series = StateSeries(
         rho11=rho4[:, 0, 0].real,
         rho22=rho4[:, 1, 1].real,

@@ -73,6 +73,36 @@ def planted_hamiltonian(rng, shapes, fock_cutoff):
     return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff), b
 
 
+def dense_reduce(h, field, times):
+    """All 16 entries, shape (times, 4, 4), from dense (dim/2)^2 kernels
+    K_A = G_0 o M_0 + G_1 o M_1 and K_B = G_0 o M_1 + G_1 o M_0 over all of W,
+    one pair per entry, with no block structure."""
+    sigma, w = h.eigensystem()
+    parity, rows = h.parity, w.reshape(4, h.fock_cutoff + 1, -1)
+    start, start_parity = rows[1, : field.nmax + 1], parity[1, : field.nmax + 1]
+    mass = [(start[sel].T * field.weights[sel]) @ start[sel] for sel in (start_parity == 0, start_parity == 1)]
+    c, s = np.cos(np.outer(times, sigma)), np.sin(np.outer(times, sigma))
+    quad = lambda u, k, v: ((u @ k) * v).sum(axis=1)   # noqa: E731
+    rho = np.empty((len(times), 4, 4), dtype=complex)
+    for j in range(4):
+        for m in range(4):
+            g0, g1 = (rows[j][sel].T @ rows[m][sel] for sel in (parity[j] == 0, parity[j] == 1))
+            k_a, k_b = g0 * mass[0] + g1 * mass[1], g0 * mass[1] + g1 * mass[0]
+            if parity[j, 0] == parity[m, 0]:
+                rho[:, j, m] = quad(c, k_a, c) + quad(s, k_b, s)
+            else:
+                rho[:, j, m] = 1j * (quad(c, k_a, s) - quad(s, k_b, c))
+    return rho
+
+
+def driven_hamiltonian(params, h):
+    """h plus a transverse drive on qubit 1: it keeps the parity but not the
+    excitation number, so B is one connected block and rho leaves the X form."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
+    return HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+
+
 def block_shapes(b):
     """{(rows, cols): count} of the connected blocks the validator finds in b."""
     return {(rows.shape[1], cols.shape[1]): len(rows) for rows, cols in oracle._blocks(b)}
@@ -179,9 +209,7 @@ class TestHamiltonian:
         params, field, h = weak_setup
         # a transverse drive on qubit 1 breaks excitation conservation but
         # flips the parity, so it passes the parity check and shows as off-X
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
-        driven = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+        driven = driven_hamiltonian(params, h)
         with pytest.raises(ValueError, match="off-X"):
             reduced_two_qubit_series(driven, field, np.linspace(0, 2, 9))
 
@@ -242,9 +270,7 @@ class TestBlockSplit:
     def test_driven_hamiltonian_is_one_block(self, weak_setup):
         params, field, h = weak_setup
         # the qubit-1 drive of test_off_x_detected connects every state
-        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-        drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
-        driven = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+        driven = driven_hamiltonian(params, h)
         even = driven.parity.ravel() == 0
         assert block_shapes(driven.h1[np.ix_(even, ~even)]) == {(h.dim // 2, h.dim // 2): 1}
         assert_jordan_wielandt(driven)
@@ -264,6 +290,55 @@ class TestBlockSplit:
         s_or = reduced_two_qubit_series(h, field, times)
         s_an = two_qubit_states(params, field, times)
         assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
+
+
+class TestBlockKernels:
+    """The block-by-block reduction against dense_reduce, on all 16 entries."""
+
+    @pytest.mark.parametrize("k", [0.3, 1e-6, 0.0])
+    def test_model_matches_dense_kernels(self, k):
+        # k = 0 leaves most states isolated: empty rows and columns of B
+        params, field = ModelParams.from_k(10.0, k), build_thermal(3.0)
+        h = build_hamiltonians(params, field.nmax + 2)
+        times = np.linspace(0.0, 13.0, 12)
+        assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_null_columns_join_blocks(self, seed):
+        h, b = planted_hamiltonian(np.random.default_rng(seed), TestBlockSplit.SHAPES, 7)
+        sigma, w = h.eigensystem()
+        # each sigma = 0 column pairs a left and a right null vector of two
+        # different blocks of B, so W has one column block fewer per such column
+        blocks = sum(block_shapes(b).values())
+        assert sum(block_shapes(w).values()) == blocks - (sigma == 0).sum() == blocks - 3
+        field = build_thermal(1.0, 1e-2)
+        assert field.nmax < h.fock_cutoff
+        times = np.linspace(0.0, 13.0, 40)
+        assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
+
+    def test_connected_matches_dense_kernels(self, weak_setup):
+        params, field, h = weak_setup
+        driven = driven_hamiltonian(params, h)
+        times = np.linspace(0.0, 2.0, 9)
+        rho = oracle._reduce(driven, field, times)
+        assert np.abs(rho - dense_reduce(driven, field, times)).max() <= 1e-13
+        assert np.abs(rho[:, 0, 2]).max() > 1e-3   # off-X, and it agrees too
+
+    def test_time_blocks(self, weak_setup):
+        params, field, h = weak_setup
+        driven = driven_hamiltonian(params, h)
+        (_, cols), = oracle._blocks(driven.eigensystem()[1])
+        assert cols.shape == (1, h.dim // 2)
+        # one block of dim/2 columns: cc, ss and cs pair products per time row
+        rows = oracle._CELLS // (3 * cols.size**2)
+        assert rows > 1
+        times = np.linspace(0.0, 2.0, rows + 1)
+        rho = oracle._reduce(driven, field, times)
+        one_by_one = np.concatenate([oracle._reduce(driven, field, times[i : i + 1])
+                                     for i in range(times.size)])
+        assert np.abs(rho - one_by_one).max() <= 1e-14
+        at = [0, rows // 2, rows]
+        assert np.abs(rho[at] - expm_reference(driven, field, times[at])).max() <= 1e-12
 
 
 class TestEvolve:
