@@ -3,7 +3,8 @@
 Provides the analytic per-sector solution, thermally averaged two-qubit
 density matrices, entanglement/coherence/purity observables, sudden-death
 interval detection, and a brute-force validator that diagonalises the
-dense Hamiltonian of the full qubit x qubit x Fock space.
+Hamiltonian of the full qubit x qubit x Fock space, held as its nonzero
+entries and decomposed block by block.
 """
 
 from .model import ModelParams, ThermalField, build_thermal

@@ -1,28 +1,33 @@
-"""Brute-force validator: dense real Hamiltonian, one spectral reduction.
+"""Brute-force validator: the real Hamiltonian as its nonzero entries, one
+spectral reduction.
 
 The interaction Hamiltonian is built on the full qubit1 x qubit2 x Fock
-space and decomposed once; the two-qubit reduction is taken in its
-spectral basis with no reference to the closed-form sector solution.
-Agreement between the two routes is the main correctness argument of the
-package.
+space, entry by entry, and decomposed once; the two-qubit reduction is
+taken in its spectral basis with no reference to the closed-form sector
+solution. Agreement between the two routes is the main correctness
+argument of the package.
 
 Every term of H moves exactly one excitation, so H anticommutes with the
 parity (-1)^(s1 + n) (s1 = 1 when qubit 1 is excited): in parity order
 H = [[0, B], [B^T, 0]], and the SVD of the half-size block B gives its
 whole spectrum (the Jordan-Wielandt matrix; Golub & Van Loan, Matrix
-Computations). B is split into the connected blocks of its nonzero
-pattern, read as a bipartite graph of rows and columns, and each block is
-decomposed on its own, blocks of one shape in one batched SVD. The split
-reads only which entries of B are zero, never a basis label or sector, so
-a Hamiltonian that connects every state is one block and one dense SVD.
+Computations). H is held as its nonzero entries, which are the edges of a
+graph on the basis states: the parity check reads each entry's two ends,
+and B's entries are those from an even to an odd state. B is split into
+the connected blocks of that edge list, read as a bipartite graph of rows
+and columns, and each block is decomposed on its own, blocks of one shape
+scattered from their entries into one batched SVD. The split reads only
+which entries are nonzero, never a basis label or sector, so a
+Hamiltonian that connects every state is one block and one dense SVD. No
+dim x dim array is built.
 
 The reduction to the two qubits splits W's columns the same way, by the
-connected blocks of W's own nonzero pattern (a sigma = 0 column that pairs
-null vectors of two blocks of B joins them). Its kernels vanish between
-these blocks, so they are built per block shape in a fixed number of
-batched calls, and every entry is one product of the pair products of the
-blocks' cos and sin columns with the stacked kernels, per block shape and
-block of times.
+connected blocks of the entries W is filled at: B's blocks, two of them
+joined where a sigma = 0 column pairs null vectors of both. Its kernels
+vanish between these blocks, so they are built per block shape in a fixed
+number of batched calls, and every entry is one product of the pair
+products of the blocks' cos and sin columns with the stacked kernels, per
+block shape and block of times.
 """
 
 from __future__ import annotations
@@ -40,8 +45,36 @@ _CELLS = 2**18   # pair-product cells per block of times, one time row at least
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    h1: np.ndarray
+    """A real symmetric H on the truncated qubit1 x qubit2 x Fock space, as
+    its nonzero entries H[row, col] = val, each (row, col) once. Refuses an
+    index outside the space, a repeated pair, and an entry whose mirror
+    (col, row) is missing or holds another value."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
     fock_cutoff: int
+
+    def __post_init__(self):
+        row, col, val, dim = self.row, self.col, self.val, self.dim
+        if not (row.ndim == col.ndim == val.ndim == 1 and row.size == col.size == val.size):
+            raise ValueError("row, col and val must be 1-d arrays of one length")
+        if not row.size:
+            return
+        if min(row.min(), col.min()) < 0 or max(row.max(), col.max()) >= dim:
+            raise ValueError(f"an entry's index is outside the {dim} basis states")
+        key, mirror = row * dim + col, col * dim + row
+        order = np.argsort(key)
+        key = key[order]
+        if (twice := np.flatnonzero(key[1:] == key[:-1])).size:
+            raise ValueError(f"entry {divmod(int(key[twice[0]]), dim)} is given twice")
+        # where each entry's mirror (col, row) sits, or would sit, in key order
+        at = np.minimum(np.searchsorted(key, mirror), key.size - 1)
+        bad = (key[at] != mirror) | (val[order[at]] != val)
+        if bad.any():
+            e = np.argmax(bad)
+            raise ValueError(f"H is not symmetric: entry ({row[e]}, {col[e]}) = {val[e]!r} "
+                             f"has no equal entry ({col[e]}, {row[e]})")
 
     @property
     def dim(self) -> int:
@@ -55,37 +88,61 @@ class HamiltonianMatrix:
         return (s1 + np.arange(self.fock_cutoff + 1)) % 2
 
     def eigensystem(self):
-        """Singular values sigma and vectors W of the parity-flipping block.
+        """Singular values sigma and vectors W of the parity-flipping block,
+        and W's column blocks.
 
-        With B = h1[even, odd] = U diag(sigma) V^T, the eigenpairs of h1 are
+        With B = H[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
         +-sigma with vectors (u, +-v)/sqrt(2); W (dim x dim/2) holds U on the
-        even rows and V on the odd rows. B is decomposed block by block: each
-        connected block of its nonzero pattern gets an SVD, in one batched
-        call per block shape, and the null vectors that non-square blocks,
-        empty rows and empty columns leave pair up with sigma = 0 (as many
-        left as right ones, since B is square). Raises ValueError if h1
-        couples two states of the same parity, so that this form does not hold.
+        even rows and V on the odd rows. B's entries are H's entries from an
+        even row to an odd column, each at the places of its two states among
+        the states of their parity; their mirrors are B^T's. B is decomposed
+        block by block: each connected block of its entries gets an SVD, in
+        one batched call per block shape, and the null vectors that
+        non-square blocks, empty rows and empty columns leave pair up with
+        sigma = 0 (as many left as right ones, since B is square). The column
+        blocks, as _blocks gives them, are the connected blocks of the
+        entries W is filled at: B's blocks, two of them joined where a
+        sigma = 0 column pairs their null vectors. Raises ValueError if H
+        couples two states of the same parity, so that this form does not
+        hold.
         """
-        even = self.parity.ravel() == 0
-        for name, rows in (("even", even), ("odd", ~even)):
-            if np.any(self.h1[np.ix_(rows, rows)]):
-                raise ValueError(
-                    f"h1 couples two {name}-parity states; the validator needs "
-                    f"H to anticommute with the parity (-1)^(s1 + n)"
-                )
-        b = self.h1[np.ix_(even, ~even)]
-        half = b.shape[0]
+        parity = self.parity.ravel()
+        row_parity = parity[self.row]
+        if (same := row_parity == parity[self.col]).any():
+            e = np.argmax(same)
+            raise ValueError(
+                f"H couples two {('even', 'odd')[row_parity[e]]}-parity states, "
+                f"entry ({self.row[e]}, {self.col[e]}); the validator needs H to "
+                f"anticommute with the parity (-1)^(s1 + n)"
+            )
+        half = self.dim // 2
+        even_rows, odd_rows = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        place = np.empty(self.dim, dtype=np.intp)   # a state's index among its parity's
+        place[even_rows] = place[odd_rows] = np.arange(half)
+        on_b = row_parity == 0
+        b_row, b_col, b_val = place[self.row[on_b]], place[self.col[on_b]], self.val[on_b]
+        blocks = _blocks(b_row, b_col, (half, half))
+        # every row's block shape and block within it, every row's and
+        # column's place in its block
+        shape, block, at_row, at_col = (np.empty(half, dtype=np.intp) for _ in range(4))
+        for k, (rows, cols) in enumerate(blocks):
+            shape[rows], block[rows] = k, np.arange(len(rows))[:, None]
+            at_row[rows], at_col[cols] = np.arange(rows.shape[1]), np.arange(cols.shape[1])
+        b_shape = shape[b_row]
         sigma, w = np.zeros(half), np.zeros((self.dim, half))
-        even_rows, odd_rows = np.flatnonzero(even), np.flatnonzero(~even)
+        fill = []   # the (row, column) index arrays W is filled at
         # singular pairs fill W's columns from the first, null vectors from
         # the last: the k-th left and the k-th right null vector from the end
         # share a column, with sigma = 0
         col, left, right = 0, half, half
-        for rows, cols in _blocks(b):
+        for k, (rows, cols) in enumerate(blocks):
             (n, r), c = rows.shape, cols.shape[1]
             p = min(r, c)
             if p:
-                u, s, vt = np.linalg.svd(b[rows[:, :, None], cols[:, None, :]])
+                on = b_shape == k
+                stack = np.zeros((n, r, c))
+                stack[block[b_row[on]], at_row[b_row[on]], at_col[b_col[on]]] = b_val[on]
+                u, s, vt = np.linalg.svd(stack)
                 v = vt.transpose(0, 2, 1)
             else:   # an empty row or column is its own null vector
                 u, s, v = np.ones((n, r, r)), np.empty((n, 0)), np.ones((n, c, c))
@@ -94,85 +151,95 @@ class HamiltonianMatrix:
             left_null = left + np.arange(n * (r - p)).reshape(n, r - p)
             right_null = right + np.arange(n * (c - p)).reshape(n, c - p)
             sigma[out] = s
-            w[even_rows[rows][:, :, None], np.hstack([out, left_null])[:, None, :]] = u
-            w[odd_rows[cols][:, :, None], np.hstack([out, right_null])[:, None, :]] = v
+            for w_rows, w_cols, x in ((even_rows[rows], np.hstack([out, left_null]), u),
+                                      (odd_rows[cols], np.hstack([out, right_null]), v)):
+                at = tuple(np.broadcast_arrays(w_rows[:, :, None], w_cols[:, None, :]))
+                w[at] = x
+                fill.append(at)
             col += out.size
-        return sigma, w
+        fill_row, fill_col = (np.concatenate([at[i].ravel() for at in fill]) for i in (0, 1))
+        return sigma, w, _blocks(fill_row, fill_col, w.shape)
 
 
-def _components(b: np.ndarray) -> np.ndarray:
-    """Connected-block roots of b's rows and then its columns, read as the
-    nodes of a bipartite graph with one edge per nonzero entry. Each pass
-    hooks the larger root of every edge under the smaller one and jumps
-    every pointer to its root; it stops when each edge has one root."""
-    r, c = np.nonzero(b)
-    c = c + b.shape[0]   # columns are the nodes after the rows
-    root = np.arange(sum(b.shape))
+def _components(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Connected-block roots of the rows and then the columns of a
+    shape[0] x shape[1] pattern with an entry at each (i, j), read as the
+    nodes of a bipartite graph with one edge per entry. Each pass hooks the
+    larger root of every edge under the smaller one and jumps every pointer
+    to its root; it stops when each edge has one root."""
+    j = j + shape[0]   # columns are the nodes after the rows
+    root = np.arange(sum(shape))
     while True:
         while not np.array_equal(up := root[root], root):   # pointers only point down
             root = up
-        lo, hi = np.minimum(root[r], root[c]), np.maximum(root[r], root[c])
+        lo, hi = np.minimum(root[i], root[j]), np.maximum(root[i], root[j])
         if np.array_equal(lo, hi):
             return root
         np.minimum.at(root, hi, lo)
 
 
-def _blocks(b: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The connected blocks of b's nonzero pattern, one (rows, cols) pair of
-    index arrays per block shape (r, c), shaped (blocks, r) and (blocks, c);
-    an empty row is a (1, 0) block and an empty column a (0, 1) block."""
-    root = _components(b)
+def _blocks(
+    i: np.ndarray, j: np.ndarray, shape: tuple[int, int]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The connected blocks of a shape[0] x shape[1] pattern with an entry
+    at each (i, j), one (rows, cols) pair of index arrays per block shape
+    (r, c), shaped (blocks, r) and (blocks, c); an empty row is a (1, 0)
+    block and an empty column a (0, 1) block."""
+    root = _components(i, j, shape)
     is_root = root == np.arange(root.size)
     label = (np.cumsum(is_root) - 1)[root]   # blocks numbered 0, 1, ... by root
     sides = []
-    for side in (label[: b.shape[0]], label[b.shape[0] :]):
+    for side in (label[: shape[0]], label[shape[0] :]):
         size = np.bincount(side, minlength=np.count_nonzero(is_root))
         sides.append((np.argsort(side, kind="stable"), np.cumsum(size) - size, size))
     (row_order, row_start, r), (col_order, col_start, c) = sides
-    key = r * (b.shape[1] + 1) + c   # one number per block shape
+    key = r * (shape[1] + 1) + c   # one number per block shape
     shapes = np.sort(key)
     out = []
     for k in shapes[np.diff(shapes, prepend=-1) > 0]:
         which = np.flatnonzero(key == k)
-        rows, cols = divmod(int(k), b.shape[1] + 1)
+        rows, cols = divmod(int(k), shape[1] + 1)
         out.append((row_order[row_start[which, None] + np.arange(rows)],
                     col_order[col_start[which, None] + np.arange(cols)]))
     return out
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:
-    """Dense interaction Hamiltonian on the truncated space, written by
-    index; every entry is lam, g sqrt(n) or 0, so the matrix is real
-    symmetric."""
+    """Interaction Hamiltonian on the truncated space as its nonzero
+    entries, written by basis index; every entry is lam or g sqrt(n) and
+    is written with its mirror, so H is real symmetric."""
     if fock_cutoff < 1:
         raise ValueError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
     nf = fock_cutoff + 1
-    h1 = np.zeros((4 * nf, 4 * nf))
-    # basis |q1 q2, n> at (q1, q2, n), qubit order |e>, |g>
-    h6 = h1.reshape(2, 2, nf, 2, 2, nf)
     n = np.arange(nf)
-    # lam (s1+ s2- + h.c.): |e g, n> <-> |g e, n>
-    h6[0, 1, n, 1, 0, n] = h6[1, 0, n, 0, 1, n] = params.lam
-    # g (s2+ a + h.c.): |q1 e, n - 1> <-> |q1 g, n>, either q1
+    # basis |q1 q2, n> at (q1, q2, n), qubit order |e>, |g>
+    index = lambda q1, q2, n: np.ravel_multi_index((q1, q2, n), (2, 2, nf)).ravel()   # noqa: E731
     q1 = np.array([[0], [1]])
-    h6[q1, 0, n[:-1], q1, 1, n[1:]] = h6[q1, 1, n[1:], q1, 0, n[:-1]] = (
-        params.g * np.sqrt(n[1:])
+    terms = (
+        # lam (s1+ s2- + h.c.): |e g, n> <-> |g e, n>
+        (index(0, 1, n), index(1, 0, n), np.full(nf, params.lam, dtype=float)),
+        # g (s2+ a + h.c.): |q1 e, n - 1> <-> |q1 g, n>, either q1
+        (index(q1, 0, n[:-1]), index(q1, 1, n[1:]), np.tile(params.g * np.sqrt(n[1:]), 2)),
     )
-    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff)
+    i, j, v = (np.concatenate(x) for x in zip(*terms))
+    keep = v != 0   # g = 0 couples nothing
+    i, j, v = i[keep], j[keep], v[keep]
+    return HamiltonianMatrix(row=np.concatenate([i, j]), col=np.concatenate([j, i]),
+                             val=np.concatenate([v, v]), fock_cutoff=fock_cutoff)
 
 
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
     """All 16 entries of the two-qubit reductions, shape (times, 4, 4), by the
     formula of reduced_two_qubit_series, one block shape of W at a time."""
     nf = h.fock_cutoff + 1
-    sigma, w = h.eigensystem()
+    sigma, w, blocks = h.eigensystem()
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
     start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
     j, m = np.triu_indices(4)
     same = s1[j] == s1[m]
     upper = np.zeros((times.size, j.size))
-    for rows, cols in _blocks(w):
+    for rows, cols in blocks:
         nb, c = cols.shape
         wb = w[rows[:, :, None], cols[:, None, :]]   # (nb, r, c)
         qubits, fock = np.divmod(rows, nf)

@@ -42,3 +42,18 @@ def sector_basis_indices(n: int, fock_cutoff: int) -> list[int]:
     idx.append(2 * nf + n)             # |g e, n>
     idx.append(3 * nf + (n + 1))       # |g g, n+1>
     return idx
+
+
+def dense_h1(h):
+    """The dense dim x dim matrix of a HamiltonianMatrix's entries."""
+    h1 = np.zeros((h.dim, h.dim))
+    h1[h.row, h.col] = h.val
+    return h1
+
+
+def hamiltonian_from_dense(h1, fock_cutoff):
+    """The HamiltonianMatrix of a dense h1's nonzero entries."""
+    from esdsim.oracle import HamiltonianMatrix
+
+    row, col = np.nonzero(h1)
+    return HamiltonianMatrix(row=row, col=col, val=h1[row, col], fock_cutoff=fock_cutoff)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import amplitude_table, random_xstates, sector_basis_indices
+from conftest import amplitude_table, dense_h1, random_xstates, sector_basis_indices
 
 from esdsim import (
     ModelParams,
@@ -82,9 +82,10 @@ def test_criterion_02_sector_spectrum():
     for k in GRID_K:
         params = ModelParams.from_k(LAM, k)
         h = build_hamiltonians(params, 25)
+        h1 = dense_h1(h)
         for n in range(21):
             idx = sector_basis_indices(n, h.fock_cutoff)
-            ev = np.sort(np.linalg.eigvalsh(h.h1[np.ix_(idx, idx)]))
+            ev = np.sort(np.linalg.eigvalsh(h1[np.ix_(idx, idx)]))
             f = sector_frequencies(params, n)
             if n == 0:
                 expected = np.sort([-f.omega_plus, 0.0, f.omega_plus])

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from conftest import sector_basis_indices
+from conftest import dense_h1, hamiltonian_from_dense, sector_basis_indices
 from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
@@ -15,7 +17,7 @@ def expm_reference(h, field, times):
     start = nf + np.arange(field.nmax + 1)
     out = []
     for t in times:
-        psi = expm(-1j * t * h.h1)[:, start]
+        psi = expm(-1j * t * dense_h1(h))[:, start]
         rho = (psi * field.weights) @ psi.conj().T
         out.append(np.trace(rho.reshape(4, nf, 4, nf), axis1=1, axis2=3))
     return np.array(out)
@@ -68,16 +70,16 @@ def planted_hamiltonian(rng, shapes, fock_cutoff):
                                                [np.sin(angle), np.cos(angle)]])
     b = b[rng.permutation(m)][:, rng.permutation(m)]
     h1 = np.zeros((2 * m, 2 * m))
-    even = HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff).parity.ravel() == 0
+    even = hamiltonian_from_dense(h1, fock_cutoff).parity.ravel() == 0
     h1[np.ix_(even, ~even)], h1[np.ix_(~even, even)] = b, b.T
-    return HamiltonianMatrix(h1=h1, fock_cutoff=fock_cutoff), b
+    return hamiltonian_from_dense(h1, fock_cutoff), b
 
 
 def dense_reduce(h, field, times):
     """All 16 entries, shape (times, 4, 4), from dense (dim/2)^2 kernels
     K_A = G_0 o M_0 + G_1 o M_1 and K_B = G_0 o M_1 + G_1 o M_0 over all of W,
     one pair per entry, with no block structure."""
-    sigma, w = h.eigensystem()
+    sigma, w, _ = h.eigensystem()
     parity, rows = h.parity, w.reshape(4, h.fock_cutoff + 1, -1)
     start, start_parity = rows[1, : field.nmax + 1], parity[1, : field.nmax + 1]
     mass = [(start[sel].T * field.weights[sel]) @ start[sel] for sel in (start_parity == 0, start_parity == 1)]
@@ -100,24 +102,26 @@ def driven_hamiltonian(params, h):
     excitation number, so B is one connected block and rho leaves the X form."""
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     drive = np.kron(np.kron(sx, np.eye(2)), np.eye(h.fock_cutoff + 1))
-    return HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * drive, fock_cutoff=h.fock_cutoff)
+    return hamiltonian_from_dense(dense_h1(h) + 0.3 * params.lam * drive, h.fock_cutoff)
 
 
 def block_shapes(b):
     """{(rows, cols): count} of the connected blocks the validator finds in b."""
-    return {(rows.shape[1], cols.shape[1]): len(rows) for rows, cols in oracle._blocks(b)}
+    return {(rows.shape[1], cols.shape[1]): len(rows)
+            for rows, cols in oracle._blocks(*np.nonzero(b), b.shape)}
 
 
 def assert_jordan_wielandt(h):
     """sigma and W from h.eigensystem() diagonalise h1 as (u, +-v)/sqrt(2)."""
-    sigma, w = h.eigensystem()
+    sigma, w, _ = h.eigensystem()
     assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
     assert (sigma >= 0).all()
-    scale = np.abs(h.h1).max()
-    assert np.abs(h.h1 @ w - w * sigma).max() < 1e-12 * scale
+    h1 = dense_h1(h)
+    scale = np.abs(h1).max()
+    assert np.abs(h1 @ w - w * sigma).max() < 1e-12 * scale
     assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
     flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
-    assert np.abs(h.h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
+    assert np.abs(h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
     return sigma, w
 
 
@@ -132,8 +136,9 @@ def weak_setup():
 class TestHamiltonian:
     def test_hermitian(self, weak_setup):
         _, _, h = weak_setup
-        assert h.h1.dtype == np.float64
-        assert np.abs(h.h1 - h.h1.T).max() == 0.0
+        h1 = dense_h1(h)
+        assert h1.dtype == np.float64
+        assert np.abs(h1 - h1.T).max() == 0.0
         h0 = free_hamiltonian(h.fock_cutoff)
         assert np.abs(h0 - h0.conj().T).max() == 0.0
 
@@ -143,28 +148,30 @@ class TestHamiltonian:
     def test_matches_kron_formula(self, lam, g, cutoff):
         h = build_hamiltonians(ModelParams(lam=lam, g=g), cutoff)
         want = kron_hamiltonian(ModelParams(lam=lam, g=g), cutoff)
-        assert h.h1.dtype == want.dtype and h.h1.shape == want.shape
-        assert (h.h1 == want).all()
+        h1 = dense_h1(h)
+        assert h1.dtype == want.dtype and h1.shape == want.shape
+        assert (h1 == want).all()
 
     def test_eigensystem_is_jordan_wielandt(self, weak_setup):
         _, _, h = weak_setup
-        sigma, w = h.eigensystem()
+        sigma, w, _ = h.eigensystem()
         assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
         assert (sigma >= 0).all()
         # h1 W = W diag(sigma): (u, v)/sqrt(2) is an eigenvector for +sigma
-        scale = np.abs(h.h1).max()
-        assert np.abs(h.h1 @ w - w * sigma).max() < 1e-12 * scale
+        h1 = dense_h1(h)
+        scale = np.abs(h1).max()
+        assert np.abs(h1 @ w - w * sigma).max() < 1e-12 * scale
         assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
         # and (u, -v)/sqrt(2) for -sigma
         flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
-        assert np.abs(h.h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
+        assert np.abs(h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
 
     def test_decoupled_block_structure(self):
         p = ModelParams(lam=10.0, g=0.0)
         h = build_hamiltonians(p, 2)
         nf = 3
         # with g=0 every entry coupling different Fock levels vanishes
-        h4 = h.h1.reshape(4, nf, 4, nf)
+        h4 = dense_h1(h).reshape(4, nf, 4, nf)
         for f1 in range(nf):
             for f2 in range(nf):
                 if f1 != f2:
@@ -177,7 +184,8 @@ class TestHamiltonian:
     def test_commutes_with_h0_interior(self, weak_setup):
         _, _, h = weak_setup
         h0 = free_hamiltonian(h.fock_cutoff)
-        comm = h0 @ h.h1 - h.h1 @ h0
+        h1 = dense_h1(h)
+        comm = h0 @ h1 - h1 @ h0
         # boundary sectors feel the Fock truncation; exclude them
         nf = h.fock_cutoff + 1
         comm4 = comm.reshape(4, nf, 4, nf)[:, : nf - 1, :, : nf - 1]
@@ -186,9 +194,10 @@ class TestHamiltonian:
     def test_sector_spectrum(self):
         p = ModelParams(lam=10.0, g=1.0)
         h = build_hamiltonians(p, 25)
+        h1 = dense_h1(h)
         for n in range(0, 21):
             idx = sector_basis_indices(n, h.fock_cutoff)
-            block = h.h1[np.ix_(idx, idx)]
+            block = h1[np.ix_(idx, idx)]
             ev = np.sort(np.linalg.eigvalsh(block))
             f = sector_frequencies(p, n)
             if n == 0:
@@ -220,7 +229,7 @@ class TestHamiltonian:
         # sigma_z or sigma_x on qubit 2 keeps s1 and n, so it couples states
         # of the same parity
         extra = np.kron(np.kron(np.eye(2), op), np.eye(h.fock_cutoff + 1))
-        broken = HamiltonianMatrix(h1=h.h1 + 0.3 * params.lam * extra, fock_cutoff=h.fock_cutoff)
+        broken = hamiltonian_from_dense(dense_h1(h) + 0.3 * params.lam * extra, h.fock_cutoff)
         with pytest.raises(ValueError, match="parity"):
             reduced_two_qubit_series(broken, field, np.linspace(0, 2, 9))
 
@@ -228,11 +237,44 @@ class TestHamiltonian:
     def test_parity_check_is_exact_and_named(self, weak_setup, name, p):
         _, field, h = weak_setup
         a, b = np.flatnonzero(h.parity.ravel() == p)[[0, -1]]
-        h1 = h.h1.copy()
+        h1 = dense_h1(h)
         h1[a, b] = h1[b, a] = 1e-300
-        broken = HamiltonianMatrix(h1=h1, fock_cutoff=h.fock_cutoff)
-        with pytest.raises(ValueError, match=f"two {name}-parity states"):
+        broken = hamiltonian_from_dense(h1, h.fock_cutoff)
+        with pytest.raises(ValueError, match=rf"two {name}-parity states, entry \({a}, {b}\)"):
             reduced_two_qubit_series(broken, field, [0.1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_asymmetric_refused(self, seed):
+        # the validator reads only B = H[even, odd] and takes H[odd, even]
+        # to be B^T, so one lower entry off by one ulp must be refused
+        h, _ = planted_hamiltonian(np.random.default_rng(seed), TestBlockSplit.SHAPES, 7)
+        h1 = dense_h1(h)
+        i, j = np.argwhere(np.tril(h1))[seed]
+        h1[i, j] = np.nextafter(h1[i, j], np.inf)
+        with pytest.raises(ValueError, match=rf"not symmetric: entry \(({i}, {j}|{j}, {i})\)"):
+            hamiltonian_from_dense(h1, h.fock_cutoff)
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda r, c, v: (r[1:], c[1:], v[1:]), "not symmetric"),
+        (lambda r, c, v: (np.append(r, r[0]), np.append(c, c[0]), np.append(v, v[0])), "given twice"),
+        (lambda r, c, v: (np.append(r, [8, 0]), np.append(c, [0, 8]), np.append(v, [1.0, 1.0])), "outside"),
+        (lambda r, c, v: (np.append(r, [-1, 0]), np.append(c, [0, -1]), np.append(v, [1.0, 1.0])), "outside"),
+        (lambda r, c, v: (r, c, v[:-1]), "one length"),
+    ], ids=["no-mirror", "repeated", "past-the-end", "negative", "lengths"])
+    def test_malformed_entries_refused(self, change, message):
+        h = build_hamiltonians(ModelParams(lam=1.0, g=1.0), 1)
+        assert h.dim == 8
+        row, col, val = change(h.row, h.col, h.val)
+        with pytest.raises(ValueError, match=message):
+            HamiltonianMatrix(row=row, col=col, val=val, fock_cutoff=1)
+
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_entries_are_the_nonzeros(self, g):
+        # lam: 2 entries per Fock level; g: 2 per q1 and step n - 1 -> n;
+        # g = 0 adds none, so its H is the lam exchange alone
+        h = build_hamiltonians(ModelParams(lam=10.0, g=g), 5)
+        assert h.row.size == 2 * 6 + (2 * 2 * 5 if g else 0)
+        assert (h.val != 0).all() and h.row.size == np.count_nonzero(dense_h1(h))
 
 
 class TestBlockSplit:
@@ -258,10 +300,10 @@ class TestBlockSplit:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planted_blocks_give_cos_and_sin(self, seed):
         h, _ = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
-        sigma, w = h.eigensystem()
+        sigma, w, _ = h.eigensystem()
         same = h.parity.ravel()[:, None] == h.parity.ravel()[None, :]
         for t in (0.0, 0.37, 1.9, 13.0):
-            u = expm(-1j * t * h.h1)   # cos(Ht) - i sin(Ht), h1 real symmetric
+            u = expm(-1j * t * dense_h1(h))   # cos(Ht) - i sin(Ht), h1 real symmetric
             cos = np.where(same, (w * np.cos(sigma * t)) @ w.T, 0.0)
             sin = np.where(same, 0.0, (w * np.sin(sigma * t)) @ w.T)
             assert np.abs(cos - u.real).max() <= 1e-12
@@ -272,7 +314,7 @@ class TestBlockSplit:
         # the qubit-1 drive of test_off_x_detected connects every state
         driven = driven_hamiltonian(params, h)
         even = driven.parity.ravel() == 0
-        assert block_shapes(driven.h1[np.ix_(even, ~even)]) == {(h.dim // 2, h.dim // 2): 1}
+        assert block_shapes(dense_h1(driven)[np.ix_(even, ~even)]) == {(h.dim // 2, h.dim // 2): 1}
         assert_jordan_wielandt(driven)
         with pytest.raises(ValueError, match="off-X"):
             reduced_two_qubit_series(driven, field, np.linspace(0, 2, 9))
@@ -283,7 +325,7 @@ class TestBlockSplit:
         params, field = ModelParams.from_k(10.0, 0.0), build_thermal(3.0)
         h = build_hamiltonians(params, field.nmax + 2)
         even = h.parity.ravel() == 0
-        shapes = block_shapes(h.h1[np.ix_(even, ~even)])
+        shapes = block_shapes(dense_h1(h)[np.ix_(even, ~even)])
         assert set(shapes) == {(1, 1), (1, 0), (0, 1)} and shapes[1, 1] == h.fock_cutoff + 1
         assert_jordan_wielandt(h)
         times = np.linspace(0.0, 2.0, 200)
@@ -306,7 +348,7 @@ class TestBlockKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_null_columns_join_blocks(self, seed):
         h, b = planted_hamiltonian(np.random.default_rng(seed), TestBlockSplit.SHAPES, 7)
-        sigma, w = h.eigensystem()
+        sigma, w, _ = h.eigensystem()
         # each sigma = 0 column pairs a left and a right null vector of two
         # different blocks of B, so W has one column block fewer per such column
         blocks = sum(block_shapes(b).values())
@@ -315,6 +357,22 @@ class TestBlockKernels:
         assert field.nmax < h.fock_cutoff
         times = np.linspace(0.0, 13.0, 40)
         assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
+
+    @pytest.mark.parametrize("case", ["k=0.3", "k=1e-6", "k=0", "seed=0", "seed=1", "seed=2"])
+    def test_column_blocks_are_ws_own(self, case):
+        # eigensystem derives W's column blocks from B's and the sigma = 0
+        # pairs it makes; they must be the blocks of W's own nonzero pattern
+        name, value = case.split("=")
+        if name == "k":
+            field = build_thermal(3.0)
+            h = build_hamiltonians(ModelParams.from_k(10.0, float(value)), field.nmax + 2)
+        else:
+            h, _ = planted_hamiltonian(np.random.default_rng(int(value)), TestBlockSplit.SHAPES, 7)
+        _, w, blocks = h.eigensystem()
+        want = oracle._blocks(*np.nonzero(w), w.shape)
+        assert len(blocks) == len(want)
+        for (rows, cols), (want_rows, want_cols) in zip(blocks, want):
+            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
 
     def test_connected_matches_dense_kernels(self, weak_setup):
         params, field, h = weak_setup
@@ -327,7 +385,7 @@ class TestBlockKernels:
     def test_time_blocks(self, weak_setup):
         params, field, h = weak_setup
         driven = driven_hamiltonian(params, h)
-        (_, cols), = oracle._blocks(driven.eigensystem()[1])
+        (_, cols), = driven.eigensystem()[2]
         assert cols.shape == (1, h.dim // 2)
         # one block of dim/2 columns: cc, ss and cs pair products per time row
         rows = oracle._CELLS // (3 * cols.size**2)
@@ -339,6 +397,24 @@ class TestBlockKernels:
         assert np.abs(rho - one_by_one).max() <= 1e-14
         at = [0, rows // 2, rows]
         assert np.abs(rho[at] - expm_reference(driven, field, times[at])).max() <= 1e-12
+
+
+def test_memory_below_one_dense_hamiltonian():
+    # nbar = 20 (dim 1,896): H is O(dim) entries, and building and reducing
+    # it peaks below the dim^2 doubles of one dense H; W, dim x dim/2, is the
+    # largest array
+    params, field = ModelParams.from_k(10.0, 0.5), build_thermal(20.0)
+    times = np.linspace(0.0, 2.0, 200)
+    tracemalloc.start()
+    try:
+        h = build_hamiltonians(params, field.nmax + 2)
+        reduced_two_qubit_series(h, field, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert h.dim == 1896
+    assert h.row.size <= 4 * h.dim
+    assert peak < h.dim**2 * 8
 
 
 class TestEvolve:
