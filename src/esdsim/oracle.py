@@ -18,14 +18,14 @@ the connected blocks of that edge list, read as a bipartite graph of rows
 and columns, and each block is decomposed on its own, blocks of one shape
 scattered from their entries into one batched SVD. The split reads only
 which entries are nonzero, never a basis label or sector, so a
-Hamiltonian that connects every state is one block and one dense SVD. No
-dim x dim array is built.
+Hamiltonian that connects every state is one block and one dense SVD.
+Each block's singular pairs and null vectors are kept as a stack of its
+own, so no dim x dim or dim x dim/2 array is built and memory is O(dim)
+when the blocks are small.
 
-The reduction to the two qubits splits W's columns the same way, by the
-connected blocks of the entries W is filled at: B's blocks, two of them
-joined where a sigma = 0 column pairs null vectors of both. Its kernels
-vanish between these blocks, so they are built per block shape in a fixed
-number of batched calls, and every entry is one product of the pair
+The reduction to the two qubits reads those stacks directly: its kernels
+vanish between two blocks of B, so they are built per block shape in a
+fixed number of batched calls, and every entry is one product of the pair
 products of the blocks' cos and sin columns with the stacked kernels, per
 block shape and block of times.
 """
@@ -88,23 +88,24 @@ class HamiltonianMatrix:
         return (s1 + np.arange(self.fock_cutoff + 1)) % 2
 
     def eigensystem(self):
-        """Singular values sigma and vectors W of the parity-flipping block,
-        and W's column blocks.
+        """The spectral blocks of the parity-flipping block B, one stack per
+        block shape: a list of (rows, sigma, w).
 
         With B = H[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
-        +-sigma with vectors (u, +-v)/sqrt(2); W (dim x dim/2) holds U on the
-        even rows and V on the odd rows. B's entries are H's entries from an
-        even row to an odd column, each at the places of its two states among
-        the states of their parity; their mirrors are B^T's. B is decomposed
-        block by block: each connected block of its entries gets an SVD, in
-        one batched call per block shape, and the null vectors that
-        non-square blocks, empty rows and empty columns leave pair up with
-        sigma = 0 (as many left as right ones, since B is square). The column
-        blocks, as _blocks gives them, are the connected blocks of the
-        entries W is filled at: B's blocks, two of them joined where a
-        sigma = 0 column pairs their null vectors. Raises ValueError if H
-        couples two states of the same parity, so that this form does not
-        hold.
+        +-sigma with vectors (u, +-v)/sqrt(2), and a null vector of B, left or
+        right, is an eigenvector of H for 0 on its own. B's entries are H's
+        entries from an even row to an odd column, each at the places of its
+        two states among the states of their parity; their mirrors are B^T's.
+        B is decomposed block by block: each connected block of its entries,
+        as _blocks gives them, gets an SVD, in one batched call per block
+        shape (r, c). For the n blocks of a shape, rows (n, r + c) are their
+        basis rows, even then odd; w (n, r + c, m), m = r + c - p with
+        p = min(r, c), holds their columns: the p singular pairs (u; v), then
+        the r - p left null vectors (u; 0) and the c - p right ones (0; v);
+        sigma (n, m) holds their singular values, 0 on the null columns. An
+        empty row or column is a (1, 0) or (0, 1) block with w = [[1]].
+        Raises ValueError if H couples two states of the same parity, so that
+        this form does not hold.
         """
         parity = self.parity.ravel()
         row_parity = parity[self.row]
@@ -129,36 +130,23 @@ class HamiltonianMatrix:
             shape[rows], block[rows] = k, np.arange(len(rows))[:, None]
             at_row[rows], at_col[cols] = np.arange(rows.shape[1]), np.arange(cols.shape[1])
         b_shape = shape[b_row]
-        sigma, w = np.zeros(half), np.zeros((self.dim, half))
-        fill = []   # the (row, column) index arrays W is filled at
-        # singular pairs fill W's columns from the first, null vectors from
-        # the last: the k-th left and the k-th right null vector from the end
-        # share a column, with sigma = 0
-        col, left, right = 0, half, half
+        out = []
         for k, (rows, cols) in enumerate(blocks):
             (n, r), c = rows.shape, cols.shape[1]
             p = min(r, c)
+            sigma, w = np.zeros((n, r + c - p)), np.zeros((n, r + c, r + c - p))
             if p:
                 on = b_shape == k
                 stack = np.zeros((n, r, c))
                 stack[block[b_row[on]], at_row[b_row[on]], at_col[b_col[on]]] = b_val[on]
-                u, s, vt = np.linalg.svd(stack)
+                u, sigma[:, :p], vt = np.linalg.svd(stack)
                 v = vt.transpose(0, 2, 1)
             else:   # an empty row or column is its own null vector
-                u, s, v = np.ones((n, r, r)), np.empty((n, 0)), np.ones((n, c, c))
-            left, right = left - n * (r - p), right - n * (c - p)
-            out = col + np.arange(n * p).reshape(n, p)
-            left_null = left + np.arange(n * (r - p)).reshape(n, r - p)
-            right_null = right + np.arange(n * (c - p)).reshape(n, c - p)
-            sigma[out] = s
-            for w_rows, w_cols, x in ((even_rows[rows], np.hstack([out, left_null]), u),
-                                      (odd_rows[cols], np.hstack([out, right_null]), v)):
-                at = tuple(np.broadcast_arrays(w_rows[:, :, None], w_cols[:, None, :]))
-                w[at] = x
-                fill.append(at)
-            col += out.size
-        fill_row, fill_col = (np.concatenate([at[i].ravel() for at in fill]) for i in (0, 1))
-        return sigma, w, _blocks(fill_row, fill_col, w.shape)
+                u, v = np.eye(r), np.eye(c)
+            w[:, :r, :r] = u   # the pairs' u, then the left null vectors
+            w[:, r:, :p], w[:, r:, r:] = v[..., :p], v[..., p:]
+            out.append((np.hstack([even_rows[rows], odd_rows[cols]]), sigma, w))
+        return out
 
 
 def _components(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -230,18 +218,16 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
 
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
     """All 16 entries of the two-qubit reductions, shape (times, 4, 4), by the
-    formula of reduced_two_qubit_series, one block shape of W at a time."""
+    formula of reduced_two_qubit_series, one block shape of B at a time."""
     nf = h.fock_cutoff + 1
-    sigma, w, blocks = h.eigensystem()
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
     start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
     j, m = np.triu_indices(4)
     same = s1[j] == s1[m]
     upper = np.zeros((times.size, j.size))
-    for rows, cols in blocks:
-        nb, c = cols.shape
-        wb = w[rows[:, :, None], cols[:, None, :]]   # (nb, r, c)
+    for rows, sigma, wb in h.eigensystem():
+        nb, _, c = wb.shape
         qubits, fock = np.divmod(rows, nf)
         parity, weight = h.parity.ravel()[rows], start.ravel()[rows]
         # the block's rows by Fock level (from the block's lowest) and qubit
@@ -267,7 +253,7 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
         k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
         step = max(1, _CELLS // (3 * nb * c * c))
         for b in range(0, times.size, step):
-            angle = times[b : b + step, None, None] * sigma[cols.T]   # (times, c, nb)
+            angle = times[b : b + step, None, None] * sigma.T   # (times, c, nb)
             cos, sin = np.cos(angle), np.sin(angle)
             pair = np.empty((len(angle), 3, c, c, nb))
             for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
@@ -287,8 +273,10 @@ def reduced_two_qubit_series(
     """Two-qubit reductions of U(t) rho(0) U(t)+ over a time grid, with
     rho(0) = |e1><e1| x |g2><g2| x the thermal mix.
 
-    From h.eigensystem(), cos(Ht) = W cos(sigma t) W^T between rows of equal
-    parity and sin(Ht) = W sin(sigma t) W^T between rows of opposite parity.
+    With W the columns (u; v), (u; 0) and (0; v) of h.eigensystem(),
+    cos(Ht) = W cos(sigma t) W^T between rows of equal parity and
+    sin(Ht) = W sin(sigma t) W^T between rows of opposite parity, column by
+    column: a null column has sigma = 0, and cos 0 = 1, sin 0 = 0.
     With W_n the row of W at |e g, n>, M_p = sum over n of parity p of
     P_n W_n^T W_n; for qubit pair states j, m, G_p = sum over the Fock rows
     f with (j, f) of parity p of W_(j,f)^T W_(m,f). Then, with
@@ -298,11 +286,11 @@ def reduced_two_qubit_series(
     entries are computed; any outside the X pattern above 1e-8 at any time
     is an error.
 
-    M_p, and so K_A and K_B, vanish between two column blocks of W's
-    nonzero pattern, so the kernels are taken block by block, blocks of one
-    shape stacked. With s^T K_B c = c^T K_B^T s, the pair products
-    c_a c_a', s_a s_a' and c_a s_a' of a block's columns, in blocks of times
-    of at most _CELLS cells, times the stacked kernels give every entry.
+    M_p, and so K_A and K_B, vanish between two of B's blocks, whose columns
+    share no row, so the kernels are taken block by block, blocks of one
+    shape stacked. With s^T K_B c = c^T K_B^T s, the pair products c_a c_a',
+    s_a s_a' and c_a s_a' of a block's columns, in blocks of times of at most
+    _CELLS cells, times the stacked kernels give every entry.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(

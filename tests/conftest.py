@@ -51,6 +51,21 @@ def dense_h1(h):
     return h1
 
 
+def dense_w(h):
+    """sigma and the dense dim x m W of h.eigensystem()'s stacks, columns in
+    stack order: each block's singular pairs (u; v), then its null vectors
+    (u; 0) and (0; v)."""
+    stacks = h.eigensystem()
+    sigma = np.concatenate([s.ravel() for _, s, _ in stacks])
+    w = np.zeros((h.dim, sigma.size))
+    col = 0
+    for rows, s, wb in stacks:
+        cols = col + np.arange(s.size).reshape(s.shape)
+        w[rows[:, :, None], cols[:, None, :]] = wb
+        col += s.size
+    return sigma, w
+
+
 def hamiltonian_from_dense(h1, fock_cutoff):
     """The HamiltonianMatrix of a dense h1's nonzero entries."""
     from esdsim.oracle import HamiltonianMatrix

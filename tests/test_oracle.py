@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_h1, hamiltonian_from_dense, sector_basis_indices
+from conftest import dense_h1, dense_w, hamiltonian_from_dense, sector_basis_indices
 from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
@@ -76,10 +76,10 @@ def planted_hamiltonian(rng, shapes, fock_cutoff):
 
 
 def dense_reduce(h, field, times):
-    """All 16 entries, shape (times, 4, 4), from dense (dim/2)^2 kernels
-    K_A = G_0 o M_0 + G_1 o M_1 and K_B = G_0 o M_1 + G_1 o M_0 over all of W,
-    one pair per entry, with no block structure."""
-    sigma, w, _ = h.eigensystem()
+    """All 16 entries, shape (times, 4, 4), from dense kernels
+    K_A = G_0 o M_0 + G_1 o M_1 and K_B = G_0 o M_1 + G_1 o M_0 over all of
+    dense_w's columns, one pair per entry, with no block structure."""
+    sigma, w = dense_w(h)
     parity, rows = h.parity, w.reshape(4, h.fock_cutoff + 1, -1)
     start, start_parity = rows[1, : field.nmax + 1], parity[1, : field.nmax + 1]
     mass = [(start[sel].T * field.weights[sel]) @ start[sel] for sel in (start_parity == 0, start_parity == 1)]
@@ -112,15 +112,20 @@ def block_shapes(b):
 
 
 def assert_jordan_wielandt(h):
-    """sigma and W from h.eigensystem() diagonalise h1 as (u, +-v)/sqrt(2)."""
-    sigma, w, _ = h.eigensystem()
-    assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
-    assert (sigma >= 0).all()
+    """sigma and W from dense_w(h) diagonalise h1: a singular-pair column
+    (u; v) gives the eigenvectors (u, +-v)/sqrt(2) for +-sigma, a null
+    column (u; 0) or (0; v) one eigenvector for 0."""
+    sigma, w = dense_w(h)
+    assert w.shape == (h.dim, sigma.size) and (sigma >= 0).all()
+    even = h.parity.ravel() == 0
+    paired = (w[even] != 0).any(axis=0) & (w[~even] != 0).any(axis=0)
+    assert 2 * paired.sum() + (~paired).sum() == h.dim   # every eigenvector once
     h1 = dense_h1(h)
     scale = np.abs(h1).max()
     assert np.abs(h1 @ w - w * sigma).max() < 1e-12 * scale
-    assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
-    flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
+    # W^T W is 2 on singular-pair columns and 1 on null columns
+    assert np.abs(w.T @ w - np.diag(np.where(paired, 2.0, 1.0))).max() < 1e-12
+    flip = np.where(even, 1.0, -1.0)[:, None]
     assert np.abs(h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
     return sigma, w
 
@@ -154,17 +159,7 @@ class TestHamiltonian:
 
     def test_eigensystem_is_jordan_wielandt(self, weak_setup):
         _, _, h = weak_setup
-        sigma, w, _ = h.eigensystem()
-        assert sigma.shape == (h.dim // 2,) and w.shape == (h.dim, h.dim // 2)
-        assert (sigma >= 0).all()
-        # h1 W = W diag(sigma): (u, v)/sqrt(2) is an eigenvector for +sigma
-        h1 = dense_h1(h)
-        scale = np.abs(h1).max()
-        assert np.abs(h1 @ w - w * sigma).max() < 1e-12 * scale
-        assert np.abs(w.T @ w - 2 * np.eye(h.dim // 2)).max() < 1e-12
-        # and (u, -v)/sqrt(2) for -sigma
-        flip = np.where(h.parity.ravel() == 0, 1.0, -1.0)[:, None]
-        assert np.abs(h1 @ (flip * w) + flip * w * sigma).max() < 1e-12 * scale
+        assert_jordan_wielandt(h)
 
     def test_decoupled_block_structure(self):
         p = ModelParams(lam=10.0, g=0.0)
@@ -292,15 +287,19 @@ class TestBlockSplit:
     def test_planted_blocks_give_the_jordan_wielandt_form(self, seed):
         h, b = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
         sigma, _ = assert_jordan_wielandt(h)
-        assert np.abs(np.sort(sigma) - np.sort(np.linalg.svd(b, compute_uv=False))).max() < 1e-14
         # left null vectors: 2 empty rows and one of the (2, 1) block; right
-        # ones: 1 empty column and one of each (1, 2) block
-        assert (sigma == 0).sum() == 3
+        # ones: 1 empty column and one of each (1, 2) block; B's 3 zero
+        # singular values are these 6 null columns, the other 13 its pairs
+        null = sigma == 0
+        assert null.sum() == 6
+        want = np.sort(np.linalg.svd(b, compute_uv=False))
+        assert want[:3].max() < 1e-14
+        assert np.abs(np.sort(sigma[~null]) - want[3:]).max() < 1e-14
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planted_blocks_give_cos_and_sin(self, seed):
         h, _ = planted_hamiltonian(np.random.default_rng(seed), self.SHAPES, 7)
-        sigma, w, _ = h.eigensystem()
+        sigma, w = dense_w(h)
         same = h.parity.ravel()[:, None] == h.parity.ravel()[None, :]
         for t in (0.0, 0.37, 1.9, 13.0):
             u = expm(-1j * t * dense_h1(h))   # cos(Ht) - i sin(Ht), h1 real symmetric
@@ -346,13 +345,13 @@ class TestBlockKernels:
         assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_null_columns_join_blocks(self, seed):
+    def test_null_columns_stand_alone(self, seed):
+        # a null vector is an eigenvector of H on its own, so no column pairs
+        # two blocks of B: one stack entry per block, 6 null columns
         h, b = planted_hamiltonian(np.random.default_rng(seed), TestBlockSplit.SHAPES, 7)
-        sigma, w, _ = h.eigensystem()
-        # each sigma = 0 column pairs a left and a right null vector of two
-        # different blocks of B, so W has one column block fewer per such column
-        blocks = sum(block_shapes(b).values())
-        assert sum(block_shapes(w).values()) == blocks - (sigma == 0).sum() == blocks - 3
+        stacks = h.eigensystem()
+        assert sum(len(rows) for rows, _, _ in stacks) == sum(block_shapes(b).values())
+        assert sum((sigma == 0).sum() for _, sigma, _ in stacks) == 6
         field = build_thermal(1.0, 1e-2)
         assert field.nmax < h.fock_cutoff
         times = np.linspace(0.0, 13.0, 40)
@@ -360,19 +359,36 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("case", ["k=0.3", "k=1e-6", "k=0", "seed=0", "seed=1", "seed=2"])
     def test_column_blocks_are_ws_own(self, case):
-        # eigensystem derives W's column blocks from B's and the sigma = 0
-        # pairs it makes; they must be the blocks of W's own nonzero pattern
+        # eigensystem's stacks are B's connected blocks, even rows then odd,
+        # and they are the connected blocks of the dense W's own pattern;
+        # after a block's p = min(r, c) singular pairs come its r - p left
+        # null columns (u; 0) and c - p right ones (0; v), with sigma = 0
         name, value = case.split("=")
         if name == "k":
             field = build_thermal(3.0)
             h = build_hamiltonians(ModelParams.from_k(10.0, float(value)), field.nmax + 2)
         else:
             h, _ = planted_hamiltonian(np.random.default_rng(int(value)), TestBlockSplit.SHAPES, 7)
-        _, w, blocks = h.eigensystem()
-        want = oracle._blocks(*np.nonzero(w), w.shape)
-        assert len(blocks) == len(want)
-        for (rows, cols), (want_rows, want_cols) in zip(blocks, want):
-            assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+        parity = h.parity.ravel()
+        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        b = dense_h1(h)[np.ix_(even, odd)]
+        stacks = h.eigensystem()
+        want = oracle._blocks(*np.nonzero(b), b.shape)
+        assert len(stacks) == len(want)
+        starts = np.cumsum([0] + [sigma.size for _, sigma, _ in stacks])
+        got = set()
+        for (rows, sigma, w), (b_rows, b_cols), start in zip(stacks, want, starts):
+            assert np.array_equal(rows, np.hstack([even[b_rows], odd[b_cols]]))
+            r, c = b_rows.shape[1], b_cols.shape[1]
+            p = min(r, c)
+            assert sigma.shape == w.shape[::2] == (len(rows), r + c - p)
+            assert (sigma[:, p:] == 0).all()
+            assert (w[:, r:, p:r] == 0).all() and (w[:, :r, r:] == 0).all()
+            cols = start + np.arange(sigma.size).reshape(sigma.shape)
+            got |= {(tuple(np.sort(i)), tuple(j)) for i, j in zip(rows, cols)}
+        _, dense = dense_w(h)
+        assert got == {(tuple(i), tuple(j)) for rows, cols in oracle._blocks(*np.nonzero(dense), dense.shape)
+                       for i, j in zip(rows, cols)}
 
     def test_connected_matches_dense_kernels(self, weak_setup):
         params, field, h = weak_setup
@@ -385,10 +401,10 @@ class TestBlockKernels:
     def test_time_blocks(self, weak_setup):
         params, field, h = weak_setup
         driven = driven_hamiltonian(params, h)
-        (_, cols), = driven.eigensystem()[2]
-        assert cols.shape == (1, h.dim // 2)
+        (_, sigma, _), = driven.eigensystem()
+        assert sigma.shape == (1, h.dim // 2)
         # one block of dim/2 columns: cc, ss and cs pair products per time row
-        rows = oracle._CELLS // (3 * cols.size**2)
+        rows = oracle._CELLS // (3 * sigma.size**2)
         assert rows > 1
         times = np.linspace(0.0, 2.0, rows + 1)
         rho = oracle._reduce(driven, field, times)
@@ -399,12 +415,11 @@ class TestBlockKernels:
         assert np.abs(rho[at] - expm_reference(driven, field, times[at])).max() <= 1e-12
 
 
-def test_memory_below_one_dense_hamiltonian():
-    # nbar = 20 (dim 1,896): H is O(dim) entries, and building and reducing
-    # it peaks below the dim^2 doubles of one dense H; W, dim x dim/2, is the
-    # largest array
-    params, field = ModelParams.from_k(10.0, 0.5), build_thermal(20.0)
-    times = np.linspace(0.0, 2.0, 200)
+def traced_peak(nbar, steps):
+    """(h, traced peak bytes) of building H and reducing it over `steps`
+    times, k = 0.5."""
+    params, field = ModelParams.from_k(10.0, 0.5), build_thermal(nbar)
+    times = np.linspace(0.0, 2.0, steps)
     tracemalloc.start()
     try:
         h = build_hamiltonians(params, field.nmax + 2)
@@ -412,9 +427,25 @@ def test_memory_below_one_dense_hamiltonian():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return h, peak
+
+
+def test_memory_below_one_dense_hamiltonian():
+    # nbar = 20 (dim 1,896): H is O(dim) entries and its spectrum per-block
+    # stacks, so building and reducing it peaks below the dim^2 doubles of
+    # one dense H
+    h, peak = traced_peak(20.0, 200)
     assert h.dim == 1896
     assert h.row.size <= 4 * h.dim
     assert peak < h.dim**2 * 8
+
+
+def test_memory_below_a_tenth_of_one_dense_w():
+    # nbar = 100 (dim 9,268): no dim x dim/2 W is built, so building and
+    # reducing H peaks below a tenth of one (32.8 MB)
+    h, peak = traced_peak(100.0, 200)
+    assert h.dim == 9268
+    assert peak < h.dim * (h.dim // 2) * 8 / 10
 
 
 class TestEvolve:
