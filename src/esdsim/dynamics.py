@@ -6,16 +6,19 @@ sector is a 4x4 unitary with closed-form entries built from the two
 characteristic frequencies of the sector; the thermal state is a classical
 mixture over sectors.
 
-All sectors are evaluated together. ``SectorTable`` holds, per sector, a
-real 4x4 coefficient matrix K that maps the basis T(t) = (cos w+ t,
-sin w+ t, cos w- t, sin w- t) to the four real factors of the propagator
-column. Times go in blocks of a base t_b plus offsets tau, evaluated as
-X = (K R(t_b)) T(tau) with R(t_b) the angle-addition rotation. A linspace
-grid shares one table T(j * step) across its blocks and needs trig only at
-the blocks' bases; K R(t_b) is computed for a chunk of bases at a time, in
-one vectorised call. Any other times are evaluated at base 0, where R = I.
-Root refinement also needs the slope of the state: T'(t) = D T(t), so the
-slope matrix K' = K D maps the same T(t) to the factors' time derivatives.
+The state depends on the couplings and time only through k = g/lam and
+tau = lam t: every sector constant is built from (k, n) alone, in units of
+lam, and lam enters where times do. All sectors are evaluated together.
+``SectorTable`` holds, per sector, a real 4x4 coefficient matrix K that maps
+T(tau) = (cos w+ tau, sin w+ tau, cos w- tau, sin w- tau) to the four real
+factors of the propagator column. Times go in blocks of a base tau_b plus
+offsets s, evaluated as X = (K R(tau_b)) T(s) with R(tau_b) the
+angle-addition rotation. A linspace grid shares one table T(j * step)
+across its blocks and needs trig only at the blocks' bases; K R(tau_b) is
+computed for a chunk of bases at a time, in one vectorised call. Any other
+times are at base 0, where R = I. Root refinement also needs the slope:
+T'(tau) = D T(tau), so K' = K D maps the same T(tau) to the factors'
+tau-derivatives, and d/dt = lam d/dtau.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ _POP_CLAMP = 1e-12
 _POSITIVITY_TOL = 1e-10
 # times per evaluation block; bounds a block's (sectors x 4 x times) arrays,
 # the shared trig table among them, to ~1 MB at nmax ~ 240 for any grid.
-# K R(t_b) is computed per chunk of _CHUNK block bases, in one call into one
+# K R(tau_b) is computed per chunk of _CHUNK block bases, in one call into one
 # (bases x sectors x 4 x 4) buffer: half a block's factors, whatever the grid
 _BLOCK = 128
 _CHUNK = _BLOCK // 8
@@ -38,13 +41,13 @@ _CHUNK = _BLOCK // 8
 
 @dataclass(frozen=True)
 class SectorFrequencies:
-    """Characteristic quantities of Fock sectors: scalars for one n, arrays for an array of n."""
+    """Characteristic quantities of Fock sectors in units of lam: scalars for
+    one n, arrays for an array of n."""
 
-    a: float | np.ndarray  # g * sqrt(n)
-    b: float | np.ndarray  # g * sqrt(n+1)
-    r: float | np.ndarray  # lam^2 * beta, the splitting omega_plus^2 - omega_minus^2
+    a: float | np.ndarray  # k * sqrt(n)
+    b: float | np.ndarray  # k * sqrt(n+1)
     alpha: float | np.ndarray
-    beta: float | np.ndarray
+    beta: float | np.ndarray  # the splitting omega_plus^2 - omega_minus^2
     omega_plus: float | np.ndarray
     omega_minus: float | np.ndarray
 
@@ -96,23 +99,21 @@ class StateSeries:
         return rho
 
 
-def sector_frequencies(params: ModelParams, n) -> SectorFrequencies:
-    """Coupling amplitudes and characteristic frequencies of sector n (int or array)."""
+def sector_frequencies(k, n) -> SectorFrequencies:
+    """Amplitudes and frequencies of sector n (int or array) at k = g/lam, in units of lam."""
     if np.any(np.asarray(n) < 0):
         raise ValueError(f"sector index must be >= 0, got {n}")
-    lam, g, k = params.lam, params.g, params.k
-    a = g * np.sqrt(n)
-    b = g * np.sqrt(n + 1)
+    a = k * np.sqrt(n)
+    b = k * np.sqrt(n + 1)
     alpha = 1.0 + (2 * n + 1) * k**2
     beta = np.sqrt((1.0 + k**2) ** 2 + 4.0 * n * k**2)
-    r = lam**2 * beta
-    omega_plus = lam / np.sqrt(2.0) * np.sqrt(alpha + beta)
+    omega_plus = np.sqrt(0.5 * (alpha + beta))
     # alpha - beta = (alpha^2 - beta^2) / (alpha + beta) without the
-    # cancellation, which loses every digit once k^2 n is below rounding
-    omega_minus = lam / np.sqrt(2.0) * np.sqrt(4.0 * n * (n + 1) * k**4 / (alpha + beta))
+    # cancellation, which loses every digit once k^2 n is below rounding;
+    # k^2 stays outside the root, where k^4 would overflow before omega_plus does
+    omega_minus = k**2 * np.sqrt(2.0 * n * (n + 1) / (alpha + beta))
     return SectorFrequencies(
-        a=a, b=b, r=r, alpha=alpha, beta=beta,
-        omega_plus=omega_plus, omega_minus=omega_minus,
+        a=a, b=b, alpha=alpha, beta=beta, omega_plus=omega_plus, omega_minus=omega_minus,
     )
 
 
@@ -120,27 +121,29 @@ class SectorTable:
     """Per-sector constants of one (params, field), evaluated over any time array.
 
     Sectors run over n = 0 .. nmax, the field's truncation, and every entry
-    sums them with the field's weights. coeffs[n] = K maps T(t) to the real
-    factors of the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>,
-    and slopes[n] = K' maps it to their time derivatives.
+    sums them with the field's weights. The constants depend on k alone, in
+    units of lam: coeffs[n] = K maps T(tau) to the real factors of the
+    amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
+    slopes[n] = K' maps it to their tau-derivatives. Times t are evaluated
+    at tau = lam t.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
-        self.weights = field.weights
+        self.lam, self.weights = params.lam, field.weights
         n = np.arange(field.nmax + 1)
-        f = self.freqs = sector_frequencies(params, n)
-        wp, wm, a, b2, r, lam = f.omega_plus, f.omega_minus, f.a, f.b**2, f.r, params.lam
+        f = self.freqs = sector_frequencies(params.k, n)
+        wp, wm, a, b2, beta = f.omega_plus, f.omega_minus, f.a, f.b**2, f.beta
         # [K; K'] in one array, so series_and_slope needs one product and no copy
         self._coeffs_and_slopes = np.zeros((n.size, 8, 4))
         k = self.coeffs = self._coeffs_and_slopes[:, :4]
-        k[:, 0, 1] = a * (b2 - wp**2) / (r * wp)  # omega_plus >= lam > 0
-        # omega_minus is 0 where a = g sqrt(n) is, which zeroes the term
-        np.divide(-a * (b2 - wm**2), r * wm, out=k[:, 0, 3], where=wm > 0)
-        k[:, 1, 0] = (wp**2 - b2) / r
-        k[:, 1, 2] = (b2 - wm**2) / r
-        k[:, 2, 1] = lam * wp / r
-        k[:, 2, 3] = -lam * wm / r
-        k[:, 3, 0] = lam * f.b / r
+        k[:, 0, 1] = a * (b2 - wp**2) / (beta * wp)  # omega_plus >= 1
+        # omega_minus is 0 where a = k sqrt(n) is, which zeroes the term
+        np.divide(-a * (b2 - wm**2), beta * wm, out=k[:, 0, 3], where=wm > 0)
+        k[:, 1, 0] = (wp**2 - b2) / beta
+        k[:, 1, 2] = (b2 - wm**2) / beta
+        k[:, 2, 1] = wp / beta
+        k[:, 2, 3] = -wm / beta
+        k[:, 3, 0] = f.b / beta
         k[:, 3, 2] = -k[:, 3, 0]
         # K' = K D: D takes (cos wt, sin wt) to (-w sin wt, w cos wt)
         w = np.stack((wp, wm), axis=-1)[:, None, :]
@@ -148,15 +151,15 @@ class SectorTable:
         self.slopes[..., 0::2] = w * k[..., 1::2]
         self.slopes[..., 1::2] = -w * k[..., 0::2]
 
-    def basis(self, times: np.ndarray) -> np.ndarray:
-        """T(t) of every sector at each time, shape (sectors, 4, times)."""
-        xp = np.multiply.outer(self.freqs.omega_plus, times)
-        xm = np.multiply.outer(self.freqs.omega_minus, times)
+    def basis(self, tau: np.ndarray) -> np.ndarray:
+        """T(tau) of every sector at each tau = lam t, shape (sectors, 4, times)."""
+        xp = np.multiply.outer(self.freqs.omega_plus, tau)
+        xm = np.multiply.outer(self.freqs.omega_minus, tau)
         return np.stack((np.cos(xp), np.sin(xp), np.cos(xm), np.sin(xm)), axis=1)
 
     def _rotated(self, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """K R(t_b) for each base t_b into out, shape (bases, sectors, 4, 4), with
-        R(t_b) the rotation T(t_b + tau) = R(t_b) T(tau)."""
+        """K R(tau_b) for each base tau_b into out, shape (bases, sectors, 4, 4),
+        with R(tau_b) the rotation T(tau_b + s) = R(tau_b) T(s)."""
         # sectors last, so that every elementwise loop runs along them:
         # T as (4, bases, sectors) and K R as (4, 4, bases, sectors)
         t = np.ascontiguousarray(np.moveaxis(self.basis(bases), 0, -1))
@@ -185,42 +188,44 @@ class SectorTable:
     def series(self, times) -> StateSeries:
         """The five X-state columns at each time, evaluated block by block.
 
-        A linspace grid (bit for bit, >= 2 points) shares T(j * step) across
-        its blocks, each rotated to its first time, _CHUNK bases per rotation
-        call into one reused buffer; other times are at base 0.
+        A linspace grid of times t (bit for bit, >= 2 points; lam t is not
+        one) shares T(j * lam * step) across its blocks, each rotated to its
+        first tau, _CHUNK bases per rotation call into one reused buffer;
+        other times are at base 0.
         """
         times = np.atleast_1d(np.asarray(times, dtype=float))
+        tau = self.lam * times
         pops = np.empty((4, times.size))
         rho23 = np.empty(times.size, dtype=complex)
         uniform = times.size >= 2 and np.array_equal(
             times, np.linspace(times[0], times[-1], times.size))
         if uniform:
-            step = (times[-1] - times[0]) / (times.size - 1)
+            step = self.lam * ((times[-1] - times[0]) / (times.size - 1))
             shared = self.basis(np.arange(min(_BLOCK, times.size)) * step)
             rotated = np.empty((_CHUNK, *self.coeffs.shape))
         for i, start in enumerate(range(0, times.size, _BLOCK)):
             block = slice(start, start + _BLOCK)
             if uniform and i % _CHUNK == 0:
-                bases = times[start : start + _CHUNK * _BLOCK : _BLOCK]
+                bases = tau[start : start + _CHUNK * _BLOCK : _BLOCK]
                 self._rotated(bases, out=rotated[: bases.size])
             kr, basis = ((rotated[i % _CHUNK], shared[..., : times[block].size])
-                         if uniform else (self.coeffs, self.basis(times[block])))
+                         if uniform else (self.coeffs, self.basis(tau[block])))
             pops[:, block], rho23[block] = self._evaluate(kr @ basis)
         return StateSeries(*pops, rho23)
 
     def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
         """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
-        which has the sign of Lambda. One product [K; K'] T(t) gives both:
+        which has the sign of Lambda. One product [K; K'] T(tau) gives both, d/dtau as
         rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c, c' = sum w (x2' x3 + x2 x3')."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        xs = self._coeffs_and_slopes @ self.basis(times)
+        xs = self._coeffs_and_slopes @ self.basis(self.lam * times)
         x, dx = xs[:, :4], xs[:, 4:]
         w = self.weights
         dc = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
         d11, d44 = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])
         pops, rho23 = self._evaluate(x)
         s = StateSeries(*pops, rho23)
-        return s, 2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44
+        return s, self.lam * (2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44)
 
 
 def two_qubit_states(

@@ -20,7 +20,7 @@ from .observables import separability
 
 _CROSSING_TOL = 1e-9
 _MAX_BISECT = 60
-_MIN_WIDTH = 1e-9
+_MIN_WIDTH = 1e-9   # in lam t
 _GRAZE_DEPTH = -1e-12
 
 
@@ -124,7 +124,7 @@ def esd_intervals(table: SectorTable, times: np.ndarray, lam: np.ndarray) -> lis
     intervals: list[EsdInterval] = []
     for i, j, depth in stretches:
         (t_death, refined_l), (t_birth, refined_r) = bound[i], bound[j + 1]
-        if t_birth - t_death >= _MIN_WIDTH:
+        if table.lam * (t_birth - t_death) >= _MIN_WIDTH:
             intervals.append(EsdInterval(t_death, t_birth, depth, refined_l and refined_r,
                                          open_left=i == 0, open_right=j == n_grid - 1))
     return intervals

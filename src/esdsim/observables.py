@@ -51,25 +51,26 @@ def separability(series: StateSeries) -> np.ndarray:
 def inversion_closed(params: ModelParams, field: ThermalField, t: float) -> float:
     """Closed-form inversion as a cosine series over sectors; needs k > 0.
 
-    The series coefficients use the rescaled sector splitting beta/k^2;
+    The series coefficients use the rescaled sector splitting beta/k^2, and
+    the frequencies, in units of lam, are evaluated at tau = lam t;
     term-by-term this reproduces the inversion column of observable_columns.
     The 1/k^2 prefactors make the expression singular at g = 0, so that
     case is rejected.
     """
-    k = params.k
+    k, tau = params.k, params.lam * t
     if k == 0.0:
         raise ValueError("closed-form inversion is singular at g = 0; use observable_columns")
     n = np.arange(field.nmax + 1)
-    f = sector_frequencies(params, n)
+    f = sector_frequencies(k, n)
     wp, wm = f.omega_plus, f.omega_minus
     bt = f.beta / k**2
     root = np.sqrt(n * (n + 1.0))
     bracket = (
         (1.0 + (4 * n + 3) * k**2) / (2.0 * k**2)
-        + ((1.0 - bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wp * t)
-        + ((1.0 + bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wm * t)
-        - (n + 1.0 - root) * np.cos((wp + wm) * t)
-        - (n + 1.0 + root) * np.cos((wp - wm) * t)
+        + ((1.0 - bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wp * tau)
+        + ((1.0 + bt) * k**2 - 1.0) / (4.0 * k**2) * np.cos(2.0 * wm * tau)
+        - (n + 1.0 - root) * np.cos((wp + wm) * tau)
+        - (n + 1.0 + root) * np.cos((wp - wm) * tau)
     )
     return float(1.0 - 2.0 / k**2 * np.sum(field.weights / bt**2 * bracket))
 

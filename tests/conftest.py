@@ -12,11 +12,11 @@ _PHASE = (1j, 1.0, -1j, 1.0)
 
 def amplitude_table(params, nmax: int, times):
     """Amplitude arrays C_j[n, it] for n = 0 .. nmax over a time grid, from
-    SectorTable's coefficient matrix at base 0: x = K T(t)."""
+    SectorTable's coefficient matrix at base 0: x = K T(lam t)."""
     times = np.asarray(times, dtype=float)
     field = ThermalField(nbar=0.0, epsilon=1.0, nmax=nmax, weights=np.ones(nmax + 1))
     table = SectorTable(params, field)
-    x = table.coeffs @ table.basis(times)
+    x = table.coeffs @ table.basis(params.lam * times)
     return tuple(np.asarray(phase * x[:, j], dtype=complex) for j, phase in enumerate(_PHASE))
 
 

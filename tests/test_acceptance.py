@@ -86,13 +86,12 @@ def test_criterion_02_sector_spectrum():
         for n in range(21):
             idx = sector_basis_indices(n, h.fock_cutoff)
             ev = np.sort(np.linalg.eigvalsh(h1[np.ix_(idx, idx)]))
-            f = sector_frequencies(params, n)
+            f = sector_frequencies(params.k, n)
+            wp, wm = params.lam * f.omega_plus, params.lam * f.omega_minus
             if n == 0:
-                expected = np.sort([-f.omega_plus, 0.0, f.omega_plus])
+                expected = np.sort([-wp, 0.0, wp])
             else:
-                expected = np.sort(
-                    [-f.omega_plus, -f.omega_minus, f.omega_minus, f.omega_plus]
-                )
+                expected = np.sort([-wp, -wm, wm, wp])
             worst = max(worst, np.abs(ev - expected).max())
     verdict(2, "sector spectrum", worst <= 1e-10, f"max dev {worst:.2e}")
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from esdsim import ModelParams, build_thermal, cli, dynamics, scan_esd
+from esdsim import ModelParams, build_thermal, cli, dynamics, scan_esd, sector_frequencies
 from esdsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -567,28 +570,32 @@ class TestMain:
     @pytest.mark.parametrize("flags,shown", [
         (["--lam", "1e200"], "lam = 1e+200"),
         (["--k", "1e200"], "k = 1e+200"),
-        (["--lam", "1e150", "--k", ".5", "--nbar", "1", "--t1", "2e-150"], "lam = 1e+150"),
-    ], ids=["lam", "k", "lam-t-small"])
+        (["--k", "1e80"], "k = 9.999999999999999e+79"),
+    ], ids=["lam", "k", "k-1e80"])
     def test_overflowing_coupling_exits_2(self, flags, shown, capsys):
-        # each crashed with exit 4: an OverflowError, or non-finite sector constants
+        # each crashed with exit 4: an OverflowError, or non-finite sector
+        # constants; they overflow omega_plus, so its phase exceeds the bound
         assert main(["run", *flags, "--steps", "3"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("esdsim: couplings too large: ")
+        assert captured.err.startswith("esdsim: phase omega_plus lam t = ")
+        assert "exceeds 9.01e+06" in captured.err
         assert shown in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("values,shown", [
-        ({"lambda": "1e-110", "k": "0.5"}, "couplings too small: lam = 1e-110, k = 0.5, "),
-        ({"lambda": "1e-200"}, "couplings too small: lam = 1e-200, k = 0.0, "),
-        ({"t1": "1e308"}, "time window [0.0, 1e+308] too wide: "),
+        ({"t1": "1e308"}, "phase omega_plus lam t = inf of sector 0 exceeds 9.01e+06: "
+                          "lam = 10.0, k = 0.0, time window [0.0, 1e+308]"),
+        ({"lambda": "1e5", "k": ".5", "nbar": "1", "t1": "1e3"},
+         "phase omega_plus lam t = 3.44e+08 of sector 33 exceeds 9.01e+06: "),
         ({"t0": "-9e307", "t1": "9e307"}, "time window [-9e+307, 9e+307] too wide: "),
         ({"lambda": "1e-5", "t0": "-1e308", "t1": "1e308"},
          "time window [-1e+308, 1e+308] too wide: "),
-    ], ids=["lam-k", "lam", "phase", "span", "span-small-lam"])
+    ], ids=["phase", "phase-lam-t", "span", "span-small-lam"])
     def test_underflowing_coupling_or_overflowing_window_exits_2(self, values, shown,
                                                                  tmp_path, capsys):
         # each exited 4 ("rho11 has a non-finite entry") after RuntimeWarnings,
-        # which the test configuration makes errors; now validate refuses them
+        # which the test configuration makes errors, or (phase-lam-t) exited 0
+        # with a phase whose rounding is 4e-8; now validate refuses them
         flags = [part for key, value in values.items() for part in (f"--{key}", value)]
         assert main(["run", *flags, "--steps", "5"]) == EXIT_USAGE
         captured = capsys.readouterr()
@@ -602,16 +609,27 @@ class TestMain:
         assert captured.err.count("\n") == 1 and captured.err.startswith(f"esdsim: edge: {shown}")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["edge.cfg"]
 
-    def test_smallest_normal_divisor_still_runs(self, tmp_path):
-        # at lam = 1e-102 sector 0's r omega_plus (~1e-306) is a normal float, and
-        # the run is the lam = 1 one on a time axis stretched 1e102-fold
-        small, unit = tmp_path / "small.csv", tmp_path / "unit.csv"
-        argv = ["run", "--k", "0.5", "--nbar", "1"]
-        assert main([*argv, "--lam", "1e-102", "--t1", "2e102", "-o", str(small)]) == EXIT_OK
-        assert main([*argv, "--lam", "1", "--t1", "2", "-o", str(unit)]) == EXIT_OK
-        (header, got), (_, want) = read_table(small), read_table(unit)
+    @pytest.mark.parametrize("argv,lam", [
+        (["--k", ".5", "--nbar", "1"], "1e150"),
+        (["--k", ".5", "--nbar", "1"], "1e-110"),
+        ([], "1e-200"),
+    ], ids=["lam-t-small", "lam-k", "lam"])
+    def test_scaled_lambda_runs_as_unit_lambda(self, argv, lam, tmp_path):
+        # the state depends on lam and t only through tau = lam t: each exited
+        # 2 ("couplings too large" or "too small") before the sector constants
+        # were built from k alone, and each is the lam = 1 run with tau <= 2
+        scaled, unit = tmp_path / "scaled.csv", tmp_path / "unit.csv"
+        t1 = repr(2.0 / float(lam))
+        assert main(["run", *argv, "--lam", lam, "--t1", t1, "-o", str(scaled)]) == EXIT_OK
+        assert main(["run", *argv, "--lam", "1", "--t1", "2", "-o", str(unit)]) == EXIT_OK
+        (header, got), (_, want) = read_table(scaled), read_table(unit)
         assert header[1] == "lambda_t"
         np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0, atol=1e-14)
+
+    def test_smallest_normal_divisor_still_runs(self, tmp_path):
+        # lam = 1e-102 ran before the sector constants were built from k alone
+        self.test_scaled_lambda_runs_as_unit_lambda(["--k", "0.5", "--nbar", "1"], "1e-102",
+                                                    tmp_path)
 
     @pytest.mark.parametrize("t0", ["-1e-3", "-1E-3", "-1.0e-3"])
     def test_negative_exponent_values_are_values(self, t0, capsys):
@@ -863,3 +881,48 @@ class TestMain:
         assert (tmp_path / "fig1a.csv").exists()
         assert (tmp_path / "fig2a.csv").exists()
         assert len(out.read_text().splitlines()) == 3
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestCouplingDomain:
+    """Every lam, k and window length either runs, as the lam = 1 run with the
+    same tau = lam t, or is refused with one line."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        log_lam=st.floats(-300.0, 300.0),
+        k=st.one_of(st.just(0.0), st.floats(-8.0, 80.0).map(lambda e: 10.0**e)),
+        tau1=st.floats(0.0, 1e8, exclude_min=True),
+        nbar=st.floats(0.0, 2.0),
+    )
+    # k^4 overflowed in omega_minus while omega_plus, and so the phase, stayed
+    # finite: exit 4, "rho11 has a non-finite entry"
+    @example(log_lam=0.0, k=3e76, tau1=1e-72, nbar=1.0)
+    def test_runs_as_unit_lambda_or_exits_2(self, log_lam, k, tau1, nbar):
+        lam = 10.0**log_lam
+        argv = ["run", "--k", repr(k), "--nbar", repr(nbar), "--steps", "5"]
+        oracle = ["--oracle-check"] if nbar <= 1 else []
+        code, out, err = run_main([*argv, "--lam", repr(lam), "--t1", repr(tau1 / lam), *oracle])
+        assert code in (EXIT_OK, EXIT_USAGE), err
+        if code == EXIT_USAGE:
+            assert out == "" and err.startswith("esdsim: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+            return
+        assert err == ""
+        unit_code, unit_out, _ = run_main([*argv, "--lam", "1", "--t1", repr(tau1)])
+        assert unit_code == EXIT_OK
+        rows = lambda text: np.array([[float(x) for x in line.split(",")]  # noqa: E731
+                                      for line in text.splitlines()[1:] if line[0] != "#"])
+        got, want = rows(out), rows(unit_out)
+        omega = sector_frequencies(k, build_thermal(nbar).nmax).omega_plus
+        bound = 4 * omega * np.spacing(tau1) + 8 * np.spacing(1.0)
+        assert np.abs(got[:, 2:] - want[:, 2:]).max() <= bound
+        if oracle:
+            assert "# oracle_max_deviation," in out and out.endswith(",pass\n")

@@ -101,30 +101,31 @@ class TestModelParams:
 
 
 class TestSectorFrequencies:
+    """sector_frequencies(k, n) is in units of lam; lam times it is compared."""
+
     def test_n0_weak_coupling(self):
-        f = sector_frequencies(ModelParams.from_k(10.0, 0.1), 0)
+        f = sector_frequencies(0.1, 0)
         assert f.omega_minus == 0.0
-        assert f.omega_plus == pytest.approx(10.0 * np.sqrt(1.01), rel=1e-14)
+        assert 10.0 * f.omega_plus == pytest.approx(10.0 * np.sqrt(1.01), rel=1e-14)
 
     def test_decoupled_field(self):
-        p = ModelParams(lam=10.0, g=0.0)
         for n in [0, 1, 7]:
-            f = sector_frequencies(p, n)
-            assert f.omega_plus == pytest.approx(10.0, rel=1e-14)
-            assert f.omega_minus == pytest.approx(0.0, abs=1e-12)
-            assert f.r == pytest.approx(100.0, rel=1e-14)
+            f = sector_frequencies(0.0, n)
+            assert 10.0 * f.omega_plus == pytest.approx(10.0, rel=1e-14)
+            assert 10.0 * f.omega_minus == pytest.approx(0.0, abs=1e-12)
+            assert 10.0**2 * f.beta == pytest.approx(100.0, rel=1e-14)
 
     def test_beta_value_example(self):
-        f = sector_frequencies(ModelParams.from_k(10.0, 0.5), 1)
+        f = sector_frequencies(0.5, 1)
         assert f.beta == pytest.approx(np.sqrt(1.25**2 + 1.0), rel=1e-14)
 
     def test_matches_sector_spectrum(self):
         p = ModelParams.from_k(10.0, 0.5)
         for n in [1, 2, 5]:
-            f = sector_frequencies(p, n)
+            f = sector_frequencies(p.k, n)
+            wp, wm = p.lam * f.omega_plus, p.lam * f.omega_minus
             ev = np.sort(np.linalg.eigvalsh(sector_hamiltonian(p, n)))
-            expected = np.sort([-f.omega_plus, -f.omega_minus, f.omega_minus, f.omega_plus])
-            assert np.allclose(ev, expected, atol=1e-10)
+            assert np.allclose(ev, np.sort([-wp, -wm, wm, wp]), atol=1e-10)
 
     @pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 0.5])
     @pytest.mark.parametrize("n", [1, 10, 10**4])
@@ -136,27 +137,27 @@ class TestSectorFrequencies:
             alpha = 1 + (2 * n + 1) * k2
             beta = mpmath.sqrt((1 + k2) ** 2 + 4 * n * k2)
             want = mpmath.mpf(p.lam) / mpmath.sqrt(2) * mpmath.sqrt(alpha - beta)
-            got = mpmath.mpf(float(sector_frequencies(p, n).omega_minus))
+            got = mpmath.mpf(p.lam) * mpmath.mpf(float(sector_frequencies(p.k, n).omega_minus))
             assert abs(got - want) / want <= 1e-14
 
     def test_array_of_sectors_matches_scalars(self):
-        p = ModelParams.from_k(10.0, 0.3)
         n = np.arange(40)
-        f = sector_frequencies(p, n)
+        f = sector_frequencies(0.3, n)
         for m in n:
-            g = sector_frequencies(p, int(m))
-            assert (f.omega_plus[m], f.omega_minus[m], f.r[m]) == (
-                g.omega_plus, g.omega_minus, g.r)
+            g = sector_frequencies(0.3, int(m))
+            assert (f.omega_plus[m], f.omega_minus[m], f.beta[m]) == (
+                g.omega_plus, g.omega_minus, g.beta)
 
     @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n", [0, 1, 3, 10, 100])
     def test_frequency_identities(self, k, n):
         p = ModelParams.from_k(10.0, k)
-        f = sector_frequencies(p, n)
+        f = sector_frequencies(p.k, n)
+        wp, wm = p.lam * f.omega_plus, p.lam * f.omega_minus
         lam2 = p.lam**2
-        assert f.omega_plus >= f.omega_minus >= 0
-        assert f.omega_plus**2 + f.omega_minus**2 == pytest.approx(lam2 * f.alpha, rel=1e-12)
-        assert f.omega_plus**2 * f.omega_minus**2 == pytest.approx(
+        assert wp >= wm >= 0
+        assert wp**2 + wm**2 == pytest.approx(lam2 * f.alpha, rel=1e-12)
+        assert wp**2 * wm**2 == pytest.approx(
             ((lam2 * f.alpha) ** 2 - (lam2 * f.beta) ** 2) / 4, rel=1e-12, abs=1e-9
         )
 
@@ -285,6 +286,19 @@ class TestTwoQubitState:
         pointwise = np.array([table.series([t]).matrix()[0] for t in times])
         assert np.abs(series.matrix() - pointwise).max() <= 1e-15
 
+    def test_linspace_grid_shares_one_table(self, monkeypatch):
+        # the grid is tested on t: lam t is not bit for bit a linspace, and a
+        # test on it would send every block down the pointwise path
+        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(1.0))
+        times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 100)
+        tau = table.lam * times
+        assert not np.array_equal(tau, np.linspace(tau[0], tau[-1], tau.size))
+        calls, basis = [], table.basis
+        monkeypatch.setattr(table, "basis", lambda tau: calls.append(np.size(tau)) or basis(tau))
+        table.series(times)
+        # the shared table, then one rotation call per chunk of _CHUNK blocks
+        assert calls == [_BLOCK, _CHUNK, 1]
+
     def test_working_memory_does_not_grow_with_the_grid(self):
         table = SectorTable(ModelParams.from_k(10.0, 0.1), build_thermal(10.0))
 
@@ -308,13 +322,13 @@ class TestTwoQubitState:
         bases = np.linspace(0.0, 40.0, _CHUNK + 3)
         kc, ks = table.coeffs[..., 0::2], table.coeffs[..., 1::2]
 
-        def one_base(t_b):
-            # K R(t_b) column pairs (kc c + ks s, ks c - kc s) from T(t_b) alone
-            t = table.basis(np.array(t_b))[:, None, :]
+        def one_base(tau_b):
+            # K R(tau_b) column pairs (kc c + ks s, ks c - kc s) from T(tau_b) alone
+            t = table.basis(np.array(tau_b))[:, None, :]
             c, s = t[..., 0::2], t[..., 1::2]
             return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(kc.shape[0], 4, 4)
 
-        want = np.stack([one_base(t_b) for t_b in bases])
+        want = np.stack([one_base(tau_b) for tau_b in bases])
         single = np.stack([table._rotated(bases[i : i + 1], np.empty_like(want[:1]))[0]
                            for i in range(bases.size)])
         batched = table._rotated(bases, np.empty_like(want))
@@ -408,7 +422,7 @@ class TestTimePaths:
         times = np.linspace(0.0, t1, steps)
         grid = table.series(times).matrix()
         pointwise = np.array([table.series(np.array([t])).matrix()[0] for t in times])
-        # the paths round the phases differently, by up to ulp(t1) in time,
+        # the paths round the phases differently, by up to ulp(lam t1) in tau,
         # and round sums of entries of size <= 1 in different orders
-        bound = 4 * table.freqs.omega_plus.max() * np.spacing(t1) + 8 * np.spacing(1.0)
+        bound = 4 * table.freqs.omega_plus.max() * np.spacing(table.lam * t1) + 8 * np.spacing(1.0)
         assert np.abs(grid - pointwise).max() <= bound

@@ -49,7 +49,7 @@ def reference_scan(params, field, t0, t1, n_grid):
             j += 1
         t_death = t0 if i == 0 else bisect(times[i - 1], times[i], lam[i - 1])
         t_birth = t1 if j == n_grid - 1 else bisect(times[j], times[j + 1], lam[j])
-        if t_birth - t_death >= 1e-9 and min(lam[i : j + 1]) < -1e-12:
+        if params.lam * (t_birth - t_death) >= 1e-9 and min(lam[i : j + 1]) < -1e-12:
             intervals.append((t_death, t_birth))
         i = j + 1
     return intervals
@@ -152,6 +152,16 @@ class TestScanEsd:
             raise AssertionError("refinement evaluated")
         monkeypatch.setattr(SectorTable, "series_and_slope", fail)
         assert scan_esd(ModelParams(lam=10.0, g=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
+
+    def test_width_floor_is_in_lam_t(self):
+        # the intervals are ~0.3 to 1.5 wide in lam t; at lam = 1e9 a floor
+        # of 1e-9 in t dropped the two that are ~3.3e-10 wide there
+        f = build_thermal(1.0)
+        unit = scan_esd(ModelParams.from_k(1.0, 0.5), f, 0.0, 6.0, 200)
+        fast = scan_esd(ModelParams.from_k(1e9, 0.5), f, 0.0, 6e-9, 200)
+        assert len(unit) == len(fast) == 3
+        ends = lambda ivs: np.array([(iv.t_death, iv.t_birth) for iv in ivs])  # noqa: E731
+        np.testing.assert_allclose(1e9 * ends(fast), ends(unit), rtol=0, atol=1e-14)
 
     def test_negative_at_both_window_ends(self):
         p = ModelParams.from_k(10.0, 0.5)

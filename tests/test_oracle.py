@@ -194,13 +194,12 @@ class TestHamiltonian:
             idx = sector_basis_indices(n, h.fock_cutoff)
             block = h1[np.ix_(idx, idx)]
             ev = np.sort(np.linalg.eigvalsh(block))
-            f = sector_frequencies(p, n)
+            f = sector_frequencies(p.k, n)
+            wp, wm = p.lam * f.omega_plus, p.lam * f.omega_minus
             if n == 0:
-                expected = np.sort([-f.omega_plus, 0.0, f.omega_plus])
+                expected = np.sort([-wp, 0.0, wp])
             else:
-                expected = np.sort(
-                    [-f.omega_plus, -f.omega_minus, f.omega_minus, f.omega_plus]
-                )
+                expected = np.sort([-wp, -wm, wm, wp])
             assert np.abs(ev - expected).max() < 1e-10
 
     def test_cutoff_check(self, weak_setup):
