@@ -14,15 +14,18 @@ T(tau) = (cos w+ tau, sin w+ tau, cos w- tau, sin w- tau) to the four real
 factors of the propagator column. Times go in blocks of a base tau_b plus
 offsets s, evaluated as X = (K R(tau_b)) T(s) with R(tau_b) the
 angle-addition rotation. A linspace grid shares one table T(j * step)
-across its blocks and needs trig only at the blocks' bases; K R(tau_b) is
-computed for a chunk of bases at a time, in one vectorised call. Any other
-times are at base 0, where R = I. Root refinement also needs the slope:
-T'(tau) = D T(tau), so K' = K D maps the same T(tau) to the factors'
-tau-derivatives, and d/dt = lam d/dtau.
+across its blocks. linspace_trig builds it from about 2 sqrt(_BLOCK) libm
+points per sector and frequency, every other entry one angle addition;
+past that table the grid needs trig only at the blocks' bases, and
+K R(tau_b) is computed for a chunk of bases at a time, in one vectorised
+call. Any other times are at base 0, where R = I. Root refinement also
+needs the slope: T'(tau) = D T(tau), so K' = K D maps the same T(tau) to
+the factors' tau-derivatives, and d/dt = lam d/dtau.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,11 @@ _POSITIVITY_TOL = 1e-10
 # (bases x sectors x 4 x 4) buffer: half a block's factors, whatever the grid
 _BLOCK = 128
 _CHUNK = _BLOCK // 8
+# sectors per linspace_trig call for the shared table: each call's
+# (times x sectors) arrays, transposed into the (sectors, 4, times) table,
+# stay a few hundred KB, where one call over the 23,038 sectors of
+# nbar = 1000 raised that run's peak RSS by ~57 MB
+_SECTORS = 256
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,8 @@ def sector_frequencies(k, n) -> SectorFrequencies:
     a = k * np.sqrt(n)
     b = k * np.sqrt(n + 1)
     alpha = 1.0 + (2 * n + 1) * k**2
-    beta = np.sqrt((1.0 + k**2) ** 2 + 4.0 * n * k**2)
+    # the 4 n k^2 term only where n > 0: 0 * k^2 is nan once k^2 overflows
+    beta = np.sqrt((1.0 + k**2) ** 2 + 4.0 * n * np.where(np.asarray(n) > 0, k**2, 0.0))
     omega_plus = np.sqrt(0.5 * (alpha + beta))
     # alpha - beta = (alpha^2 - beta^2) / (alpha + beta) without the
     # cancellation, which loses every digit once k^2 n is below rounding;
@@ -115,6 +124,45 @@ def sector_frequencies(k, n) -> SectorFrequencies:
     return SectorFrequencies(
         a=a, b=b, alpha=alpha, beta=beta, omega_plus=omega_plus, omega_minus=omega_minus,
     )
+
+
+def linspace_step(times: np.ndarray) -> float | None:
+    """The step of times when they are np.linspace(times[0], times[-1],
+    times.size) bit for bit, with at least two points; else None."""
+    if times.size >= 2 and np.array_equal(times, np.linspace(times[0], times[-1], times.size)):
+        return (times[-1] - times[0]) / (times.size - 1)
+    return None
+
+
+def linspace_trig(freq, t0: float, dt: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of freq * (t0 + j dt) for j < count, each of shape
+    (count, *freq.shape).
+
+    libm runs only at the r = ceil(sqrt(count)) offsets j dt (j < r) and at
+    the ceil(count / r) bases t0 + a r dt; the point a r + j is one angle
+    addition of base a and offset j, each product rounded before the sum.
+    At count <= 3 that would take more libm points than the grid has, so
+    those points take libm directly.
+    """
+    freq = np.asarray(freq, dtype=float)
+    if count <= 3:
+        x = np.multiply.outer(t0 + np.arange(count) * dt, freq)
+        return np.cos(x), np.sin(x)
+    r = math.isqrt(count - 1) + 1
+    x = np.multiply.outer(np.arange(r) * dt, freq)
+    c_off, s_off = np.cos(x), np.sin(x)
+    x = np.multiply.outer(t0 + np.arange(0, count, r) * dt, freq)[:, None]
+    c_base, s_base = np.cos(x), np.sin(x)
+    # (bases, offsets, *freq.shape): the last base runs through all r
+    # offsets, and what is returned stops at count
+    shape = (x.shape[0], r, *freq.shape)
+    cos, sin, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
+    # cos(b + o) = cb co - sb so and sin(b + o) = sb co + cb so
+    np.multiply(c_base, c_off, out=cos)
+    cos -= np.multiply(s_base, s_off, out=tmp)
+    np.multiply(s_base, c_off, out=sin)
+    sin += np.multiply(c_base, s_off, out=tmp)
+    return cos.reshape(-1, *freq.shape)[:count], sin.reshape(-1, *freq.shape)[:count]
 
 
 class SectorTable:
@@ -157,6 +205,17 @@ class SectorTable:
         xm = np.multiply.outer(self.freqs.omega_minus, tau)
         return np.stack((np.cos(xp), np.sin(xp), np.cos(xm), np.sin(xm)), axis=1)
 
+    def _linspace_basis(self, step: float, m: int) -> np.ndarray:
+        """T(j * step) for j < m, shape (sectors, 4, m), from linspace_trig,
+        _SECTORS sectors per call."""
+        out = np.empty((self.coeffs.shape[0], 4, m))
+        for j, w in enumerate((self.freqs.omega_plus, self.freqs.omega_minus)):
+            for lo in range(0, w.size, _SECTORS):
+                c, s = linspace_trig(w[lo : lo + _SECTORS], 0.0, step, m)
+                part = out[lo : lo + _SECTORS]
+                part[:, 2 * j], part[:, 2 * j + 1] = c.T, s.T
+        return out
+
     def _rotated(self, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
         """K R(tau_b) for each base tau_b into out, shape (bases, sectors, 4, 4),
         with R(tau_b) the rotation T(tau_b + s) = R(tau_b) T(s)."""
@@ -189,7 +248,8 @@ class SectorTable:
         """The five X-state columns at each time, evaluated block by block.
 
         A linspace grid of times t (bit for bit, >= 2 points; lam t is not
-        one) shares T(j * lam * step) across its blocks, each rotated to its
+        one) shares T(j * lam * step) across its blocks, built by
+        linspace_trig _SECTORS sectors at a time, each block rotated to its
         first tau, _CHUNK bases per rotation call into one reused buffer;
         other times are at base 0.
         """
@@ -197,11 +257,10 @@ class SectorTable:
         tau = self.lam * times
         pops = np.empty((4, times.size))
         rho23 = np.empty(times.size, dtype=complex)
-        uniform = times.size >= 2 and np.array_equal(
-            times, np.linspace(times[0], times[-1], times.size))
+        dt = linspace_step(times)
+        uniform = dt is not None
         if uniform:
-            step = self.lam * ((times[-1] - times[0]) / (times.size - 1))
-            shared = self.basis(np.arange(min(_BLOCK, times.size)) * step)
+            shared = self._linspace_basis(self.lam * dt, min(_BLOCK, times.size))
             rotated = np.empty((_CHUNK, *self.coeffs.shape))
         for i, start in enumerate(range(0, times.size, _BLOCK)):
             block = slice(start, start + _BLOCK)

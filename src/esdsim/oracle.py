@@ -27,7 +27,11 @@ The reduction to the two qubits reads those stacks directly: its kernels
 vanish between two blocks of B, so they are built per block shape in a
 fixed number of batched calls, and every entry is one product of the pair
 products of the blocks' cos and sin columns with the stacked kernels, per
-block shape and block of times.
+block shape and block of times. On a linspace of times, each block of
+times takes its cos and sin columns from dynamics.linspace_trig, by angle
+addition from about 2 sqrt(rows) libm points per column; other times take
+libm at every point. linspace_trig sees only frequencies and times, never a
+sector, so the validator stays independent of the sector structure.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import StateSeries
+from .dynamics import StateSeries, linspace_step, linspace_trig
 from .model import ModelParams, ThermalField
 
 _OFF_X_TOL = 1e-8
@@ -225,6 +229,7 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
     start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
     j, m = np.triu_indices(4)
     same = s1[j] == s1[m]
+    dt = linspace_step(times)
     upper = np.zeros((times.size, j.size))
     for rows, sigma, wb in h.eigensystem():
         nb, _, c = wb.shape
@@ -253,12 +258,15 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
         k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
         step = max(1, _CELLS // (3 * nb * c * c))
         for b in range(0, times.size, step):
-            angle = times[b : b + step, None, None] * sigma.T   # (times, c, nb)
-            cos, sin = np.cos(angle), np.sin(angle)
-            pair = np.empty((len(angle), 3, c, c, nb))
+            if dt is None:
+                angle = times[b : b + step, None, None] * sigma.T
+                cos, sin = np.cos(angle), np.sin(angle)
+            else:
+                cos, sin = linspace_trig(sigma.T, times[b], dt, min(step, times.size - b))
+            pair = np.empty((len(cos), 3, c, c, nb))   # cos, sin: (times, c, nb)
             for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
                 np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
-            pair = pair.reshape(len(angle), -1)
+            pair = pair.reshape(len(cos), -1)
             upper[b : b + step, same] += pair[:, : len(k_same)] @ k_same
             upper[b : b + step, ~same] += pair[:, len(k_same) :] @ k_diff
     rho4 = np.empty((times.size, 4, 4), dtype=complex)
@@ -290,7 +298,10 @@ def reduced_two_qubit_series(
     share no row, so the kernels are taken block by block, blocks of one
     shape stacked. With s^T K_B c = c^T K_B^T s, the pair products c_a c_a',
     s_a s_a' and c_a s_a' of a block's columns, in blocks of times of at most
-    _CELLS cells, times the stacked kernels give every entry.
+    _CELLS cells, times the stacked kernels give every entry. When times are
+    a linspace, each block of times takes c and s from linspace_trig, by
+    angle addition; the table it builds is per block, never for the whole
+    grid.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(

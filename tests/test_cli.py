@@ -574,11 +574,14 @@ class TestMain:
     ], ids=["lam", "k", "k-1e80"])
     def test_overflowing_coupling_exits_2(self, flags, shown, capsys):
         # each crashed with exit 4: an OverflowError, or non-finite sector
-        # constants; they overflow omega_plus, so its phase exceeds the bound
+        # constants; they overflow omega_plus, so its phase exceeds the bound.
+        # At k = 1e200 the n = 0 term 4 n k^2 of beta was 0 * inf, and the
+        # phase read nan where omega_plus is infinite
         assert main(["run", *flags, "--steps", "3"]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("esdsim: phase omega_plus lam t = ")
+        assert "nan" not in captured.err
         assert "exceeds 9.01e+06" in captured.err
         assert shown in captured.err and captured.err.count("\n") == 1
 

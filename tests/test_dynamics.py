@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim.cli import preset_config
-from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable
+from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable, linspace_trig
 from esdsim.observables import separability
 
 
@@ -293,11 +294,15 @@ class TestTwoQubitState:
         times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 100)
         tau = table.lam * times
         assert not np.array_equal(tau, np.linspace(tau[0], tau[-1], tau.size))
-        calls, basis = [], table.basis
-        monkeypatch.setattr(table, "basis", lambda tau: calls.append(np.size(tau)) or basis(tau))
+        points, cos = [], np.cos
+        monkeypatch.setattr(np, "cos", lambda x, **kw: points.append(np.size(x)) or cos(x, **kw))
         table.series(times)
-        # the shared table, then one rotation call per chunk of _CHUNK blocks
-        assert calls == [_BLOCK, _CHUNK, 1]
+        # libm points per sector and frequency: at most 2 ceil(sqrt(_BLOCK))
+        # for the shared table, then one per block base; the pointwise path
+        # would take one per time
+        blocks = -(-times.size // _BLOCK)
+        per_sector = sum(points) / (2 * table.coeffs.shape[0])
+        assert per_sector <= 2 * math.ceil(math.sqrt(_BLOCK)) + blocks < times.size / 10
 
     def test_working_memory_does_not_grow_with_the_grid(self):
         table = SectorTable(ModelParams.from_k(10.0, 0.1), build_thermal(10.0))
@@ -400,9 +405,45 @@ class TestSlope:
         assert np.abs(series.matrix() - table.series(times).matrix()).max() <= 1e-15
 
 
+class TestLinspaceTrig:
+    """linspace_trig against libm on the same linspace."""
+
+    FREQS = np.array([[0.0, 0.3, 1.0], [7.5, 40.0, 82.5]])
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 16, 17, 100, 128, 2000])
+    @pytest.mark.parametrize("t0", [0.0, -3.7, 1e3])
+    def test_matches_libm(self, count, t0):
+        times = np.linspace(t0, t0 + 40.0, count)
+        dt = (times[-1] - times[0]) / (count - 1) if count > 1 else 0.0
+        cos, sin = linspace_trig(self.FREQS, t0, dt, count)
+        assert cos.shape == sin.shape == (count, *self.FREQS.shape)
+        x = np.multiply.outer(times, self.FREQS)
+        # the point a r + j has the phase freq (t0 + a r dt) + freq (j dt),
+        # rounded otherwise than freq t, by a few ulp of freq max|t|; the
+        # angle addition rounds four table entries, two products and a sum
+        bound = 4 * np.spacing(self.FREQS * np.abs(times).max()) + 4 * np.spacing(1.0)
+        assert (np.abs(cos - np.cos(x)) <= bound).all()
+        assert (np.abs(sin - np.sin(x)) <= bound).all()
+
+    def test_zero_frequency_is_exact(self):
+        cos, sin = linspace_trig(np.zeros(2), -3.7, 0.1, 100)
+        assert (cos == 1.0).all() and (sin == 0.0).all()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 17, 128])
+    def test_libm_points(self, count, monkeypatch):
+        # r offsets and ceil(count / r) bases, never more than the grid's
+        # points; at count <= 3 one per point
+        points, cos = [], np.cos
+        monkeypatch.setattr(np, "cos", lambda x, **kw: points.append(np.size(x)) or cos(x, **kw))
+        linspace_trig(np.ones(5), 0.0, 0.1, count)
+        r = math.ceil(math.sqrt(count))
+        want = count if count <= 3 else r + math.ceil(count / r)
+        assert sum(points) == 5 * want <= 5 * count
+
+
 class TestTimePaths:
-    """A linspace grid (shared rotated table) against the same times one at a
-    time (direct trig at base 0)."""
+    """A linspace grid (shared table by angle addition, rotated per block)
+    against the same times one at a time (direct trig at base 0)."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(

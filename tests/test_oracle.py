@@ -413,6 +413,24 @@ class TestBlockKernels:
         at = [0, rows // 2, rows]
         assert np.abs(rho[at] - expm_reference(driven, field, times[at])).max() <= 1e-12
 
+    @pytest.mark.parametrize("case", ["driven", "k=0.3"])
+    def test_linspace_matches_one_time_at_a_time(self, case, weak_setup):
+        # a linspace takes cos and sin by angle addition per block of times,
+        # one time alone takes libm; the driven H crosses time blocks
+        params, field, h = weak_setup
+        if case == "driven":
+            h = driven_hamiltonian(params, h)
+        else:
+            field = build_thermal(3.0)
+            h = build_hamiltonians(ModelParams.from_k(10.0, 0.3), field.nmax + 2)
+        times = np.linspace(-1.0, 4.0, 120)
+        rho = oracle._reduce(h, field, times)
+        one_by_one = np.concatenate([oracle._reduce(h, field, times[i : i + 1])
+                                     for i in range(times.size)])
+        sigma = max(sigma.max() for _, sigma, _ in h.eigensystem())
+        bound = 4 * np.spacing(sigma * np.abs(times).max()) + 8 * np.spacing(1.0)
+        assert np.abs(rho - one_by_one).max() <= bound
+
 
 def traced_peak(nbar, steps):
     """(h, traced peak bytes) of building H and reducing it over `steps`
@@ -445,6 +463,14 @@ def test_memory_below_a_tenth_of_one_dense_w():
     h, peak = traced_peak(100.0, 200)
     assert h.dim == 9268
     assert peak < h.dim * (h.dim // 2) * 8 / 10
+
+
+def test_trig_is_taken_per_block_of_times():
+    # nbar = 20 (dim 1,896) over 2,000 times: cos and sin of sigma t are
+    # taken per block of times, so the peak stays below one whole-grid table
+    # of cos alone, 2,000 x dim/2 doubles (15.2 MB)
+    h, peak = traced_peak(20.0, 2000)
+    assert peak < 2000 * (h.dim // 2) * 8
 
 
 class TestEvolve:
