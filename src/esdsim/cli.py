@@ -81,8 +81,7 @@ class RunConfig:
 
     lam: float = _option(10.0, float, "--lam", "--lambda", key="lambda",
                          help="qubit-qubit coupling (default 10.0)")
-    k: float | None = _option(None, float, "--k", help="coupling ratio g/lambda")
-    g: float | None = _option(None, float, "--g", help="qubit2-field coupling")
+    k: float = _option(0.0, float, "--k", help="coupling ratio g/lambda (default 0.0)")
     nbar: float = _option(0.0, float, "--nbar", help="mean thermal photon number")
     epsilon: float = _option(1e-10, float, "--epsilon",
                              help="thermal truncation tolerance (default 1e-10)")
@@ -110,11 +109,9 @@ class RunConfig:
     def validate(self) -> RunConfig:
         """self if it can run, else a UsageError (FileNotFoundError if the
         output directory does not exist)."""
-        if self.k is not None and self.g is not None:
-            raise UsageError("give either k or g, not both")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.metadata["parse"] is float and value is not None and not math.isfinite(value):
+            if f.metadata["parse"] is float and not math.isfinite(value):
                 raise UsageError(f"{f.name} must be finite, got {value}")
         if not self.t0 < self.t1:
             raise UsageError(f"need t0 < t1, got [{self.t0}, {self.t1}]")
@@ -130,26 +127,25 @@ class RunConfig:
         if self.output_format not in ("csv", "json"):
             raise UsageError(f"output format must be csv or json, got {self.output_format}")
         try:
-            _check_numbers(self.params(), build_thermal(self.nbar, self.epsilon).nmax,
-                           self.t0, self.t1)
+            nmax = build_thermal(self.nbar, self.epsilon).nmax
+            _check_numbers(self.params(), nmax, self.t0, self.t1)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        # the validator builds H in physical units at Fock cutoff nmax + 2; its
+        # largest row sum bounds its entries and singular values
+        row_sum = self.lam + self.params().g * math.sqrt(nmax + 2)
+        if self.oracle_check and not math.isfinite(row_sum):
+            raise UsageError(f"oracle check: row sum lam + g sqrt({nmax + 2}) of the validator's "
+                             f"H overflows, g = k lam: lam = {self.lam}, k = {self.k}")
         _check_output(self.output_path)
         return self
 
     def params(self) -> ModelParams:
-        if self.g is not None:
-            return ModelParams(lam=self.lam, g=self.g)
-        k = self.k if self.k is not None else 0.0
-        return ModelParams.from_k(lam=self.lam, k=k)
+        return ModelParams(lam=self.lam, k=self.k)
 
     def resolved(self) -> dict:
-        """Fully materialized config for provenance output."""
-        d = asdict(self)
-        d["g"] = self.params().g
-        d["k"] = self.params().k
-        d["observables"] = list(self.observables)
-        return d
+        """The inputs, for provenance output."""
+        return {**asdict(self), "observables": list(self.observables)}
 
 
 def _check_numbers(params: ModelParams, nmax: int, t0: float, t1: float):
@@ -252,7 +248,7 @@ def _grid(config: RunConfig) -> tuple:
 def _physics(config: RunConfig) -> tuple:
     """What fixes a run's evaluation, its grid first; runs with equal keys
     share one."""
-    floats = (config.params().g, config.nbar, config.epsilon)
+    floats = (config.k, config.nbar, config.epsilon)
     return (*_grid(config), *(float(x).hex() for x in floats),
             config.detect_events, config.oracle_check)
 
@@ -498,16 +494,10 @@ def _read_config_file(path: str) -> dict:
 
 def load_config(preset: str | None = None, path: str | None = None,
                 flags: dict | None = None) -> RunConfig:
-    """Defaults, then a preset, then a config file, then flag values by field.
-
-    Each layer overrides the fields it sets. k and g are one choice: a layer
-    that sets one clears the other, and one that sets both fails validate().
-    """
+    """Defaults, then a preset, then a config file, then flag values by
+    field; each layer overrides the fields it sets."""
     cfg = preset_config(preset) if preset else RunConfig()
-    for layer in (_read_config_file(path) if path else {}, flags or {}):
-        cleared = {"g": None} if "k" in layer else {"k": None} if "g" in layer else {}
-        cfg = replace(cfg, **{**cleared, **layer})
-    return cfg
+    return replace(cfg, **{**(_read_config_file(path) if path else {}), **(flags or {})})
 
 
 def _config_from_args(args) -> RunConfig:

@@ -8,31 +8,29 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ModelParams:
     """Coupling constants of the two-qubit + single-mode model.
 
     lam    : qubit-qubit coupling (angular frequency units), > 0
-    g      : qubit2-field coupling, >= 0
+    k      : coupling ratio g / lam, >= 0; the engine is a function of k
+             and tau = lam t alone
     """
 
     lam: float
-    g: float
+    k: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and > 0, got {self.lam}")
-        if not (math.isfinite(self.g) and self.g >= 0):
-            raise ValueError(f"g must be finite and >= 0, got {self.g}")
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
     @property
-    def k(self) -> float:
-        """Dimensionless coupling ratio g / lam."""
-        return self.g / self.lam
-
-    @classmethod
-    def from_k(cls, lam: float, k: float) -> "ModelParams":
-        return cls(lam=lam, g=k * lam)
+    def g(self) -> float:
+        """Qubit2-field coupling k lam; only the validator's H uses it, and
+        it overflows where k lam does."""
+        return self.k * self.lam
 
 
 @dataclass(frozen=True)

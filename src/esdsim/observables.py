@@ -54,12 +54,12 @@ def inversion_closed(params: ModelParams, field: ThermalField, t: float) -> floa
     The series coefficients use the rescaled sector splitting beta/k^2, and
     the frequencies, in units of lam, are evaluated at tau = lam t;
     term-by-term this reproduces the inversion column of observable_columns.
-    The 1/k^2 prefactors make the expression singular at g = 0, so that
+    The 1/k^2 prefactors make the expression singular at k = 0, so that
     case is rejected.
     """
     k, tau = params.k, params.lam * t
     if k == 0.0:
-        raise ValueError("closed-form inversion is singular at g = 0; use observable_columns")
+        raise ValueError("closed-form inversion is singular at k = 0; use observable_columns")
     n = np.arange(field.nmax + 1)
     f = sector_frequencies(k, n)
     wp, wm = f.omega_plus, f.omega_minus

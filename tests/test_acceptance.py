@@ -44,7 +44,7 @@ def esd_runs():
     runs = {}
     for k in GRID_K:
         for nbar in GRID_NBAR:
-            params = ModelParams.from_k(LAM, k)
+            params = ModelParams(lam=LAM, k=k)
             field = build_thermal(nbar)
             columns = observable_columns(two_qubit_states(params, field, times))
             runs[(k, nbar)] = {
@@ -65,7 +65,7 @@ def test_criterion_01_oracle_equivalence():
     times = np.linspace(0.0, 20.0 / LAM, 200)
     for k in GRID_K:
         for nbar in GRID_NBAR:
-            params = ModelParams.from_k(LAM, k)
+            params = ModelParams(lam=LAM, k=k)
             field = build_thermal(nbar)
             h = build_hamiltonians(params, field.nmax + 2)
             oracle_states = reduced_two_qubit_series(h, field, times)
@@ -80,7 +80,7 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_sector_spectrum():
     worst = 0.0
     for k in GRID_K:
-        params = ModelParams.from_k(LAM, k)
+        params = ModelParams(lam=LAM, k=k)
         h = build_hamiltonians(params, 25)
         h1 = dense_h1(h)
         for n in range(21):
@@ -100,7 +100,7 @@ def test_criterion_03_per_sector_unitarity():
     times = np.linspace(0.0, 20.0 / LAM, 1000)
     worst = 0.0
     for k in GRID_K:
-        params = ModelParams.from_k(LAM, k)
+        params = ModelParams(lam=LAM, k=k)
         c1, c2, c3, c4 = amplitude_table(params, 200, times)
         norms = np.abs(c1) ** 2 + np.abs(c2) ** 2 + np.abs(c3) ** 2 + np.abs(c4) ** 2
         worst = max(worst, np.abs(norms - 1.0).max())
@@ -118,7 +118,7 @@ def test_criterion_05_inversion_cross_formula():
     worst = 0.0
     for k in GRID_K:
         for nbar in GRID_NBAR:
-            params = ModelParams.from_k(LAM, k)
+            params = ModelParams(lam=LAM, k=k)
             field = build_thermal(nbar)
             summed = observable_columns(two_qubit_states(params, field, times))["inversion"]
             for t, ws in zip(times, summed):
@@ -132,7 +132,7 @@ def test_criterion_06_entropy_identity():
     worst = 0.0
     checked = 0
     for k in GRID_K:
-        params = ModelParams.from_k(LAM, k)
+        params = ModelParams(lam=LAM, k=k)
         field = build_thermal(1.0, 1e-12)
         s = two_qubit_states(params, field, times)
         m = observable_columns(s)
@@ -145,7 +145,7 @@ def test_criterion_06_entropy_identity():
 
 
 def test_criterion_07_decoupled_baseline():
-    params = ModelParams(lam=LAM, g=0.0)
+    params = ModelParams(lam=LAM, k=0.0)
     field = build_thermal(0.0)
     times = np.linspace(0.0, 2.0, 2000)
     conc = observable_columns(two_qubit_states(params, field, times))["concurrence"]
@@ -191,7 +191,7 @@ def test_criterion_10_truncation_robustness():
     eps = 1e-8
     worst = 0.0
     for k in GRID_K:
-        params = ModelParams.from_k(LAM, k)
+        params = ModelParams(lam=LAM, k=k)
         base = build_thermal(1.0, eps)
         doubled = build_thermal(1.0, 0.5 ** (2 * base.nmax + 1))
         ma = observable_columns(two_qubit_states(params, base, times))

@@ -35,14 +35,14 @@ from esdsim.cli import (
 
 # a value for every RunConfig field, each unlike its default
 SAMPLES = {
-    "lam": 3.5, "k": 0.25, "g": 2.0, "nbar": 1.5, "epsilon": 1e-6, "t0": 0.5, "t1": 3.0,
+    "lam": 3.5, "k": 0.25, "nbar": 1.5, "epsilon": 1e-6, "t0": 0.5, "t1": 3.0,
     "steps": 17, "observables": ("lambda", "entropy"), "detect_events": True,
     "oracle_check": True, "output_format": "json", "output_path": "out.csv", "name": "custom",
 }
-CONFIG_KEYS = ["lambda", "k", "g", "nbar", "epsilon", "t0", "t1", "steps", "observables",
+CONFIG_KEYS = ["lambda", "k", "nbar", "epsilon", "t0", "t1", "steps", "observables",
                "detect_events", "oracle_check", "output_format", "output_path", "name"]
-RUN_OPTIONS = ["-h", "--help", "--preset", "--config", "--lam", "--lambda", "--k", "--g",
-               "--nbar", "--epsilon", "--t0", "--t1", "--steps", "--observables",
+RUN_OPTIONS = ["-h", "--help", "--preset", "--config", "--lam", "--lambda", "--k", "--nbar",
+               "--epsilon", "--t0", "--t1", "--steps", "--observables",
                "--detect-events", "--oracle-check", "--output-format", "-o", "--output"]
 SWEEP_OPTIONS = ["-h", "--help", "--jobs", "--output-dir", "-o", "--output"]
 FLAGS = [(f, flag) for f in fields(RunConfig) for flag in f.metadata["flags"]]
@@ -91,10 +91,6 @@ def read_table(path):
 class TestConfig:
     def test_defaults_valid(self):
         RunConfig().validate()
-
-    def test_k_and_g_exclusive(self):
-        with pytest.raises(UsageError):
-            RunConfig(k=0.1, g=1.0).validate()
 
     def test_bad_window(self):
         with pytest.raises(UsageError):
@@ -166,17 +162,6 @@ class TestSchema:
         cfg = load_config(path=str(path))
         assert cfg.detect_events is value and cfg.oracle_check is value
 
-    def test_file_g_replaces_preset_k_like_the_flag(self, tmp_path):
-        path = tmp_path / "g.cfg"
-        path.write_text("g = 1\n")
-        from_file = load_config("fig1a", str(path))
-        from_flag = _config_from_args(build_parser().parse_args(
-            ["run", "--preset", "fig1a", "--g", "1"]))
-        assert from_file.k is None and from_file.g == 1.0
-        assert from_file == from_flag
-        assert main(["run", "--preset", "fig1a", "--config", str(path),
-                     "--steps", "3", "-o", str(tmp_path / "out.csv")]) == EXIT_OK
-
     def test_layers_override_in_order(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("nbar = 3\nsteps = 40\n")
@@ -187,7 +172,7 @@ class TestSchema:
 class TestRun:
     def test_decoupled_concurrence_column(self, tmp_path):
         out = tmp_path / "out.csv"
-        cfg = RunConfig(g=0.0, k=None, nbar=0.0, steps=200, t1=2.0,
+        cfg = RunConfig(k=0.0, nbar=0.0, steps=200, t1=2.0,
                         observables=("concurrence",), output_path=str(out))
         assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         header, data = read_table(out)
@@ -230,7 +215,8 @@ class TestRun:
                         detect_events=True, output_path=str(out))
         assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         doc = json.loads(out.read_text())
-        assert doc["config"]["g"] == pytest.approx(1.0)
+        # the inputs only: k as given, no derived g
+        assert doc["config"]["k"] == 0.1 and "g" not in doc["config"]
         assert doc["config"]["epsilon"] == 1e-10
         assert len(doc["samples"]) == 10
         assert set(doc["samples"][0]) >= {"t", "lambda_t", "concurrence"}
@@ -242,7 +228,7 @@ class TestRun:
                         output_format="json", output_path=str(out))
         assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         events = json.loads(out.read_text())["events"]
-        intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        intervals = scan_esd(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert events and events == [asdict(iv) for iv in intervals]
         assert all(set(e) == {"t_death", "t_birth", "min_lambda", "refined",
                               "open_left", "open_right"} for e in events)
@@ -282,7 +268,7 @@ class TestRun:
                         observables=("lambda",), output_path=str(out))
         assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         rows = [l[2:].split(",") for l in out.read_text().splitlines()[402:]]
-        intervals = scan_esd(ModelParams.from_k(10.0, 0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        intervals = scan_esd(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert len(intervals) >= 1
         assert rows == [[f"{iv.t_death:.17g}", f"{iv.t_birth:.17g}", f"{iv.min_lambda:.17g}",
                          str(iv.refined).lower()] for iv in intervals]
@@ -381,11 +367,11 @@ class TestSharedPhysics:
 
     def test_presentation_shares_the_evaluation(self, tmp_path, monkeypatch):
         by_k = reduced("fig2a", tmp_path, observables=("lambda", "entropy"), name="by_k")
-        by_g = replace(by_k, k=None, g=5.0, output_format="json", name="by_g",
-                       output_path=str(tmp_path / "by_g.json"))
+        as_json = replace(by_k, output_format="json", name="as_json",
+                          output_path=str(tmp_path / "as_json.json"))
         calls = count_evaluations(monkeypatch)
-        assert sweep([by_k, by_g])[1] == EXIT_OK and calls == [0.5]
-        for cfg in (by_k, by_g):
+        assert sweep([by_k, as_json])[1] == EXIT_OK and calls == [0.5]
+        for cfg in (by_k, as_json):
             alone = replace(cfg, output_path=str(tmp_path / "alone"))
             assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
             swept = Path(cfg.output_path).read_text().replace(cfg.output_path, alone.output_path)
@@ -527,7 +513,7 @@ class TestMain:
         assert len(out) == 48
 
     def test_run_stdout(self, capsys):
-        code = main(["run", "--g", "0", "--nbar", "0", "--steps", "5",
+        code = main(["run", "--k", "0", "--nbar", "0", "--steps", "5",
                      "--observables", "concurrence"])
         assert code == EXIT_OK
         lines = capsys.readouterr().out.splitlines()
@@ -537,7 +523,7 @@ class TestMain:
             [f"{t:.17g}", f"{10.0 * t:.17g}"] for t in np.linspace(0.0, 2.0, 5).tolist()]
 
     def test_usage_error(self, capsys):
-        assert main(["run", "--k", "0.1", "--g", "1.0"]) == EXIT_USAGE
+        assert main(["run", "--observables", "lambda", "lambda"]) == EXIT_USAGE
 
     def test_run_at_large_nbar(self, capsys):
         # nbar^n / (1+nbar)^(n+1) overflowed past n ~ 280 at nbar = 12
@@ -558,7 +544,10 @@ class TestMain:
         assert main(["run", "--steps", "5", *flags]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("esdsim: ") and captured.err.count("\n") == 1
+        # the message names the value given: "--k -1" was refused as
+        # "g must be finite and >= 0, got -10.0"
+        assert captured.err.startswith(f"esdsim: {flags[0][2:]} must ")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("nbar", ["1e16", "1e300"])
     def test_nbar_whose_ratio_rounds_to_one_exits_2(self, nbar, capsys):
@@ -570,7 +559,7 @@ class TestMain:
     @pytest.mark.parametrize("flags,shown", [
         (["--lam", "1e200"], "lam = 1e+200"),
         (["--k", "1e200"], "k = 1e+200"),
-        (["--k", "1e80"], "k = 9.999999999999999e+79"),
+        (["--k", "1e80"], "k = 1e+80"),
     ], ids=["lam", "k", "k-1e80"])
     def test_overflowing_coupling_exits_2(self, flags, shown, capsys):
         # each crashed with exit 4: an OverflowError, or non-finite sector
@@ -584,6 +573,24 @@ class TestMain:
         assert "nan" not in captured.err
         assert "exceeds 9.01e+06" in captured.err
         assert shown in captured.err and captured.err.count("\n") == 1
+
+    def test_k_reaches_the_engine_as_given(self, capsys):
+        # k was held as g = k lam and read back as g / lam: at lam = 1e-300
+        # g was subnormal and the run reported k = 9.999999999999999e-09
+        assert main(["run", "--lam", "1e-300", "--k", "1e-8", "--t1", "2e300", "--steps", "3",
+                     "--output-format", "json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"]["k"] == 1e-08
+
+    def test_g_is_not_an_input(self, tmp_path, capsys):
+        # k is the one coupling a run takes; g = k lam is derived
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--g", "1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --g 1" in capsys.readouterr().err
+        path = tmp_path / "g.cfg"
+        path.write_text("g = 1\n")
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "esdsim: unknown config key 'g'\n"
 
     @pytest.mark.parametrize("values,shown", [
         ({"t1": "1e308"}, "phase omega_plus lam t = inf of sector 0 exceeds 9.01e+06: "
@@ -908,16 +915,35 @@ class TestCouplingDomain:
     # k^4 overflowed in omega_minus while omega_plus, and so the phase, stayed
     # finite: exit 4, "rho11 has a non-finite entry"
     @example(log_lam=0.0, k=3e76, tau1=1e-72, nbar=1.0)
+    # the validator's H is in physical units, so with it a run is refused
+    # with one line, not exit 4 with "rho11 has a non-finite entry", where
+    # g = k lam overflows though the phase stays finite, where g is finite
+    # but an entry g sqrt(n) overflows, and where every entry is finite but
+    # a singular value overflows
+    @example(log_lam=300.0, k=1e10, tau1=1e-4, nbar=1.0)
+    @example(log_lam=300.0, k=1e8, tau1=1e-6, nbar=1.0)
+    @example(log_lam=308.23, k=0.3, tau1=4.0, nbar=0.0)
     def test_runs_as_unit_lambda_or_exits_2(self, log_lam, k, tau1, nbar):
         lam = 10.0**log_lam
-        argv = ["run", "--k", repr(k), "--nbar", repr(nbar), "--steps", "5"]
         oracle = ["--oracle-check"] if nbar <= 1 else []
-        code, out, err = run_main([*argv, "--lam", repr(lam), "--t1", repr(tau1 / lam), *oracle])
+        self.check(k, nbar, lam, tau1 / lam, tau1, oracle)
+
+    def test_overflowing_g_runs_without_the_validator(self):
+        # g = k lam = inf was refused ("g must be finite and >= 0, got inf")
+        # though the run depends on k and tau = lam t alone
+        assert self.check(1e10, 1.5, 1e300, 1e-304, 1e-4, []) == EXIT_OK
+
+    @staticmethod
+    def check(k, nbar, lam, t1, tau1, oracle) -> int:
+        """Run at (lam, t1) and return the exit code: 2 with one stderr line,
+        or 0 with observables equal to the lam = 1 run over tau1."""
+        argv = ["run", "--k", repr(k), "--nbar", repr(nbar), "--steps", "5"]
+        code, out, err = run_main([*argv, "--lam", repr(lam), "--t1", repr(t1), *oracle])
         assert code in (EXIT_OK, EXIT_USAGE), err
         if code == EXIT_USAGE:
             assert out == "" and err.startswith("esdsim: ") and err.count("\n") == 1
             assert "Traceback" not in err
-            return
+            return code
         assert err == ""
         unit_code, unit_out, _ = run_main([*argv, "--lam", "1", "--t1", repr(tau1)])
         assert unit_code == EXIT_OK
@@ -929,3 +955,4 @@ class TestCouplingDomain:
         assert np.abs(got[:, 2:] - want[:, 2:]).max() <= bound
         if oracle:
             assert "# oracle_max_deviation," in out and out.endswith(",pass\n")
+        return code

@@ -90,15 +90,24 @@ def amplitudes(params, n, t):
 
 class TestModelParams:
     def test_k_ratio(self):
-        p = ModelParams(lam=10.0, g=5.0)
-        assert p.k == 0.5
-        assert ModelParams.from_k(10.0, 0.1).g == pytest.approx(1.0)
+        # g is derived as k lam; k is held as given
+        p = ModelParams(lam=10.0, k=0.5)
+        assert p.k == 0.5 and p.g == 5.0
+        assert ModelParams(lam=10.0, k=0.1).g == pytest.approx(1.0)
+        assert ModelParams(lam=1e300, k=1e10).g == math.inf
 
     def test_rejects_bad_couplings(self):
-        with pytest.raises(ValueError):
-            ModelParams(lam=0.0, g=1.0)
-        with pytest.raises(ValueError):
-            ModelParams(lam=1.0, g=-1.0)
+        with pytest.raises(ValueError, match="lam must be"):
+            ModelParams(lam=0.0, k=0.1)
+        with pytest.raises(ValueError, match="k must be finite and >= 0, got -0.1"):
+            ModelParams(lam=1.0, k=-0.1)
+        with pytest.raises(ValueError, match="k must be finite"):
+            ModelParams(lam=1.0, k=math.inf)
+
+    def test_keyword_only(self):
+        # a positional call must not silently read a (lam, g) pair as (lam, k)
+        with pytest.raises(TypeError):
+            ModelParams(10.0, 5.0)
 
 
 class TestSectorFrequencies:
@@ -121,7 +130,7 @@ class TestSectorFrequencies:
         assert f.beta == pytest.approx(np.sqrt(1.25**2 + 1.0), rel=1e-14)
 
     def test_matches_sector_spectrum(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         for n in [1, 2, 5]:
             f = sector_frequencies(p.k, n)
             wp, wm = p.lam * f.omega_plus, p.lam * f.omega_minus
@@ -132,7 +141,7 @@ class TestSectorFrequencies:
     @pytest.mark.parametrize("n", [1, 10, 10**4])
     def test_omega_minus_high_precision(self, k, n):
         mpmath = pytest.importorskip("mpmath")
-        p = ModelParams.from_k(10.0, k)
+        p = ModelParams(lam=10.0, k=k)
         with mpmath.workdps(60):
             k2 = mpmath.mpf(p.k) ** 2
             alpha = 1 + (2 * n + 1) * k2
@@ -152,7 +161,7 @@ class TestSectorFrequencies:
     @pytest.mark.parametrize("k", [0.05, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("n", [0, 1, 3, 10, 100])
     def test_frequency_identities(self, k, n):
-        p = ModelParams.from_k(10.0, k)
+        p = ModelParams(lam=10.0, k=k)
         f = sector_frequencies(p.k, n)
         wp, wm = p.lam * f.omega_plus, p.lam * f.omega_minus
         lam2 = p.lam**2
@@ -165,11 +174,11 @@ class TestSectorFrequencies:
 
 class TestSectorPropagator:
     def test_identity_at_t0(self):
-        c = amplitudes(ModelParams.from_k(10.0, 0.5), 3, 0.0)
+        c = amplitudes(ModelParams(lam=10.0, k=0.5), 3, 0.0)
         assert np.allclose(c, [0, 1, 0, 0], atol=1e-14)
 
     def test_decoupled_is_rabi_rotation(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         t = 0.37
         c = amplitudes(p, 4, t)
         assert np.allclose(c, [0, np.cos(p.lam * t), -1j * np.sin(p.lam * t), 0], atol=1e-12)
@@ -178,14 +187,14 @@ class TestSectorPropagator:
         assert np.allclose(c[1:3], block[:, 0], atol=1e-12)
 
     def test_matches_matrix_exponential(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         expected = expm(-1j * sector_hamiltonian(p, 2) * 0.3)[:, 1]
         assert np.abs(amplitudes(p, 2, 0.3) - expected).max() < 1e-9
 
     def test_unitarity_random(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            p = ModelParams.from_k(10.0, rng.uniform(0.0, 1.5))
+            p = ModelParams(lam=10.0, k=rng.uniform(0.0, 1.5))
             n = int(rng.integers(0, 60))
             t = rng.uniform(0.0, 5.0)
             c = amplitudes(p, n, t)
@@ -196,17 +205,17 @@ class TestSectorPropagator:
 
 class TestSectorAmplitudes:
     def test_initial_condition(self):
-        c1, c2, c3, c4 = amplitudes(ModelParams.from_k(10.0, 0.3), 5, 0.0)
+        c1, c2, c3, c4 = amplitudes(ModelParams(lam=10.0, k=0.3), 5, 0.0)
         assert c1 == 0 and c3 == 0 and c4 == 0
         assert c2 == pytest.approx(1.0, abs=1e-14)
 
     def test_n0_has_no_c1(self):
-        p = ModelParams.from_k(10.0, 0.7)
+        p = ModelParams(lam=10.0, k=0.7)
         for t in np.linspace(0, 3, 17):
             assert amplitudes(p, 0, t)[0] == 0
 
     def test_rabi_half_swap(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         c1, c2, c3, c4 = amplitudes(p, 0, np.pi / (2 * p.lam))
         assert abs(c1) < 1e-12 and abs(c2) < 1e-12 and abs(c4) < 1e-12
         assert c3 == pytest.approx(-1j, abs=1e-12)
@@ -214,7 +223,7 @@ class TestSectorAmplitudes:
     def test_matches_ode_integration(self):
         from scipy.integrate import solve_ivp
 
-        p = ModelParams.from_k(10.0, 0.1)
+        p = ModelParams(lam=10.0, k=0.1)
         n, t = 3, 1.7
         h = sector_hamiltonian(p, n)
         sol = solve_ivp(
@@ -230,14 +239,14 @@ class TestSectorAmplitudes:
     def test_normalization(self):
         rng = np.random.default_rng(3)
         for _ in range(100):
-            p = ModelParams.from_k(10.0, rng.uniform(0, 1.2))
+            p = ModelParams(lam=10.0, k=rng.uniform(0, 1.2))
             c = amplitudes(p, int(rng.integers(0, 100)), rng.uniform(0, 4))
             assert np.sum(np.abs(c) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestTwoQubitState:
     def test_initial_product_state(self):
-        p = ModelParams.from_k(10.0, 0.3)
+        p = ModelParams(lam=10.0, k=0.3)
         s = two_qubit_states(p, build_thermal(1.0), 0.0)
         assert len(s) == 1
         assert s.rho22[0] == pytest.approx(1.0, abs=1e-9)
@@ -245,7 +254,7 @@ class TestTwoQubitState:
         assert s.rho23[0] == 0.0
 
     def test_decoupled_closed_form(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         f = build_thermal(0.0)
         t = np.array([0.11, 0.9, 2.3])
         s = two_qubit_states(p, f, t)
@@ -258,7 +267,7 @@ class TestTwoQubitState:
         assert np.abs(rho @ rho - rho).max() < 1e-12
 
     def test_thermal_trace_closure(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0, 1e-10)
         s = two_qubit_states(p, f, np.linspace(0, 2, 50))
         trace = s.rho11 + s.rho22 + s.rho33 + s.rho44
@@ -271,7 +280,7 @@ class TestTwoQubitState:
         # every entry sums sectors 0 .. nmax with the field's weights, and
         # each sector's four amplitudes keep unit norm, so Tr rho = sum P_n
         f = build_thermal(nbar)
-        table = SectorTable(ModelParams.from_k(10.0, k), f)
+        table = SectorTable(ModelParams(lam=10.0, k=k), f)
         times = np.array([0.013, 0.37, 1.9, 7.5, 40.0])  # lam t up to 400
         for s in (table.series(times), table.series_and_slope(times)[0],
                   table.series(np.linspace(0.0, 40.0, 4001))):
@@ -279,7 +288,7 @@ class TestTwoQubitState:
             assert np.abs(trace - f.weights.sum()).max() <= 1e-14
 
     def test_blocks_match_pointwise(self):
-        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(10.0))
+        table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(10.0))
         # one full rotation chunk, then two full blocks and a short one in a second
         times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 2 * _BLOCK + 3)
         series = table.series(times)
@@ -290,7 +299,7 @@ class TestTwoQubitState:
     def test_linspace_grid_shares_one_table(self, monkeypatch):
         # the grid is tested on t: lam t is not bit for bit a linspace, and a
         # test on it would send every block down the pointwise path
-        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(1.0))
+        table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(1.0))
         times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 100)
         tau = table.lam * times
         assert not np.array_equal(tau, np.linspace(tau[0], tau[-1], tau.size))
@@ -305,7 +314,7 @@ class TestTwoQubitState:
         assert per_sector <= 2 * math.ceil(math.sqrt(_BLOCK)) + blocks < times.size / 10
 
     def test_working_memory_does_not_grow_with_the_grid(self):
-        table = SectorTable(ModelParams.from_k(10.0, 0.1), build_thermal(10.0))
+        table = SectorTable(ModelParams(lam=10.0, k=0.1), build_thermal(10.0))
 
         def traced_peak(steps):
             tracemalloc.start()
@@ -323,7 +332,7 @@ class TestTwoQubitState:
         assert long - short <= columns + block
 
     def test_batched_rotation_is_stacked_single_rotations(self):
-        table = SectorTable(ModelParams.from_k(10.0, 0.5), build_thermal(10.0))
+        table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(10.0))
         bases = np.linspace(0.0, 40.0, _CHUNK + 3)
         kc, ks = table.coeffs[..., 0::2], table.coeffs[..., 1::2]
 
@@ -351,7 +360,7 @@ class TestTwoQubitState:
             StateSeries(**dict(ok, rho33=np.full(2, 0.3), rho23=np.array([0.0, 0.6 + 0j])))
 
     def test_non_finite_rejected(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         with pytest.raises(ValueError, match="non-finite"):
             two_qubit_states(p, build_thermal(1.0), [np.nan])
         ok = dict(rho11=np.zeros(2), rho22=np.ones(2), rho33=np.zeros(2),
@@ -363,7 +372,7 @@ class TestTwoQubitState:
                 StateSeries(**dict(ok, **{name: bad}))
 
     def test_monotone_truncation(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         eps = 1e-8
         f1 = build_thermal(1.0, eps)
         # at nbar = 1, q = 1/2: this epsilon gives nmax = 2 f1.nmax and f1's weights first
@@ -396,7 +405,7 @@ class TestSlope:
     @pytest.mark.parametrize("k", [1e-6, 0.1, 0.5])
     @pytest.mark.parametrize("nbar", [0.5, 10.0])
     def test_matches_mpmath_derivative(self, k, nbar):
-        p, f = ModelParams.from_k(10.0, k), build_thermal(nbar)
+        p, f = ModelParams(lam=10.0, k=k), build_thermal(nbar)
         table = SectorTable(p, f)
         times = np.array([0.013, 0.37, 1.9])
         series, slope = table.series_and_slope(times)
@@ -459,7 +468,7 @@ class TestTimePaths:
     @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_CHUNK * _BLOCK)
     @example(log_k=-1.0, nbar=10.0, t1=40.0, steps=_CHUNK * _BLOCK + 1)
     def test_grid_matches_pointwise(self, log_k, nbar, t1, steps):
-        table = SectorTable(ModelParams.from_k(10.0, 10.0**log_k), build_thermal(nbar))
+        table = SectorTable(ModelParams(lam=10.0, k=10.0**log_k), build_thermal(nbar))
         times = np.linspace(0.0, t1, steps)
         grid = table.series(times).matrix()
         pointwise = np.array([table.series(np.array([t])).matrix()[0] for t in times])

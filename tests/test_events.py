@@ -57,12 +57,12 @@ def reference_scan(params, field, t0, t1, n_grid):
 
 class TestScanEsd:
     def test_isolated_pair_has_no_deaths(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         f = build_thermal(0.0)
         assert scan_esd(p, f, 0.0, 2.0, 4000) == []
 
     def test_strong_coupling_small_nbar(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         intervals = scan_esd(p, f, 0.0, 2.0, 4000)
         assert len(intervals) >= 3
@@ -70,13 +70,13 @@ class TestScanEsd:
         assert any(not iv.open_right for iv in intervals)
 
     def test_weak_coupling_hot_field(self):
-        p = ModelParams.from_k(10.0, 0.1)
+        p = ModelParams(lam=10.0, k=0.1)
         f = build_thermal(10.0)
         intervals = scan_esd(p, f, 0.0, 4.0, 8000)
         assert len(intervals) >= 1
 
     def test_interval_structure(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         for iv in scan_esd(p, f, 0.0, 2.0, 4000):
             assert iv.t_death < iv.t_birth
@@ -86,7 +86,7 @@ class TestScanEsd:
                 assert abs(lambda_at(p, f, iv.t_birth)) <= 1e-9
 
     def test_interior_concurrence_is_zero(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         intervals = scan_esd(p, f, 0.0, 1.0, 4000)
         assert intervals
@@ -97,7 +97,7 @@ class TestScanEsd:
             assert np.all(conc == 0.0)
 
     def test_crossings_stable_under_grid_refinement(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         coarse = scan_esd(p, f, 0.0, 1.0, 4000)
         fine = scan_esd(p, f, 0.0, 1.0, 8000)
@@ -107,7 +107,7 @@ class TestScanEsd:
             assert abs(a.t_birth - b.t_birth) < 1e-7
 
     def test_no_grazing_intervals(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
         for iv in scan_esd(p, f, 0.0, 2.0, 4000):
             assert iv.min_lambda < -1e-12
@@ -115,7 +115,7 @@ class TestScanEsd:
     @pytest.mark.parametrize("k", [0.1, 0.5])
     @pytest.mark.parametrize("nbar", [1.0, 10.0])
     def test_matches_scalar_reference(self, k, nbar):
-        p = ModelParams.from_k(10.0, k)
+        p = ModelParams(lam=10.0, k=k)
         f = build_thermal(nbar)
         got = scan_esd(p, f, 0.0, 2.0, 4000)
         want = reference_scan(p, f, 0.0, 2.0, 4000)
@@ -126,7 +126,7 @@ class TestScanEsd:
 
     def test_unconverged_brackets_are_not_refined(self, monkeypatch):
         monkeypatch.setattr(events, "_MAX_BISECT", 2)
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         intervals = scan_esd(p, f, 0.0, 2.0, 4000)
         assert any(not (iv.open_left or iv.open_right) for iv in intervals)
@@ -151,20 +151,20 @@ class TestScanEsd:
         def fail(self, t):
             raise AssertionError("refinement evaluated")
         monkeypatch.setattr(SectorTable, "series_and_slope", fail)
-        assert scan_esd(ModelParams(lam=10.0, g=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
+        assert scan_esd(ModelParams(lam=10.0, k=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
 
     def test_width_floor_is_in_lam_t(self):
         # the intervals are ~0.3 to 1.5 wide in lam t; at lam = 1e9 a floor
         # of 1e-9 in t dropped the two that are ~3.3e-10 wide there
         f = build_thermal(1.0)
-        unit = scan_esd(ModelParams.from_k(1.0, 0.5), f, 0.0, 6.0, 200)
-        fast = scan_esd(ModelParams.from_k(1e9, 0.5), f, 0.0, 6e-9, 200)
+        unit = scan_esd(ModelParams(lam=1.0, k=0.5), f, 0.0, 6.0, 200)
+        fast = scan_esd(ModelParams(lam=1e9, k=0.5), f, 0.0, 6e-9, 200)
         assert len(unit) == len(fast) == 3
         ends = lambda ivs: np.array([(iv.t_death, iv.t_birth) for iv in ivs])  # noqa: E731
         np.testing.assert_allclose(1e9 * ends(fast), ends(unit), rtol=0, atol=1e-14)
 
     def test_negative_at_both_window_ends(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         closed = next(iv for iv in scan_esd(p, f, 0.0, 2.0, 4000)
                       if not (iv.open_left or iv.open_right))
@@ -175,7 +175,7 @@ class TestScanEsd:
         assert iv.open_left and iv.open_right and not iv.refined
 
     def test_argument_validation(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         with pytest.raises(ValueError):
             scan_esd(p, f, 1.0, 1.0, 100)
@@ -195,6 +195,6 @@ class TestDwellFraction:
     def test_stronger_coupling_dwells_longer(self):
         f = build_thermal(10.0)
         t0, t1, n = 0.0, 4.0, 8000
-        weak = scan_esd(ModelParams.from_k(10.0, 0.1), f, t0, t1, n)
-        strong = scan_esd(ModelParams.from_k(10.0, 0.5), f, t0, t1, n)
+        weak = scan_esd(ModelParams(lam=10.0, k=0.1), f, t0, t1, n)
+        strong = scan_esd(ModelParams(lam=10.0, k=0.5), f, t0, t1, n)
         assert dwell_fraction(strong, t0, t1) > dwell_fraction(weak, t0, t1)

@@ -35,14 +35,14 @@ class TestConcurrence:
         assert np.abs(cw - observable_columns(s)["concurrence"]).max() <= 1e-10
 
     def test_isolated_pair_lambda(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         times = np.linspace(0, 1, 37)
         lam_fn = separability(two_qubit_states(p, build_thermal(0.0), times))
         assert np.abs(lam_fn - np.abs(np.sin(2 * p.lam * times))).max() <= 1e-12
 
     def test_strong_coupling_sustained_negativity(self):
         # k=0.5, nbar=10: Lambda stays negative over sustained stretches
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
         times = np.linspace(20.0, 22.0, 400)
         lam_fn = separability(two_qubit_states(p, f, times))
@@ -66,7 +66,7 @@ class TestQubit1:
         assert m["entropy"][0] == 0.0
 
     def test_half_swap(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         s = two_qubit_states(p, build_thermal(0.0), [np.pi / (4 * p.lam)])
         assert s.rho11[0] + s.rho22[0] == pytest.approx(0.5, abs=1e-12)
         assert s.rho33[0] + s.rho44[0] == pytest.approx(0.5, abs=1e-12)
@@ -75,7 +75,7 @@ class TestQubit1:
         assert m["entropy"][0] == pytest.approx(0.5, abs=1e-12)
 
     def test_entropy_inversion_identity(self):
-        p = ModelParams.from_k(10.0, 0.1)
+        p = ModelParams(lam=10.0, k=0.1)
         f = build_thermal(1.0, 1e-12)
         s = two_qubit_states(p, f, np.linspace(0, 3, 60))
         m = observable_columns(s)
@@ -84,14 +84,14 @@ class TestQubit1:
         assert np.abs(m["entropy"][closed] - 0.5 * (1 - w * w)).max() <= 1e-10
 
     def test_entropy_range_thermal(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
         s = observable_columns(two_qubit_states(p, f, np.linspace(0.05, 4, 40)))["entropy"]
         assert np.all((0.0 < s) & (s <= 0.5 + 1e-12))
 
     def test_rounding_kept_in_range(self):
         # k = 0.5, nbar = 0: the entries give rho22(0) = 1 + 4e-16
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         m = observable_columns(two_qubit_states(p, build_thermal(0.0), np.linspace(0, 2, 200)))
         assert np.all(np.abs(m["inversion"]) <= 1.0)
         assert np.all(m["entropy"] >= 0.0)
@@ -102,14 +102,14 @@ class TestQubit1:
 
 class TestInversionClosed:
     def test_unity_at_t0(self):
-        p = ModelParams.from_k(10.0, 0.3)
+        p = ModelParams(lam=10.0, k=0.3)
         f = build_thermal(1.0)
         assert inversion_closed(p, f, 0.0) == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("k", [0.1, 0.5])
     @pytest.mark.parametrize("nbar", [1.0, 10.0])
     def test_agrees_with_summed(self, k, nbar):
-        p = ModelParams.from_k(10.0, k)
+        p = ModelParams(lam=10.0, k=k)
         f = build_thermal(nbar)
         times = np.linspace(0, 2, 40)
         summed = observable_columns(two_qubit_states(p, f, times))["inversion"]
@@ -118,13 +118,13 @@ class TestInversionClosed:
             assert abs(ws - wc) <= 1e-8
 
     def test_rejects_decoupled(self):
-        p = ModelParams(lam=10.0, g=0.0)
-        with pytest.raises(ValueError, match="singular at g = 0"):
+        p = ModelParams(lam=10.0, k=0.0)
+        with pytest.raises(ValueError, match="singular at k = 0"):
             inversion_closed(p, build_thermal(1.0), 1.0)
 
     def test_long_time_purity_drift(self):
         # k=0.5, nbar=10: |W| shrinks toward the maximally mixed value
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
         early = abs(np.mean([inversion_closed(p, f, t) for t in np.linspace(0.0, 1.0, 20)]))
         late = abs(np.mean([inversion_closed(p, f, t) for t in np.linspace(30.0, 31.0, 20)]))
@@ -133,7 +133,7 @@ class TestInversionClosed:
 
 class TestObservableColumns:
     def test_fields_consistent(self):
-        p = ModelParams.from_k(10.0, 0.5)
+        p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0, 1e-12)
         m = observable_columns(two_qubit_states(p, f, np.array([0.0, 0.3, 1.1])))
         assert np.array_equal(m["concurrence"], np.maximum(0.0, m["lambda"]))

@@ -132,7 +132,7 @@ def assert_jordan_wielandt(h):
 
 @pytest.fixture(scope="module")
 def weak_setup():
-    params = ModelParams.from_k(10.0, 0.1)
+    params = ModelParams(lam=10.0, k=0.1)
     field = build_thermal(1.0, 1e-10)
     h = build_hamiltonians(params, field.nmax + 2)
     return params, field, h
@@ -151,8 +151,8 @@ class TestHamiltonian:
         (10.0, 1.0, 1), (10.0, 0.0, 2), (0.3, 7.5, 5), (1e-3, 2.0**-30, 40), (123.456, 0.1, 73),
     ])
     def test_matches_kron_formula(self, lam, g, cutoff):
-        h = build_hamiltonians(ModelParams(lam=lam, g=g), cutoff)
-        want = kron_hamiltonian(ModelParams(lam=lam, g=g), cutoff)
+        h = build_hamiltonians(ModelParams(lam=lam, k=g / lam), cutoff)
+        want = kron_hamiltonian(ModelParams(lam=lam, k=g / lam), cutoff)
         h1 = dense_h1(h)
         assert h1.dtype == want.dtype and h1.shape == want.shape
         assert (h1 == want).all()
@@ -162,7 +162,7 @@ class TestHamiltonian:
         assert_jordan_wielandt(h)
 
     def test_decoupled_block_structure(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         h = build_hamiltonians(p, 2)
         nf = 3
         # with g=0 every entry coupling different Fock levels vanishes
@@ -187,7 +187,7 @@ class TestHamiltonian:
         assert np.abs(comm4).max() < 1e-10
 
     def test_sector_spectrum(self):
-        p = ModelParams(lam=10.0, g=1.0)
+        p = ModelParams(lam=10.0, k=0.1)
         h = build_hamiltonians(p, 25)
         h1 = dense_h1(h)
         for n in range(0, 21):
@@ -256,7 +256,7 @@ class TestHamiltonian:
         (lambda r, c, v: (r, c, v[:-1]), "one length"),
     ], ids=["no-mirror", "repeated", "past-the-end", "negative", "lengths"])
     def test_malformed_entries_refused(self, change, message):
-        h = build_hamiltonians(ModelParams(lam=1.0, g=1.0), 1)
+        h = build_hamiltonians(ModelParams(lam=1.0, k=1.0), 1)
         assert h.dim == 8
         row, col, val = change(h.row, h.col, h.val)
         with pytest.raises(ValueError, match=message):
@@ -266,7 +266,7 @@ class TestHamiltonian:
     def test_entries_are_the_nonzeros(self, g):
         # lam: 2 entries per Fock level; g: 2 per q1 and step n - 1 -> n;
         # g = 0 adds none, so its H is the lam exchange alone
-        h = build_hamiltonians(ModelParams(lam=10.0, g=g), 5)
+        h = build_hamiltonians(ModelParams(lam=10.0, k=g / 10.0), 5)
         assert h.row.size == 2 * 6 + (2 * 2 * 5 if g else 0)
         assert (h.val != 0).all() and h.row.size == np.count_nonzero(dense_h1(h))
 
@@ -320,7 +320,7 @@ class TestBlockSplit:
     def test_uncoupled_field_matches_analytic_engine(self):
         # k = 0: only |e g, n> <-> |g e, n> is coupled, so every |e e, n> and
         # |g g, n> is isolated and half the singular values are 0
-        params, field = ModelParams.from_k(10.0, 0.0), build_thermal(3.0)
+        params, field = ModelParams(lam=10.0, k=0.0), build_thermal(3.0)
         h = build_hamiltonians(params, field.nmax + 2)
         even = h.parity.ravel() == 0
         shapes = block_shapes(dense_h1(h)[np.ix_(even, ~even)])
@@ -338,7 +338,7 @@ class TestBlockKernels:
     @pytest.mark.parametrize("k", [0.3, 1e-6, 0.0])
     def test_model_matches_dense_kernels(self, k):
         # k = 0 leaves most states isolated: empty rows and columns of B
-        params, field = ModelParams.from_k(10.0, k), build_thermal(3.0)
+        params, field = ModelParams(lam=10.0, k=k), build_thermal(3.0)
         h = build_hamiltonians(params, field.nmax + 2)
         times = np.linspace(0.0, 13.0, 12)
         assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
@@ -365,7 +365,7 @@ class TestBlockKernels:
         name, value = case.split("=")
         if name == "k":
             field = build_thermal(3.0)
-            h = build_hamiltonians(ModelParams.from_k(10.0, float(value)), field.nmax + 2)
+            h = build_hamiltonians(ModelParams(lam=10.0, k=float(value)), field.nmax + 2)
         else:
             h, _ = planted_hamiltonian(np.random.default_rng(int(value)), TestBlockSplit.SHAPES, 7)
         parity = h.parity.ravel()
@@ -422,7 +422,7 @@ class TestBlockKernels:
             h = driven_hamiltonian(params, h)
         else:
             field = build_thermal(3.0)
-            h = build_hamiltonians(ModelParams.from_k(10.0, 0.3), field.nmax + 2)
+            h = build_hamiltonians(ModelParams(lam=10.0, k=0.3), field.nmax + 2)
         times = np.linspace(-1.0, 4.0, 120)
         rho = oracle._reduce(h, field, times)
         one_by_one = np.concatenate([oracle._reduce(h, field, times[i : i + 1])
@@ -435,7 +435,7 @@ class TestBlockKernels:
 def traced_peak(nbar, steps):
     """(h, traced peak bytes) of building H and reducing it over `steps`
     times, k = 0.5."""
-    params, field = ModelParams.from_k(10.0, 0.5), build_thermal(nbar)
+    params, field = ModelParams(lam=10.0, k=0.5), build_thermal(nbar)
     times = np.linspace(0.0, 2.0, steps)
     tracemalloc.start()
     try:
@@ -510,7 +510,7 @@ class TestPartialTraces:
     def test_analytic_engine_reduces_the_same_truncated_state(self, k, nbar):
         # criterion 1's grid: both routes start from the thermal mix cut at
         # nmax, so they differ by rounding only, not by a truncation tail
-        params, field = ModelParams.from_k(10.0, k), build_thermal(nbar)
+        params, field = ModelParams(lam=10.0, k=k), build_thermal(nbar)
         h = build_hamiltonians(params, field.nmax + 2)
         times = np.linspace(0.0, 2.0, 200)
         s_or = reduced_two_qubit_series(h, field, times)
@@ -518,7 +518,7 @@ class TestPartialTraces:
         assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
 
     def test_decoupled_half_swap(self):
-        p = ModelParams(lam=10.0, g=0.0)
+        p = ModelParams(lam=10.0, k=0.0)
         field = build_thermal(0.0)
         h = build_hamiltonians(p, 2)
         s = reduced_two_qubit_series(h, field, [np.pi / (4 * p.lam)])
@@ -536,7 +536,7 @@ class TestPartialTraces:
     def test_series_matches_expm(self, k, nbar):
         # k = 1e-6 makes the singular values nearly degenerate (all close to
         # lam); nbar = 3 starts from many kets |e g, n> of both parities
-        params = ModelParams.from_k(10.0, k)
+        params = ModelParams(lam=10.0, k=k)
         field = build_thermal(nbar, 1e-10)
         h = build_hamiltonians(params, field.nmax + 2)
         times = np.array([0.0, 0.37, 1.9, 13.0])
