@@ -131,12 +131,6 @@ class RunConfig:
             _check_numbers(self.params(), nmax, self.t0, self.t1)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        # the validator builds H in physical units at Fock cutoff nmax + 2; its
-        # largest row sum bounds its entries and singular values
-        row_sum = self.lam + self.params().g * math.sqrt(nmax + 2)
-        if self.oracle_check and not math.isfinite(row_sum):
-            raise UsageError(f"oracle check: row sum lam + g sqrt({nmax + 2}) of the validator's "
-                             f"H overflows, g = k lam: lam = {self.lam}, k = {self.k}")
         _check_output(self.output_path)
         return self
 

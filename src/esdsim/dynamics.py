@@ -274,15 +274,21 @@ class SectorTable:
 
     def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
         """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
-        which has the sign of Lambda. One product [K; K'] T(tau) gives both, d/dtau as
-        rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c, c' = sum w (x2' x3 + x2 x3')."""
+        which has the sign of Lambda. One product [K; K'] T(tau) per block of times gives
+        both, d/dtau as rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c,
+        c' = sum w (x2' x3 + x2 x3'); a block is _BLOCK times."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        xs = self._coeffs_and_slopes @ self.basis(self.lam * times)
-        x, dx = xs[:, :4], xs[:, 4:]
+        pops, rho23 = np.empty((4, times.size)), np.empty(times.size, dtype=complex)
+        dc, d11, d44 = np.empty((3, times.size))
         w = self.weights
-        dc = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
-        d11, d44 = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])
-        pops, rho23 = self._evaluate(x)
+        for start in range(0, times.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            xs = self._coeffs_and_slopes @ self.basis(self.lam * times[block])
+            x, dx = xs[:, :4], xs[:, 4:]
+            dc[block] = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
+            d11[block], d44[block] = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])
+            pops[:, block], rho23[block] = self._evaluate(x)
+            del xs, x, dx   # before the next block's are formed
         s = StateSeries(*pops, rho23)
         return s, self.lam * (2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44)
 

@@ -26,12 +26,6 @@ class ModelParams:
         if not (math.isfinite(self.k) and self.k >= 0):
             raise ValueError(f"k must be finite and >= 0, got {self.k}")
 
-    @property
-    def g(self) -> float:
-        """Qubit2-field coupling k lam; only the validator's H uses it, and
-        it overflows where k lam does."""
-        return self.k * self.lam
-
 
 @dataclass(frozen=True)
 class ThermalField:
@@ -52,16 +46,6 @@ class ThermalField:
         return (self.nbar / (1.0 + self.nbar)) ** (self.nmax + 1)
 
 
-def check_thermal(nbar: float, epsilon: float):
-    """Raise ValueError unless build_thermal(nbar, epsilon) can build a field."""
-    if not (math.isfinite(nbar) and nbar >= 0):
-        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
-    if nbar / (1.0 + nbar) == 1.0:
-        raise ValueError(f"nbar too large: nbar/(1+nbar) rounds to 1, got {nbar}")
-    if not (math.isfinite(epsilon) and 0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
-
-
 def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     """Construct the truncated thermal photon number distribution.
 
@@ -69,7 +53,12 @@ def build_thermal(nbar: float, epsilon: float = 1e-10) -> ThermalField:
     the tail of the geometric distribution is exact, so the stored weights
     sum to at least 1 - epsilon.
     """
-    check_thermal(nbar, epsilon)
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar}")
+    if nbar / (1.0 + nbar) == 1.0:
+        raise ValueError(f"nbar too large: nbar/(1+nbar) rounds to 1, got {nbar}")
+    if not (math.isfinite(epsilon) and 0 < epsilon < 1):
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
 
     if nbar == 0.0:
         return ThermalField(nbar=0.0, epsilon=epsilon, nmax=0, weights=np.array([1.0]))

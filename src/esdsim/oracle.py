@@ -7,6 +7,10 @@ taken in its spectral basis with no reference to the closed-form sector
 solution. Agreement between the two routes is the main correctness
 argument of the package.
 
+H is held in units of lam, as the engine holds its constants: the entries
+of H / lam are 1 and k sqrt(n), evaluated at tau = lam t, so the validator
+takes every run the engine takes.
+
 Every term of H moves exactly one excitation, so H anticommutes with the
 parity (-1)^(s1 + n) (s1 = 1 when qubit 1 is excited): in parity order
 H = [[0, B], [B^T, 0]], and the SVD of the half-size block B gives its
@@ -49,17 +53,20 @@ _CELLS = 2**18   # pair-product cells per block of times, one time row at least
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """A real symmetric H on the truncated qubit1 x qubit2 x Fock space, as
-    its nonzero entries H[row, col] = val, each (row, col) once. Refuses an
-    index outside the space, a repeated pair, and an entry whose mirror
-    (col, row) is missing or holds another value."""
+    """A real symmetric H = lam H~ on the truncated qubit1 x qubit2 x Fock space,
+    H~ as its nonzero entries H~[row, col] = val, each (row, col) once. Refuses
+    a lam not finite and > 0, an index outside the space, a repeated pair, and
+    an entry whose mirror (col, row) is missing or holds another value."""
 
     row: np.ndarray
     col: np.ndarray
     val: np.ndarray
     fock_cutoff: int
+    lam: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and > 0, got {self.lam}")
         row, col, val, dim = self.row, self.col, self.val, self.dim
         if not (row.ndim == col.ndim == val.ndim == 1 and row.size == col.size == val.size):
             raise ValueError("row, col and val must be 1-d arrays of one length")
@@ -92,10 +99,10 @@ class HamiltonianMatrix:
         return (s1 + np.arange(self.fock_cutoff + 1)) % 2
 
     def eigensystem(self):
-        """The spectral blocks of the parity-flipping block B, one stack per
-        block shape: a list of (rows, sigma, w).
+        """The spectral blocks of the parity-flipping block B of H~ = H / lam,
+        one stack per block shape: a list of (rows, sigma, w), sigma in lam.
 
-        With B = H[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
+        With B = H~[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
         +-sigma with vectors (u, +-v)/sqrt(2), and a null vector of B, left or
         right, is an eigenvector of H for 0 on its own. B's entries are H's
         entries from an even row to an odd column, each at the places of its
@@ -107,9 +114,9 @@ class HamiltonianMatrix:
         p = min(r, c), holds their columns: the p singular pairs (u; v), then
         the r - p left null vectors (u; 0) and the c - p right ones (0; v);
         sigma (n, m) holds their singular values, 0 on the null columns. An
-        empty row or column is a (1, 0) or (0, 1) block with w = [[1]].
-        Raises ValueError if H couples two states of the same parity, so that
-        this form does not hold.
+        empty row or column is a (1, 0) or (0, 1) block, whose SVD gives
+        w = [[1]]. Raises ValueError if H couples two states of the same
+        parity, so that this form does not hold.
         """
         parity = self.parity.ravel()
         row_parity = parity[self.row]
@@ -139,14 +146,11 @@ class HamiltonianMatrix:
             (n, r), c = rows.shape, cols.shape[1]
             p = min(r, c)
             sigma, w = np.zeros((n, r + c - p)), np.zeros((n, r + c, r + c - p))
-            if p:
-                on = b_shape == k
-                stack = np.zeros((n, r, c))
-                stack[block[b_row[on]], at_row[b_row[on]], at_col[b_col[on]]] = b_val[on]
-                u, sigma[:, :p], vt = np.linalg.svd(stack)
-                v = vt.transpose(0, 2, 1)
-            else:   # an empty row or column is its own null vector
-                u, v = np.eye(r), np.eye(c)
+            on = b_shape == k
+            stack = np.zeros((n, r, c))
+            stack[block[b_row[on]], at_row[b_row[on]], at_col[b_col[on]]] = b_val[on]
+            u, sigma[:, :p], vt = np.linalg.svd(stack)
+            v = vt.transpose(0, 2, 1)
             w[:, :r, :r] = u   # the pairs' u, then the left null vectors
             w[:, r:, :p], w[:, r:, r:] = v[..., :p], v[..., p:]
             out.append((np.hstack([even_rows[rows], odd_rows[cols]]), sigma, w))
@@ -197,9 +201,9 @@ def _blocks(
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:
-    """Interaction Hamiltonian on the truncated space as its nonzero
-    entries, written by basis index; every entry is lam or g sqrt(n) and
-    is written with its mirror, so H is real symmetric."""
+    """Interaction Hamiltonian on the truncated space in units of lam, as
+    the nonzero entries of H / lam, written by basis index; every entry is 1
+    or k sqrt(n) and is written with its mirror, so H is real symmetric."""
     if fock_cutoff < 1:
         raise ValueError(f"fock_cutoff must be >= 1, got {fock_cutoff}")
     nf = fock_cutoff + 1
@@ -208,28 +212,29 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
     index = lambda q1, q2, n: np.ravel_multi_index((q1, q2, n), (2, 2, nf)).ravel()   # noqa: E731
     q1 = np.array([[0], [1]])
     terms = (
-        # lam (s1+ s2- + h.c.): |e g, n> <-> |g e, n>
-        (index(0, 1, n), index(1, 0, n), np.full(nf, params.lam, dtype=float)),
-        # g (s2+ a + h.c.): |q1 e, n - 1> <-> |q1 g, n>, either q1
-        (index(q1, 0, n[:-1]), index(q1, 1, n[1:]), np.tile(params.g * np.sqrt(n[1:]), 2)),
+        # s1+ s2- + h.c.: |e g, n> <-> |g e, n>
+        (index(0, 1, n), index(1, 0, n), np.ones(nf)),
+        # k (s2+ a + h.c.): |q1 e, n - 1> <-> |q1 g, n>, either q1
+        (index(q1, 0, n[:-1]), index(q1, 1, n[1:]), np.tile(params.k * np.sqrt(n[1:]), 2)),
     )
     i, j, v = (np.concatenate(x) for x in zip(*terms))
-    keep = v != 0   # g = 0 couples nothing
+    keep = v != 0   # k = 0 couples nothing
     i, j, v = i[keep], j[keep], v[keep]
     return HamiltonianMatrix(row=np.concatenate([i, j]), col=np.concatenate([j, i]),
-                             val=np.concatenate([v, v]), fock_cutoff=fock_cutoff)
+                             val=np.concatenate([v, v]), fock_cutoff=fock_cutoff, lam=params.lam)
 
 
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
     """All 16 entries of the two-qubit reductions, shape (times, 4, 4), by the
-    formula of reduced_two_qubit_series, one block shape of B at a time."""
+    formula of reduced_two_qubit_series at tau = h.lam times, one block
+    shape of B at a time."""
     nf = h.fock_cutoff + 1
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
     start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
     j, m = np.triu_indices(4)
     same = s1[j] == s1[m]
-    dt = linspace_step(times)
+    dt, tau = linspace_step(times), h.lam * times
     upper = np.zeros((times.size, j.size))
     for rows, sigma, wb in h.eigensystem():
         nb, _, c = wb.shape
@@ -259,10 +264,11 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
         step = max(1, _CELLS // (3 * nb * c * c))
         for b in range(0, times.size, step):
             if dt is None:
-                angle = times[b : b + step, None, None] * sigma.T
+                angle = tau[b : b + step, None, None] * sigma.T
                 cos, sin = np.cos(angle), np.sin(angle)
             else:
-                cos, sin = linspace_trig(sigma.T, times[b], dt, min(step, times.size - b))
+                count = min(step, times.size - b)
+                cos, sin = linspace_trig(sigma.T, tau[b], h.lam * dt, count)
             pair = np.empty((len(cos), 3, c, c, nb))   # cos, sin: (times, c, nb)
             for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
                 np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
@@ -281,15 +287,17 @@ def reduced_two_qubit_series(
     """Two-qubit reductions of U(t) rho(0) U(t)+ over a time grid, with
     rho(0) = |e1><e1| x |g2><g2| x the thermal mix.
 
-    With W the columns (u; v), (u; 0) and (0; v) of h.eigensystem(),
-    cos(Ht) = W cos(sigma t) W^T between rows of equal parity and
-    sin(Ht) = W sin(sigma t) W^T between rows of opposite parity, column by
-    column: a null column has sigma = 0, and cos 0 = 1, sin 0 = 0.
+    H = lam H~, so U(t) = exp(-i H~ tau) at tau = lam t, and every time is
+    evaluated as tau. With W the columns (u; v), (u; 0) and (0; v) of
+    h.eigensystem(), cos(H~ tau) = W cos(sigma tau) W^T between rows of equal
+    parity and sin(H~ tau) = W sin(sigma tau) W^T between rows of opposite
+    parity, column by column: a null column has sigma = 0, and cos 0 = 1,
+    sin 0 = 0.
     With W_n the row of W at |e g, n>, M_p = sum over n of parity p of
     P_n W_n^T W_n; for qubit pair states j, m, G_p = sum over the Fock rows
     f with (j, f) of parity p of W_(j,f)^T W_(m,f). Then, with
-    K_A = G_0 o M_0 + G_1 o M_1, K_B = G_0 o M_1 + G_1 o M_0, c = cos(sigma t)
-    and s = sin(sigma t), rho_jm = c^T K_A c + s^T K_B s when qubit 1 is in
+    K_A = G_0 o M_0 + G_1 o M_1, K_B = G_0 o M_1 + G_1 o M_0, c = cos(sigma tau)
+    and s = sin(sigma tau), rho_jm = c^T K_A c + s^T K_B s when qubit 1 is in
     the same state in j and m, else i (c^T K_A s - s^T K_B c). All 16
     entries are computed; any outside the X pattern above 1e-8 at any time
     is an error.
@@ -298,10 +306,10 @@ def reduced_two_qubit_series(
     share no row, so the kernels are taken block by block, blocks of one
     shape stacked. With s^T K_B c = c^T K_B^T s, the pair products c_a c_a',
     s_a s_a' and c_a s_a' of a block's columns, in blocks of times of at most
-    _CELLS cells, times the stacked kernels give every entry. When times are
-    a linspace, each block of times takes c and s from linspace_trig, by
-    angle addition; the table it builds is per block, never for the whole
-    grid.
+    _CELLS cells, times the stacked kernels give every entry. When times t
+    are a linspace (lam t need not be one), each block of times takes c and
+    s from linspace_trig at step lam dt, by angle addition; the table it
+    builds is per block, never for the whole grid.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(

@@ -44,11 +44,16 @@ def sector_basis_indices(n: int, fock_cutoff: int) -> list[int]:
     return idx
 
 
-def dense_h1(h):
-    """The dense dim x dim matrix of a HamiltonianMatrix's entries."""
+def dense_entries(h):
+    """The dense dim x dim matrix of a HamiltonianMatrix's entries, H / h.lam."""
     h1 = np.zeros((h.dim, h.dim))
     h1[h.row, h.col] = h.val
     return h1
+
+
+def dense_h1(h):
+    """The dense dim x dim H = h.lam x its entries."""
+    return h.lam * dense_entries(h)
 
 
 def dense_w(h):
@@ -67,8 +72,8 @@ def dense_w(h):
 
 
 def hamiltonian_from_dense(h1, fock_cutoff):
-    """The HamiltonianMatrix of a dense h1's nonzero entries."""
+    """The HamiltonianMatrix of a dense h1's nonzero entries, at lam = 1."""
     from esdsim.oracle import HamiltonianMatrix
 
     row, col = np.nonzero(h1)
-    return HamiltonianMatrix(row=row, col=col, val=h1[row, col], fock_cutoff=fock_cutoff)
+    return HamiltonianMatrix(row=row, col=col, val=h1[row, col], fock_cutoff=fock_cutoff, lam=1.0)

@@ -907,7 +907,7 @@ class TestCouplingDomain:
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(
-        log_lam=st.floats(-300.0, 300.0),
+        log_lam=st.floats(-300.0, 308.2547),   # up to 10^308.2547 < the largest double
         k=st.one_of(st.just(0.0), st.floats(-8.0, 80.0).map(lambda e: 10.0**e)),
         tau1=st.floats(0.0, 1e8, exclude_min=True),
         nbar=st.floats(0.0, 2.0),
@@ -915,11 +915,10 @@ class TestCouplingDomain:
     # k^4 overflowed in omega_minus while omega_plus, and so the phase, stayed
     # finite: exit 4, "rho11 has a non-finite entry"
     @example(log_lam=0.0, k=3e76, tau1=1e-72, nbar=1.0)
-    # the validator's H is in physical units, so with it a run is refused
-    # with one line, not exit 4 with "rho11 has a non-finite entry", where
-    # g = k lam overflows though the phase stays finite, where g is finite
-    # but an entry g sqrt(n) overflows, and where every entry is finite but
-    # a singular value overflows
+    # where H in physical units would overflow, though the phase stays
+    # finite: g = k lam, an entry g sqrt(n) with g finite, and a singular
+    # value with every entry finite. The validator holds H / lam, so each
+    # exits 0 and passes (test_validator_runs_where_physical_units_overflow)
     @example(log_lam=300.0, k=1e10, tau1=1e-4, nbar=1.0)
     @example(log_lam=300.0, k=1e8, tau1=1e-6, nbar=1.0)
     @example(log_lam=308.23, k=0.3, tau1=4.0, nbar=0.0)
@@ -927,6 +926,16 @@ class TestCouplingDomain:
         lam = 10.0**log_lam
         oracle = ["--oracle-check"] if nbar <= 1 else []
         self.check(k, nbar, lam, tau1 / lam, tau1, oracle)
+
+    @pytest.mark.parametrize("lam,k,nbar,t1", [
+        (1e300, 1e10, 1.0, 1e-304),
+        (1e300, 1e8, 1.0, 1e-306),
+        (1.7e308, 0.3, 0.0, 2.3529411764705882e-308),
+    ])
+    def test_validator_runs_where_physical_units_overflow(self, lam, k, nbar, t1):
+        # the validator builds H / lam, entries 1 and k sqrt(n), so the lam = 1e300
+        # and lam = 1.7e308 runs pass as their lam = 1 twins do
+        assert self.check(k, nbar, lam, t1, lam * t1, ["--oracle-check"]) == EXIT_OK
 
     def test_overflowing_g_runs_without_the_validator(self):
         # g = k lam = inf was refused ("g must be finite and >= 0, got inf")

@@ -22,8 +22,8 @@ from esdsim.observables import separability
 
 def sector_hamiltonian(params, n):
     """4x4 Hamiltonian of the coupled amplitude equations, oracle-side."""
-    a = params.g * np.sqrt(n)
-    b = params.g * np.sqrt(n + 1)
+    a = params.k * params.lam * np.sqrt(n)
+    b = params.k * params.lam * np.sqrt(n + 1)
     lam = params.lam
     return np.array(
         [[0, a, 0, 0], [a, 0, lam, 0], [0, lam, 0, b], [0, 0, b, 0]], dtype=float
@@ -34,7 +34,8 @@ def entries_mp(mp, params, field, t):
     """(rho11, rho22, rho33, rho44, c) with rho23 = i c, from the same truncated
     sector sums, weights and float inputs as SectorTable, at mpf time t and
     the working precision, from the closed-form propagator factors."""
-    lam, g = mp.mpf(params.lam), mp.mpf(params.g)
+    lam = mp.mpf(params.lam)
+    g = mp.mpf(params.k) * lam
     k2 = (g / lam) ** 2
     rho = [mp.mpf(0)] * 5
     for n, w in enumerate(map(mp.mpf, field.weights)):
@@ -90,11 +91,9 @@ def amplitudes(params, n, t):
 
 class TestModelParams:
     def test_k_ratio(self):
-        # g is derived as k lam; k is held as given
+        # k is held as given
         p = ModelParams(lam=10.0, k=0.5)
-        assert p.k == 0.5 and p.g == 5.0
-        assert ModelParams(lam=10.0, k=0.1).g == pytest.approx(1.0)
-        assert ModelParams(lam=1e300, k=1e10).g == math.inf
+        assert p.k == 0.5
 
     def test_rejects_bad_couplings(self):
         with pytest.raises(ValueError, match="lam must be"):
@@ -412,6 +411,22 @@ class TestSlope:
         want = np.array([float(slope_mp(p, f, t)) for t in times])
         assert np.abs(slope - want).max() <= 1e-12
         assert np.abs(series.matrix() - table.series(times).matrix()).max() <= 1e-15
+
+    def test_working_memory_is_one_block_of_times(self):
+        # [K; K'] T(tau) is formed per block of _BLOCK times, so refining many
+        # brackets at once holds one block's (sectors x 8 x _BLOCK) doubles,
+        # not one such array for every bracket
+        table = SectorTable(ModelParams(lam=10.0, k=0.1), build_thermal(10.0))
+
+        def traced_peak(count):
+            tracemalloc.start()
+            try:
+                table.series_and_slope(np.linspace(0.0, 40.0, count))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(4 * _BLOCK + 1) <= 1.5 * traced_peak(_BLOCK)
 
 
 class TestLinspaceTrig:

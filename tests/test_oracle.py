@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_h1, dense_w, hamiltonian_from_dense, sector_basis_indices
+from conftest import dense_entries, dense_h1, dense_w, hamiltonian_from_dense, sector_basis_indices
 from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
@@ -32,7 +32,7 @@ def kron_hamiltonian(params, fock_cutoff):
     idf = np.eye(nf)
     return params.lam * (
         np.kron(np.kron(sp, sm), idf) + np.kron(np.kron(sm, sp), idf)
-    ) + params.g * (np.kron(np.kron(i2, sp), a) + np.kron(np.kron(i2, sm), a.T))
+    ) + params.k * params.lam * (np.kron(np.kron(i2, sp), a) + np.kron(np.kron(i2, sm), a.T))
 
 
 def qubit1_populations(series):
@@ -83,7 +83,8 @@ def dense_reduce(h, field, times):
     parity, rows = h.parity, w.reshape(4, h.fock_cutoff + 1, -1)
     start, start_parity = rows[1, : field.nmax + 1], parity[1, : field.nmax + 1]
     mass = [(start[sel].T * field.weights[sel]) @ start[sel] for sel in (start_parity == 0, start_parity == 1)]
-    c, s = np.cos(np.outer(times, sigma)), np.sin(np.outer(times, sigma))
+    tau = h.lam * np.asarray(times)
+    c, s = np.cos(np.outer(tau, sigma)), np.sin(np.outer(tau, sigma))
     quad = lambda u, k, v: ((u @ k) * v).sum(axis=1)   # noqa: E731
     rho = np.empty((len(times), 4, 4), dtype=complex)
     for j in range(4):
@@ -112,7 +113,7 @@ def block_shapes(b):
 
 
 def assert_jordan_wielandt(h):
-    """sigma and W from dense_w(h) diagonalise h1: a singular-pair column
+    """sigma and W from dense_w(h) diagonalise H / h.lam: a singular-pair column
     (u; v) gives the eigenvectors (u, +-v)/sqrt(2) for +-sigma, a null
     column (u; 0) or (0; v) one eigenvector for 0."""
     sigma, w = dense_w(h)
@@ -120,7 +121,7 @@ def assert_jordan_wielandt(h):
     even = h.parity.ravel() == 0
     paired = (w[even] != 0).any(axis=0) & (w[~even] != 0).any(axis=0)
     assert 2 * paired.sum() + (~paired).sum() == h.dim   # every eigenvector once
-    h1 = dense_h1(h)
+    h1 = dense_entries(h)
     scale = np.abs(h1).max()
     assert np.abs(h1 @ w - w * sigma).max() < 1e-12 * scale
     # W^T W is 2 on singular-pair columns and 1 on null columns
@@ -151,9 +152,11 @@ class TestHamiltonian:
         (10.0, 1.0, 1), (10.0, 0.0, 2), (0.3, 7.5, 5), (1e-3, 2.0**-30, 40), (123.456, 0.1, 73),
     ])
     def test_matches_kron_formula(self, lam, g, cutoff):
+        # H is held in units of lam: its entries are the kron formula at lam = 1
         h = build_hamiltonians(ModelParams(lam=lam, k=g / lam), cutoff)
-        want = kron_hamiltonian(ModelParams(lam=lam, k=g / lam), cutoff)
-        h1 = dense_h1(h)
+        want = kron_hamiltonian(ModelParams(lam=1.0, k=g / lam), cutoff)
+        assert h.lam == lam
+        h1 = dense_entries(h)
         assert h1.dtype == want.dtype and h1.shape == want.shape
         assert (h1 == want).all()
 
@@ -260,7 +263,13 @@ class TestHamiltonian:
         assert h.dim == 8
         row, col, val = change(h.row, h.col, h.val)
         with pytest.raises(ValueError, match=message):
-            HamiltonianMatrix(row=row, col=col, val=val, fock_cutoff=1)
+            HamiltonianMatrix(row=row, col=col, val=val, fock_cutoff=1, lam=h.lam)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_unit_refused(self, lam):
+        h = build_hamiltonians(ModelParams(lam=1.0, k=1.0), 1)
+        with pytest.raises(ValueError, match="lam must be finite and > 0"):
+            HamiltonianMatrix(row=h.row, col=h.col, val=h.val, fock_cutoff=1, lam=lam)
 
     @pytest.mark.parametrize("g", [0.0, 1.0])
     def test_entries_are_the_nonzeros(self, g):
@@ -428,7 +437,7 @@ class TestBlockKernels:
         one_by_one = np.concatenate([oracle._reduce(h, field, times[i : i + 1])
                                      for i in range(times.size)])
         sigma = max(sigma.max() for _, sigma, _ in h.eigensystem())
-        bound = 4 * np.spacing(sigma * np.abs(times).max()) + 8 * np.spacing(1.0)
+        bound = 4 * np.spacing(sigma * np.abs(h.lam * times).max()) + 8 * np.spacing(1.0)
         assert np.abs(rho - one_by_one).max() <= bound
 
 
