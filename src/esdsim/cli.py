@@ -202,16 +202,16 @@ def _umask() -> int:
 _FILE_MODE = 0o666 & ~_umask()
 
 
-def _write(path: str | None, text: str):
-    """Write text to stdout, or atomically to path with the mode open() would give it."""
+def _write(path: str | None, data: bytes):
+    """Write UTF-8 data to stdout, or atomically to path with the mode open() would give it."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".esdsim-")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _FILE_MODE)
-            fh.write(text)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -262,9 +262,9 @@ class Evaluation:
     text: dict[str, np.ndarray] = dc_field(default_factory=dict, repr=False)
 
 
-# values per g17 call, about: five 2,000-row columns. g17's temporaries take
-# ~150 B a value, so an 8,000-row group of four columns formats in four calls
-# that each hold ~1.5 MB, not in one that holds ~5 MB
+# values per g17 call, about: five 2,000-row columns. g17 holds ~140 B a value
+# at its peak, its 32-byte cells included, so an 8,000-row group of four
+# columns formats in four calls that each hold ~1.1 MB, not in one of ~4.5 MB
 _FORMAT_VALUES = 10_000
 
 
@@ -327,7 +327,7 @@ def execute(config: RunConfig, evaluation: Evaluation) -> RunResult:
     return result
 
 
-def _render(config: RunConfig, evaluation: Evaluation) -> str:
+def _render(config: RunConfig, evaluation: Evaluation) -> bytes:
     keys = ["t", "lambda_t", *config.observables]
     intervals, oracle_dev = evaluation.intervals, evaluation.oracle_dev
     if config.output_format == "json":
@@ -343,15 +343,14 @@ def _render(config: RunConfig, evaluation: Evaluation) -> str:
                 "threshold": ORACLE_FAIL_THRESHOLD,
                 "passed": oracle_dev <= ORACLE_FAIL_THRESHOLD,
             }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
 
-    # one byte row per sample: each cell and its ',', the last ',' made '\n'
+    # one row of cells per sample, each cell's last byte (NUL) made ',', the row's last '\n'
     _format(evaluation, keys)
-    cells = [evaluation.text[key] for key in keys]
-    comma = np.full((len(cells[0]), 1), ord(","), np.uint8)
-    body = np.hstack([part for cell in cells for part in (cell, comma)])
-    body[:, -1] = ord("\n")
-    lines = [",".join(keys) + "\n", body.tobytes().translate(None, b"\0").decode("ascii")]
+    body = np.stack([evaluation.text[key] for key in keys], axis=1)
+    body[:, :, -1] = ord(",")
+    body[:, -1, -1] = ord("\n")
+    lines = []
     if config.detect_events:
         lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined\n")
         for iv in intervals:
@@ -362,7 +361,8 @@ def _render(config: RunConfig, evaluation: Evaluation) -> str:
     if oracle_dev is not None:
         ok = "pass" if oracle_dev <= ORACLE_FAIL_THRESHOLD else "FAIL"
         lines.append(f"# oracle_max_deviation,{_fmt(oracle_dev)},{ok}\n")
-    return "".join(lines)
+    header = ",".join(keys) + "\n"
+    return header.encode() + body.tobytes().translate(None, b"\0") + "".join(lines).encode()
 
 
 def _attempt(cfg: RunConfig, step: Callable):
@@ -587,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"jobs must be >= 1, got {args.jobs}")
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
         summary, exit_code = sweep(targets, summary_path=args.output)
-        _write(args.output, summary)
+        _write(args.output, summary.encode())
         return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
 
     if args.command == "run":

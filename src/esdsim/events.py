@@ -44,11 +44,11 @@ class EsdInterval:
         return self.t_birth - self.t_death
 
 
-def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative):
+def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative, t_start):
     """Refine every bracketed sign change of Lambda together.
 
     Each step evaluates one point per bracket still open, all in one table
-    call that also gives f'. The first point is the bracket's midpoint;
+    call that also gives f'. The first point is t_start, strictly inside;
     the sign of Lambda there shrinks the bracket, and the next point is the
     Newton point t - f/f' when it lies strictly inside the new bracket, else
     its midpoint. A bracket closes at the first point with |Lambda| <= tol
@@ -61,8 +61,7 @@ def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative):
     roots = np.empty_like(t_lo)
     converged = np.zeros(t_lo.size, dtype=bool)
     # the brackets still open: their indices, ends, lower-end signs and next points
-    active, lo, hi, lo_neg = np.arange(t_lo.size), t_lo, t_hi, lo_negative
-    t = 0.5 * (lo + hi)
+    active, lo, hi, lo_neg, t = np.arange(t_lo.size), t_lo, t_hi, lo_negative, t_start
     for _ in range(_MAX_BISECT):
         if not active.size:
             break
@@ -117,7 +116,11 @@ def esd_intervals(table: SectorTable, times: np.ndarray, lam: np.ndarray) -> lis
     # each kept stretch [i, j] is bounded by i and j + 1: the window ends 0 and
     # n_grid stay, every inner bound m is the refined root of grid step [m-1, m]
     m = np.array([b for i, j, _ in stretches for b in (i, j + 1) if 0 < b < n_grid], dtype=int)
-    roots, converged = _refine_crossings(table, times[m - 1], times[m], lam[m - 1] < 0)
+    # first points: the grid secant's root, or the midpoint where that is not strictly inside
+    t_lo, t_hi, lam_lo = times[m - 1], times[m], lam[m - 1]
+    secant = t_lo - lam_lo * (t_hi - t_lo) / (lam[m] - lam_lo)
+    start = np.where((t_lo < secant) & (secant < t_hi), secant, 0.5 * (t_lo + t_hi))
+    roots, converged = _refine_crossings(table, t_lo, t_hi, lam_lo < 0, start)
     bound = {0: (t0, False), n_grid: (t1, False),
              **dict(zip(m.tolist(), zip(roots.tolist(), converged.tolist())))}
 

@@ -288,12 +288,17 @@ class TestTwoQubitState:
 
     def test_blocks_match_pointwise(self):
         table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(10.0))
-        # one full rotation chunk, then two full blocks and a short one in a second
-        times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 2 * _BLOCK + 3)
-        series = table.series(times)
-        assert len(series) == times.size
-        pointwise = np.array([table.series([t]).matrix()[0] for t in times])
-        assert np.abs(series.matrix() - pointwise).max() <= 1e-15
+        # as in TestTimePaths: the phases round apart by up to ulp(lam t1) in
+        # tau, and sums of entries of size <= 1 round in different orders
+        bound = 4 * table.freqs.omega_plus.max() * np.spacing(table.lam * 2.0) + 8 * np.spacing(1.0)
+        # one full rotation chunk, then two full blocks and a short one in a
+        # second; one full chunk and a short block (its error exceeds 1e-15)
+        for steps in (_CHUNK * _BLOCK + 2 * _BLOCK + 3, _CHUNK * _BLOCK + 3):
+            times = np.linspace(0.0, 2.0, steps)
+            series = table.series(times)
+            assert len(series) == times.size
+            pointwise = np.array([table.series([t]).matrix()[0] for t in times])
+            assert np.abs(series.matrix() - pointwise).max() <= bound
 
     def test_linspace_grid_shares_one_table(self, monkeypatch):
         # the grid is tested on t: lam t is not bit for bit a linspace, and a

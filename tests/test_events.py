@@ -125,7 +125,8 @@ class TestScanEsd:
             assert abs(iv.t_birth - t_birth) <= 1e-9
 
     def test_unconverged_brackets_are_not_refined(self, monkeypatch):
-        monkeypatch.setattr(events, "_MAX_BISECT", 2)
+        # the secant start closes every bracket here within 2 steps
+        monkeypatch.setattr(events, "_MAX_BISECT", 1)
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
         intervals = scan_esd(p, f, 0.0, 2.0, 4000)
@@ -146,6 +147,8 @@ class TestScanEsd:
         assert all(iv.refined for iv in intervals if not (iv.open_left or iv.open_right))
         assert sum(brackets) > 100
         assert sum(evals) <= 6 * sum(brackets)
+        # starting at the secant point of the grid's Lambda: ~2.9 (3.7 from the midpoint)
+        assert sum(evals) <= 3.2 * sum(brackets)
 
     def test_isolated_pair_makes_no_refinement_call(self, monkeypatch):
         def fail(self, t):

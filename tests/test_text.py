@@ -16,6 +16,7 @@ from esdsim._text import WIDTH, g17
 def texts(xs) -> list[str]:
     matrix = g17(np.array(xs, dtype=float))
     assert matrix.shape == (len(xs), WIDTH) and matrix.dtype == np.uint8
+    assert not matrix[:, WIDTH - 1].any()  # the separator slot of every cell is NUL
     return [row.tobytes().translate(None, b"\0").decode("ascii") for row in matrix]
 
 
@@ -41,6 +42,18 @@ def decade_carries() -> list[float]:
         if Fraction(x) < Fraction(10) ** k and ("%.17g" % x).startswith("1"):
             out.append(x)
     return out
+
+
+def significant(text: str) -> int:
+    """The significant digits of a fixed-notation '%.17g' text."""
+    return len(text.lstrip("-").replace(".", "").strip("0"))
+
+
+def with_digits(exp: int, n: int) -> float:
+    """The first double m * 10**(exp - n + 1), for an n-digit m not ending in
+    0, that '%.17g' prints with n significant digits."""
+    return next(x for m in range(10 ** (n - 1), 10**n) if m % 10
+                for x in [float(f"{m}e{exp - n + 1}")] if significant("%.17g" % x) == n)
 
 
 ANY = st.floats()  # NaN, infinities, signed zeros and subnormals included
@@ -85,6 +98,35 @@ class TestKernel:
                              10 ** rng.uniform(-5, 7, 5000)])
         assert_g17(xs)
 
+    @pytest.mark.parametrize("exp", range(-4, 6))
+    def test_every_dot_position_and_prefix(self, exp):
+        # '.' after digit exp + 1 for exp >= 0, '0.' and -exp - 1 zeros before
+        # the digits for exp < 0, with and without a sign
+        xs = [float(f"1.2345678912345678e{exp}"), float(f"9.8765432198765432e{exp}"),
+              10.0**exp, float(f"7e{exp}")]
+        assert_g17(xs + [-x for x in xs])
+
+    @pytest.mark.parametrize("n", range(1, 18))
+    def test_every_trimmed_length(self, n):
+        # digits 1-8 and 9-16 are one word each: n = 9, 10 and 17 end the
+        # text at the last byte of the first, the first byte of the second
+        # and the last byte of the second
+        xs = [with_digits(exp, n) for exp in range(-4, 6)]
+        assert [significant("%.17g" % x) for x in xs] == [n] * 10
+        assert_g17(xs + [-x for x in xs])
+
+    def test_low_digit_word_all_zero(self):
+        assert_g17([0.5, 1234.5, -1234.5, 0.000125, 99999.5, 123456.75, 1.0, 100000.0, 3e-4])
+
+    def test_last_fixed_notation_values(self):
+        x = 99999.999999999985
+        xs = [x, math.nextafter(x, 0), math.nextafter(x, math.inf),
+              math.nextafter(math.nextafter(x, math.inf), math.inf), 999999.99999999988]
+        assert_g17(xs + [-x for x in xs])
+
+    def test_signed_zeros(self):
+        assert texts([-0.0, 0.0, -0.0]) == ["-0", "0", "-0"]
+
     def test_empty(self):
         assert g17(np.array([])).shape == (0, WIDTH)
 
@@ -106,7 +148,7 @@ def test_render_equals_a_percent_g_join():
     keys = ("concurrence", "lambda", "inversion", "coherence", "entropy")
     interval = EsdInterval(t_death=0.25, t_birth=1.5, min_lambda=-1e-3, refined=True)
     config = RunConfig(observables=keys, detect_events=True)
-    text = _render(config, Evaluation(columns, [interval], 2.5e-12))
+    text = _render(config, Evaluation(columns, [interval], 2.5e-12)).decode("ascii")
 
     header = ",".join(["t", "lambda_t", *keys])
     rows = [",".join("%.17g" % columns[key][i] for key in ["t", "lambda_t", *keys])
