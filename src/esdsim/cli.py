@@ -11,7 +11,6 @@ import math
 import os
 import re
 import sys
-import tempfile
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 
@@ -137,10 +136,6 @@ class RunConfig:
     def params(self) -> ModelParams:
         return ModelParams(lam=self.lam, k=self.k)
 
-    def resolved(self) -> dict:
-        """The inputs, for provenance output."""
-        return {**asdict(self), "observables": list(self.observables)}
-
 
 def _check_numbers(params: ModelParams, nmax: int, t0: float, t1: float):
     """Raise ValueError unless the window's span is finite and its largest
@@ -191,26 +186,16 @@ def _check_output(path: str | None):
         raise FileNotFoundError(f"output directory {directory} does not exist")
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
-# the mode open() gives a new file; mkstemp's is 0600. Read once, because the
-# umask can only be read by setting it, for the whole process
-_FILE_MODE = 0o666 & ~_umask()
-
-
 def _write(path: str | None, data: bytes):
-    """Write UTF-8 data to stdout, or atomically to path with the mode open() would give it."""
+    """Write UTF-8 data to stdout, or atomically to path with the mode open() would
+    give it: the kernel applies the umask in force when the file is created."""
     if not path:
         sys.stdout.write(data.decode())
         return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".esdsim-")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".esdsim-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _FILE_MODE)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -301,10 +286,7 @@ def evaluate(config: RunConfig) -> Evaluation:
     if config.oracle_check:
         h = build_hamiltonians(params, fock_cutoff=thermal.nmax + 2)
         oracle = reduced_two_qubit_series(h, thermal, times)
-        oracle_dev = max(
-            float(np.abs(getattr(series, name) - getattr(oracle, name)).max())
-            for name in ("rho11", "rho22", "rho33", "rho44", "rho23")
-        )
+        oracle_dev = float(np.abs(series.matrix() - oracle.matrix()).max())
     return Evaluation(columns, intervals, oracle_dev)
 
 
@@ -332,7 +314,7 @@ def _render(config: RunConfig, evaluation: Evaluation) -> bytes:
     intervals, oracle_dev = evaluation.intervals, evaluation.oracle_dev
     if config.output_format == "json":
         doc = {
-            "config": config.resolved(),
+            "config": asdict(config),
             "samples": [dict(zip(keys, row)) for row in
                         zip(*(evaluation.columns[key].tolist() for key in keys))],
             "events": [asdict(iv) for iv in intervals],

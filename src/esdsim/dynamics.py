@@ -20,7 +20,8 @@ past that table the grid needs trig only at the blocks' bases, and
 K R(tau_b) is computed for a chunk of bases at a time, in one vectorised
 call. Any other times are at base 0, where R = I. Root refinement also
 needs the slope: T'(tau) = D T(tau), so K' = K D maps the same T(tau) to
-the factors' tau-derivatives, and d/dt = lam d/dtau.
+the factors' tau-derivatives, and d/dt = lam d/dtau; its times go through
+the same block loop, at base 0.
 """
 
 from __future__ import annotations
@@ -40,10 +41,11 @@ _POSITIVITY_TOL = 1e-10
 # (bases x sectors x 4 x 4) buffer: half a block's factors, whatever the grid
 _BLOCK = 128
 _CHUNK = _BLOCK // 8
-# sectors per linspace_trig call for the shared table: each call's
-# (times x sectors) arrays, transposed into the (sectors, 4, times) table,
-# stay a few hundred KB, where one call over the 23,038 sectors of
-# nbar = 1000 raised that run's peak RSS by ~57 MB
+# sectors per linspace_trig call for the shared table, both frequencies in
+# one call: each call's (times x 2 x sectors) arrays, transposed into the
+# (sectors, 4, times) table, peak at ~3.4 MB for 128 times (tracemalloc),
+# where one call over the 23,038 sectors of nbar = 1000 raised that run's
+# peak RSS by ~57 MB
 _SECTORS = 256
 
 
@@ -156,13 +158,21 @@ def linspace_trig(freq, t0: float, dt: float, count: int) -> tuple[np.ndarray, n
     # (bases, offsets, *freq.shape): the last base runs through all r
     # offsets, and what is returned stops at count
     shape = (x.shape[0], r, *freq.shape)
-    cos, sin, tmp = np.empty(shape), np.empty(shape), np.empty(shape)
-    # cos(b + o) = cb co - sb so and sin(b + o) = sb co + cb so
-    np.multiply(c_base, c_off, out=cos)
-    cos -= np.multiply(s_base, s_off, out=tmp)
-    np.multiply(s_base, c_off, out=sin)
-    sin += np.multiply(c_base, s_off, out=tmp)
+    cos, sin = _add_angle(c_base, s_base, c_off, s_off, (np.empty(shape), np.empty(shape)))
     return cos.reshape(-1, *freq.shape)[:count], sin.reshape(-1, *freq.shape)[:count]
+
+
+def _add_angle(c, s, c_off, s_off, out):
+    """cos(b + o) = c c_off - s s_off and sin(b + o) = s c_off + c s_off into
+    out = (cos, sin), from c, s = cos b, sin b and c_off, s_off = cos o, sin o,
+    all broadcast together; each product is rounded before the sum."""
+    cos, sin = out
+    tmp = np.empty_like(cos)
+    np.multiply(c, c_off, out=cos)
+    cos -= np.multiply(s, s_off, out=tmp)
+    np.multiply(s, c_off, out=sin)
+    sin += np.multiply(c, s_off, out=tmp)
+    return out
 
 
 class SectorTable:
@@ -171,9 +181,8 @@ class SectorTable:
     Sectors run over n = 0 .. nmax, the field's truncation, and every entry
     sums them with the field's weights. The constants depend on k alone, in
     units of lam: coeffs[n] = K maps T(tau) to the real factors of the
-    amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
-    slopes[n] = K' maps it to their tau-derivatives. Times t are evaluated
-    at tau = lam t.
+    amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>. Times t are
+    evaluated at tau = lam t.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
@@ -195,9 +204,9 @@ class SectorTable:
         k[:, 3, 2] = -k[:, 3, 0]
         # K' = K D: D takes (cos wt, sin wt) to (-w sin wt, w cos wt)
         w = np.stack((wp, wm), axis=-1)[:, None, :]
-        self.slopes = self._coeffs_and_slopes[:, 4:]
-        self.slopes[..., 0::2] = w * k[..., 1::2]
-        self.slopes[..., 1::2] = -w * k[..., 0::2]
+        slopes = self._coeffs_and_slopes[:, 4:]
+        slopes[..., 0::2] = w * k[..., 1::2]
+        slopes[..., 1::2] = -w * k[..., 0::2]
 
     def basis(self, tau: np.ndarray) -> np.ndarray:
         """T(tau) of every sector at each tau = lam t, shape (sectors, 4, times)."""
@@ -207,33 +216,47 @@ class SectorTable:
 
     def _linspace_basis(self, step: float, m: int) -> np.ndarray:
         """T(j * step) for j < m, shape (sectors, 4, m), from linspace_trig,
-        _SECTORS sectors per call."""
+        one call per _SECTORS sectors over both frequencies."""
         out = np.empty((self.coeffs.shape[0], 4, m))
-        for j, w in enumerate((self.freqs.omega_plus, self.freqs.omega_minus)):
-            for lo in range(0, w.size, _SECTORS):
-                c, s = linspace_trig(w[lo : lo + _SECTORS], 0.0, step, m)
-                part = out[lo : lo + _SECTORS]
-                part[:, 2 * j], part[:, 2 * j + 1] = c.T, s.T
+        w = np.stack((self.freqs.omega_plus, self.freqs.omega_minus))
+        for lo in range(0, w.shape[1], _SECTORS):
+            c, s = linspace_trig(w[:, lo : lo + _SECTORS], 0.0, step, m)
+            part = out[lo : lo + _SECTORS]
+            part[:, 0::2], part[:, 1::2] = c.T, s.T
         return out
 
-    def _rotated(self, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """K R(tau_b) for each base tau_b into out, shape (bases, sectors, 4, 4),
-        with R(tau_b) the rotation T(tau_b + s) = R(tau_b) T(s)."""
+    def _rotated(self, k: np.ndarray, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """k R(tau_b) for each base tau_b into out, shape (bases, *k.shape), for
+        per-sector matrices k of shape (sectors, rows, 4), with R(tau_b) the
+        rotation T(tau_b + s) = R(tau_b) T(s)."""
         # sectors last, so that every elementwise loop runs along them:
-        # T as (4, bases, sectors) and K R as (4, 4, bases, sectors)
+        # T as (4, bases, sectors) and k R as (rows, 4, bases, sectors)
         t = np.ascontiguousarray(np.moveaxis(self.basis(bases), 0, -1))
-        k = np.ascontiguousarray(np.moveaxis(self.coeffs, 0, -1))[:, :, None]
-        c, s, kc, ks = t[0::2], t[1::2], k[:, 0::2], k[:, 1::2]
-        kr = np.empty((4, 4, *t.shape[1:]))
-        even, odd = kr[:, 0::2], kr[:, 1::2]
-        tmp = np.empty_like(even)
-        # kc c + ks s and ks c - kc s, each product rounded before the sum
-        np.multiply(kc, c, out=even)
-        even += np.multiply(ks, s, out=tmp)
-        np.multiply(ks, c, out=odd)
-        odd -= np.multiply(kc, s, out=tmp)
+        k = np.ascontiguousarray(np.moveaxis(k, 0, -1))[:, :, None]
+        kr = np.empty((k.shape[0], 4, *t.shape[1:]))
+        # column pairs (kc c + ks s, ks c - kc s): the angle addition of (kc, ks) and (c, -s)
+        _add_angle(k[:, 0::2], k[:, 1::2], t[0::2], -t[1::2], (kr[:, 0::2], kr[:, 1::2]))
         out[...] = kr.transpose(2, 3, 0, 1)
         return out
+
+    def _factors(self, tau: np.ndarray, k: np.ndarray, step: float | None = None):
+        """(block, k T(tau[block])) for each block of _BLOCK taus, for per-sector
+        matrices k (sectors, rows, 4). Given the step of a linspace tau, the
+        blocks share T(j * step) and each takes k rotated to its first tau,
+        _CHUNK bases per _rotated call into one reused buffer; else every
+        block is at base 0."""
+        if step is not None:
+            shared = self._linspace_basis(step, min(_BLOCK, tau.size))
+            rotated = np.empty((_CHUNK, *k.shape))
+        for i, start in enumerate(range(0, tau.size, _BLOCK)):
+            block = slice(start, start + _BLOCK)
+            if step is None:
+                yield block, k @ self.basis(tau[block])
+                continue
+            if i % _CHUNK == 0:
+                bases = tau[start : start + _CHUNK * _BLOCK : _BLOCK]
+                self._rotated(k, bases, out=rotated[: bases.size])
+            yield block, rotated[i % _CHUNK] @ shared[..., : tau[block].size]
 
     def _evaluate(self, x: np.ndarray):
         """Populations (4, m) and rho23 (m,) from the factors x (sectors, 4, m),
@@ -245,45 +268,30 @@ class SectorTable:
         return (w @ x.reshape(w.size, -1)).reshape(4, -1), rho23
 
     def series(self, times) -> StateSeries:
-        """The five X-state columns at each time, evaluated block by block.
-
-        A linspace grid of times t (bit for bit, >= 2 points; lam t is not
-        one) shares T(j * lam * step) across its blocks, built by
-        linspace_trig _SECTORS sectors at a time, each block rotated to its
-        first tau, _CHUNK bases per rotation call into one reused buffer;
-        other times are at base 0.
-        """
+        """The five X-state columns at each time, evaluated block by block
+        (see _factors): a linspace grid of times t (bit for bit, >= 2 points;
+        lam t is not one) at the step lam dt, other times at base 0."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        tau = self.lam * times
         pops = np.empty((4, times.size))
         rho23 = np.empty(times.size, dtype=complex)
         dt = linspace_step(times)
-        uniform = dt is not None
-        if uniform:
-            shared = self._linspace_basis(self.lam * dt, min(_BLOCK, times.size))
-            rotated = np.empty((_CHUNK, *self.coeffs.shape))
-        for i, start in enumerate(range(0, times.size, _BLOCK)):
-            block = slice(start, start + _BLOCK)
-            if uniform and i % _CHUNK == 0:
-                bases = tau[start : start + _CHUNK * _BLOCK : _BLOCK]
-                self._rotated(bases, out=rotated[: bases.size])
-            kr, basis = ((rotated[i % _CHUNK], shared[..., : times[block].size])
-                         if uniform else (self.coeffs, self.basis(tau[block])))
-            pops[:, block], rho23[block] = self._evaluate(kr @ basis)
+        step = None if dt is None else self.lam * dt
+        for block, x in self._factors(self.lam * times, self.coeffs, step):
+            pops[:, block], rho23[block] = self._evaluate(x)
+            del x   # before the next block's are formed
         return StateSeries(*pops, rho23)
 
     def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
         """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
         which has the sign of Lambda. One product [K; K'] T(tau) per block of times gives
         both, d/dtau as rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c,
-        c' = sum w (x2' x3 + x2 x3'); a block is _BLOCK times."""
+        c' = sum w (x2' x3 + x2 x3'); a block is _BLOCK times, all at base 0:
+        a 2-point refinement step is always a linspace, rounded otherwise there."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
         pops, rho23 = np.empty((4, times.size)), np.empty(times.size, dtype=complex)
         dc, d11, d44 = np.empty((3, times.size))
         w = self.weights
-        for start in range(0, times.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            xs = self._coeffs_and_slopes @ self.basis(self.lam * times[block])
+        for block, xs in self._factors(self.lam * times, self._coeffs_and_slopes):
             x, dx = xs[:, :4], xs[:, 4:]
             dc[block] = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
             d11[block], d44[block] = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])

@@ -867,7 +867,7 @@ class TestMain:
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_output_files_get_the_umask_mode(self, umask, tmp_path):
-        # the CLI reads the umask once at import, so it runs in a fresh interpreter
+        # the umask set before the interpreter starts holds for every file it writes
         script = ("from esdsim.cli import main; raise SystemExit("
                   "main(['run', '--preset', 'fig1a', '-o', 'run.csv']) or "
                   "main(['sweep', 'fig1a', '--output-dir', 'sweep', '-o', 'summary.csv']))")
@@ -882,6 +882,19 @@ class TestMain:
         assert proc.returncode == EXIT_OK, proc.stderr
         for name in ("run.csv", "sweep/fig1a.csv", "summary.csv"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+    def test_output_files_get_the_umask_set_after_import(self, tmp_path):
+        # esdsim.cli is imported by now; a umask unlike the one at import still applies
+        old = os.umask(0o077)
+        new = 0o027 if old == 0o077 else 0o077
+        try:
+            os.umask(new)
+            assert main(["run", "--preset", "fig1a", "--steps", "10",
+                         "-o", str(tmp_path / "run.csv")]) == EXIT_OK
+        finally:
+            os.umask(old)
+        assert (tmp_path / "run.csv").stat().st_mode & 0o777 == 0o666 & ~new
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"

@@ -347,9 +347,9 @@ class TestTwoQubitState:
             return np.stack((kc * c + ks * s, ks * c - kc * s), axis=-1).reshape(kc.shape[0], 4, 4)
 
         want = np.stack([one_base(tau_b) for tau_b in bases])
-        single = np.stack([table._rotated(bases[i : i + 1], np.empty_like(want[:1]))[0]
+        single = np.stack([table._rotated(table.coeffs, bases[i : i + 1], np.empty_like(want[:1]))[0]
                            for i in range(bases.size)])
-        batched = table._rotated(bases, np.empty_like(want))
+        batched = table._rotated(table.coeffs, bases, np.empty_like(want))
         for got in (batched, single):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
