@@ -181,18 +181,27 @@ def _fmt(x: float) -> str:
 
 
 def _check_output(path: str | None):
-    """Fail before any work if path's directory does not exist; no path is stdout."""
-    if path and not os.path.isdir(directory := os.path.dirname(os.path.abspath(path))):
+    """Fail before any work if the directory of the file path resolves to,
+    through any symlinks, does not exist; no path is stdout."""
+    if path and not os.path.isdir(directory := os.path.dirname(os.path.realpath(path))):
         raise FileNotFoundError(f"output directory {directory} does not exist")
 
 
 def _write(path: str | None, data: bytes):
-    """Write UTF-8 data to stdout, or atomically to path with the mode open() would
-    give it: the kernel applies the umask in force when the file is created."""
+    """Write UTF-8 data to stdout, or to path. An existing file that is not a
+    regular one (a FIFO, a device) is written in place; any other path has
+    the file it resolves to, through any symlinks, replaced atomically, with
+    the mode open() would give it: the kernel applies the umask in force
+    when the file is created."""
     if not path:
         sys.stdout.write(data.decode())
         return
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".esdsim-{os.urandom(8).hex()}")
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".esdsim-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -215,20 +224,11 @@ class RunResult:
     error: str | None = None
 
 
-_GRID = ("t", "lambda_t")
-
-
-def _grid(config: RunConfig) -> tuple:
-    """What fixes a run's _GRID columns; runs with equal keys print the same
-    ones. Floats enter by their bits: -0.0 and 0.0 are equal but print apart."""
-    return (*(float(x).hex() for x in (config.lam, config.t0, config.t1)), config.steps)
-
-
 def _physics(config: RunConfig) -> tuple:
-    """What fixes a run's evaluation, its grid first; runs with equal keys
-    share one."""
-    floats = (config.k, config.nbar, config.epsilon)
-    return (*_grid(config), *(float(x).hex() for x in floats),
+    """What fixes a run's evaluation; runs with equal keys share one. Floats
+    enter by their bits: -0.0 and 0.0 are equal but print apart."""
+    floats = (config.lam, config.t0, config.t1, config.k, config.nbar, config.epsilon)
+    return (*(float(x).hex() for x in floats), config.steps,
             config.detect_events, config.oracle_check)
 
 
@@ -248,8 +248,9 @@ class Evaluation:
 
 
 # values per g17 call, about: five 2,000-row columns. g17 holds ~140 B a value
-# at its peak, its 32-byte cells included, so an 8,000-row group of four
-# columns formats in four calls that each hold ~1.1 MB, not in one of ~4.5 MB
+# at its peak, its 32-byte cells included, so an 8,000-row group of six columns
+# (t, lambda_t and four observables) formats in five calls that each hold
+# ~1.3 MB, not in one of ~6.7 MB
 _FORMAT_VALUES = 10_000
 
 
@@ -286,7 +287,9 @@ def evaluate(config: RunConfig) -> Evaluation:
     if config.oracle_check:
         h = build_hamiltonians(params, fock_cutoff=thermal.nmax + 2)
         oracle = reduced_two_qubit_series(h, thermal, times)
-        oracle_dev = float(np.abs(series.matrix() - oracle.matrix()).max())
+        # the dense matrices' maximum, entry by entry, without building them
+        oracle_dev = float(max(np.abs(getattr(series, f.name) - getattr(oracle, f.name)).max()
+                               for f in fields(series)))
     return Evaluation(columns, intervals, oracle_dev)
 
 
@@ -373,45 +376,38 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     file summary_path or an earlier item writes, fails without running.
     Valid items with the same physics form one group, evaluated once and
     written member by member (a failed evaluation fails every member).
-    Groups run one at a time on the calling thread, grid by grid. Before
-    writing, a group formats the observables its CSV members print together
-    (see _format); a grid's _GRID cells are formatted by its first group
-    with CSV members, shared by its other groups, and dropped when the loop
-    leaves the grid. So one group's evaluation and one grid's cells are
-    held at a time.
+    Groups run one at a time on the calling thread, in the order of their
+    first items. Before writing, a group formats every column its CSV
+    members print, t and lambda_t included, together (see _format). So one
+    group's evaluation and its cells are held at a time.
     """
     # results[i] holds item i's config until its group (its one writer) puts the result there
-    results, grids = [], {}
+    results, groups = [], {}
     writer = {}
     if summary_path:
-        writer[os.path.abspath(summary_path)] = RunConfig(name="the summary")
+        writer[os.path.realpath(summary_path)] = RunConfig(name="the summary")
     for item in items:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
         cfg = _attempt(RunConfig(name=name), resolve)
         if isinstance(cfg, RunConfig):
             cfg = _attempt(cfg, cfg.validate)
         if isinstance(cfg, RunConfig):
-            path = cfg.output_path and os.path.abspath(cfg.output_path)
+            path = cfg.output_path and os.path.realpath(cfg.output_path)
             if path and writer.setdefault(path, cfg) is not cfg:
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path].name}")
             else:
-                grids.setdefault(_grid(cfg), {}).setdefault(_physics(cfg), []).append(len(results))
+                groups.setdefault(_physics(cfg), []).append(len(results))
         results.append(cfg)
 
-    def run_group(members: list[int], grid_text: dict[str, np.ndarray]):
+    def run_group(members: list[int]):
         # a function, so that its evaluation is dropped before the next group's
         first = results[members[0]]
         csv = [results[i] for i in members if results[i].output_format == "csv"]
 
         def evaluate_group() -> Evaluation:
             evaluation = evaluate(first)
-            if csv:
-                if not grid_text:
-                    _format(evaluation, _GRID)
-                    grid_text.update((name, evaluation.text[name]) for name in _GRID)
-                evaluation.text.update(grid_text)
-                _format(evaluation, [name for cfg in csv for name in cfg.observables])
+            _format(evaluation, [key for cfg in csv for key in ("t", "lambda_t", *cfg.observables)])
             return evaluation
 
         evaluation = _attempt(first, evaluate_group)
@@ -420,10 +416,8 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
             results[i] = (replace(evaluation, config=cfg) if isinstance(evaluation, RunResult)
                           else _attempt(cfg, lambda: execute(cfg, evaluation)))
 
-    for by_physics in grids.values():
-        grid_text = {}   # the grid's _GRID cells, once its first CSV group has formatted them
-        for members in by_physics.values():
-            run_group(members, grid_text)
+    for members in groups.values():
+        run_group(members)
     return results
 
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
@@ -199,6 +200,32 @@ class TestRun:
         assert res.oracle_deviation < 1e-8
         assert "# oracle_max_deviation" in out.read_text()
 
+    def test_oracle_deviation_builds_no_dense_stacks(self, monkeypatch):
+        # the validator's series is computed once, before the measurement, so the
+        # peak is evaluate's own: the series, its columns and the deviation
+        steps = 20_000
+        cfg = RunConfig(k=0.1, nbar=1.0, steps=steps, oracle_check=True).validate()
+        real, oracle = cli.reduced_two_qubit_series, []
+
+        def precomputed(h, field, times):
+            if not oracle:
+                oracle.append(real(h, field, times))
+            return oracle[0]
+
+        monkeypatch.setattr(cli, "reduced_two_qubit_series", precomputed)
+        cli.evaluate(cfg)
+        tracemalloc.start()
+        try:
+            evaluation = cli.evaluate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # ~137 B a time; four (steps, 4, 4) complex stacks of the dense maximum made it ~633
+        assert peak <= 250 * steps
+        series = cli.two_qubit_states(cfg.params(), build_thermal(cfg.nbar),
+                                      np.linspace(cfg.t0, cfg.t1, steps))
+        assert evaluation.oracle_dev == np.abs(series.matrix() - oracle[0].matrix()).max()
+
     def test_deterministic_output(self, tmp_path):
         outs = []
         for name in ("a.csv", "b.csv"):
@@ -366,11 +393,13 @@ class TestSharedPhysics:
                 tmp_path / f"{cfg.name}.csv").read_bytes()
 
     def test_presentation_shares_the_evaluation(self, tmp_path, monkeypatch):
+        # one g17 pass over t, lambda_t and the CSV's observables; the JSON adds none
         by_k = reduced("fig2a", tmp_path, observables=("lambda", "entropy"), name="by_k")
-        as_json = replace(by_k, output_format="json", name="as_json",
-                          output_path=str(tmp_path / "as_json.json"))
-        calls = count_evaluations(monkeypatch)
+        as_json = replace(by_k, observables=("concurrence", "coherence"), output_format="json",
+                          name="as_json", output_path=str(tmp_path / "as_json.json"))
+        calls, formatted = count_evaluations(monkeypatch), count_formatting(monkeypatch)
         assert sweep([by_k, as_json])[1] == EXIT_OK and calls == [0.5]
+        assert formatted == [4 * 200]
         for cfg in (by_k, as_json):
             alone = replace(cfg, output_path=str(tmp_path / "alone"))
             assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
@@ -403,25 +432,26 @@ class TestSharedPhysics:
 
 
 class TestFormatting:
-    def test_one_call_per_evaluation_and_grid(self, tmp_path, monkeypatch):
-        # two physics on one grid: its t and lambda_t once, then each group's observables
+    def test_one_call_per_evaluation(self, tmp_path, monkeypatch):
+        # two physics on one grid, two CSVs each: each group's t, lambda_t and observables
         calls = count_formatting(monkeypatch)
         configs = [reduced(n, tmp_path) for n in ["fig1a", "fig2a", "fig3a", "fig4a"]]
-        assert sweep(configs)[1] == EXIT_OK and calls == [2 * 200] * 3
+        assert sweep(configs)[1] == EXIT_OK and calls == [4 * 200] * 2
 
-    def test_run_formats_in_two_calls(self, tmp_path, monkeypatch):
+    def test_run_formats_in_one_call(self, tmp_path, monkeypatch):
         calls = count_formatting(monkeypatch)
         out = tmp_path / "events.csv"
         assert main(["run", "--k", "0.5", "--nbar", "1", "--steps", "50", "--detect-events",
                      "-o", str(out)]) == EXIT_OK
-        assert calls == [2 * 50, 5 * 50]
+        assert calls == [7 * 50]
         assert "# esd_intervals" in out.read_text()
 
     def test_calls_keep_near_the_value_budget(self, tmp_path, monkeypatch):
         # g17's temporaries grow with the values of one call
         calls = count_formatting(monkeypatch)
         assert main(["run", "--steps", "4000", "-o", str(tmp_path / "run.csv")]) == EXIT_OK
-        assert cli._FORMAT_VALUES == 10_000 and calls == [8000, 10_000, 10_000]
+        # 7 columns of 4,000 rows in 3 calls of 1,334, 1,334 and 1,332 rows
+        assert cli._FORMAT_VALUES == 10_000 and calls == [9338, 9338, 9324]
 
     def test_long_columns_format_in_equal_row_ranges(self, tmp_path, monkeypatch):
         argv = ["run", "--k", "0.5", "--nbar", "1", "--steps", "37", "--detect-events"]
@@ -429,8 +459,8 @@ class TestFormatting:
         monkeypatch.setattr(cli, "_FORMAT_VALUES", 40)
         calls = count_formatting(monkeypatch)
         assert main([*argv, "-o", str(tmp_path / "split.csv")]) == EXIT_OK
-        # t and lambda_t in 2 calls of 19 and 18 rows, the 5 observables in 5 of 8 rows
-        assert calls == [38, 36, 40, 40, 40, 40, 25]
+        # the 7 columns in 7 calls of 6 rows and one of 1 row
+        assert calls == [42, 42, 42, 42, 42, 42, 7]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
     def test_json_formats_nothing(self, tmp_path, monkeypatch):
@@ -451,25 +481,8 @@ class TestFormatting:
         assert out.count("t,lambda_t,entropy,concurrence\n") == 2
         assert out[: len(out) // 2] == out[len(out) // 2:]
 
-    def test_one_grid_held_at_a_time(self, tmp_path, monkeypatch):
-        # the grids interleave in this order; each one's cells go before the next one's come
-        grid_cells, real = [], cli._format
-
-        def tracked(evaluation, names):
-            if names == cli._GRID:
-                assert all(ref() is None for ref in grid_cells), "an earlier grid is still held"
-            real(evaluation, names)
-            if names == cli._GRID:
-                grid_cells.append(weakref.ref(evaluation.text["t"]))
-
-        monkeypatch.setattr(cli, "_format", tracked)
-        names = ["fig1a", "fig1b", "fig2a", "fig2b"]
-        configs = [reduced(n, tmp_path, steps=40 if n[-1] == "a" else 60) for n in names]
-        assert sweep(configs)[1] == EXIT_OK
-        assert len(grid_cells) == 2 and all(ref() is None for ref in grid_cells)
-
     def test_shared_grid_cells_match_separate_runs(self, tmp_path):
-        # two grids, each shared by two physics, and a third physics on the first
+        # two grids, each with two physics, and a third physics on the first
         steps = {"fig1a": 40, "fig1b": 60, "fig2a": 40, "fig2b": 60, "fig1d": 40}
         (tmp_path / "swept").mkdir()
         configs = [reduced(n, tmp_path / "swept", steps=k) for n, k in steps.items()]
@@ -895,6 +908,58 @@ class TestMain:
             os.umask(old)
         assert (tmp_path / "run.csv").stat().st_mode & 0o777 == 0o666 & ~new
         assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    @pytest.mark.parametrize("dangling", [False, True], ids=["target", "dangling"])
+    def test_output_through_a_symlink_writes_its_target(self, dangling, tmp_path):
+        (tmp_path / "links").mkdir()
+        (tmp_path / "out").mkdir()
+        link, target = tmp_path / "links" / "run.csv", tmp_path / "out" / "run.csv"
+        if not dangling:
+            target.write_text("old\n")
+        link.symlink_to(target)
+        assert main(["run", "--steps", "3", "-o", str(link)]) == EXIT_OK
+        assert main(["run", "--steps", "3", "-o", str(tmp_path / "plain.csv")]) == EXIT_OK
+        assert link.is_symlink() and target.read_bytes() == (tmp_path / "plain.csv").read_bytes()
+        assert [p.name for p in (tmp_path / "links").iterdir()] == ["run.csv"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["run.csv"]
+
+    def test_symlink_into_a_missing_directory_exits_4(self, tmp_path, capsys):
+        link, missing = tmp_path / "link.csv", tmp_path / "missing"
+        link.symlink_to(missing / "run.csv")
+        assert main(["run", "--steps", "3", "-o", str(link)]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"esdsim: output directory {os.path.realpath(missing)} does not exist\n")
+        assert link.is_symlink() and [p.name for p in tmp_path.iterdir()] == ["link.csv"]
+
+    def test_output_to_a_fifo_is_written_into_it(self, tmp_path):
+        # the test holds the FIFO open for writing until the run is done, so the
+        # reader neither waits for the run to open it nor ends before it writes
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        hold, got = os.open(fifo, os.O_RDWR), []
+        with open(fifo, "rb") as fh:
+            reader = threading.Thread(target=lambda: got.append(fh.read()), daemon=True)
+            reader.start()
+            try:
+                code = main(["run", "--steps", "3", "-o", str(fifo)])
+            finally:
+                os.close(hold)
+                reader.join(timeout=60)
+        assert not reader.is_alive() and code == EXIT_OK and fifo.is_fifo()
+        assert main(["run", "--steps", "3", "-o", str(tmp_path / "plain.csv")]) == EXIT_OK
+        assert got == [(tmp_path / "plain.csv").read_bytes()]
+
+    def test_sweep_refuses_a_target_that_aliases_an_earlier_one(self, tmp_path, capsys):
+        (tmp_path / "b.csv").symlink_to(tmp_path / "a.csv")
+        configs = [RunConfig(name=n, steps=5, output_path=str(tmp_path / f"{n}.csv"))
+                   for n in ("a", "b")]
+        summary, code = sweep(configs)
+        assert code == EXIT_USAGE
+        assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
+            ["a", "ok"], ["b", "failed(2)"]]
+        assert capsys.readouterr().err == (
+            f"esdsim: b: output {os.path.realpath(tmp_path / 'a.csv')} already written by a\n")
+        assert (tmp_path / "b.csv").is_symlink()
 
     def test_sweep_presets(self, tmp_path, capsys):
         out = tmp_path / "summary.csv"
