@@ -187,30 +187,53 @@ def _check_output(path: str | None):
         raise FileNotFoundError(f"output directory {directory} does not exist")
 
 
-def _write(path: str | None, data: bytes):
-    """Write UTF-8 data to stdout, or to path. An existing file that is not a
-    regular one (a FIFO, a device) is written in place; any other path has
-    the file it resolves to, through any symlinks, replaced atomically, with
-    the mode open() would give it: the kernel applies the umask in force
-    when the file is created."""
-    if not path:
-        sys.stdout.write(data.decode())
-        return
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "wb") as fh:
-            fh.write(data)
-        return
-    path = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(path), f".esdsim-{os.urandom(8).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+class _Output:
+    """An output being written as bytes: stdout when path is None, an
+    existing file that is not a regular one (a FIFO, a device) in place, and
+    any other path as a temporary file beside the file it resolves to,
+    through any symlinks, that close() puts in its place atomically. The
+    temporary file gets the mode open() would give the file: the kernel
+    applies the umask in force when it is created. As a context manager it
+    keeps the output unless an error leaves the block."""
+
+    def __init__(self, path: str | None):
+        self.fh = self.tmp = None
+        if path and os.path.exists(path) and not os.path.isfile(path):
+            self.fh = open(path, "wb")
+        elif path:
+            self.path = os.path.realpath(path)
+            self.tmp = os.path.join(os.path.dirname(self.path), f".esdsim-{os.urandom(8).hex()}")
+            fd = os.open(self.tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            self.fh = os.fdopen(fd, "wb")
+
+    def write(self, data: bytes):
+        if self.fh:
+            self.fh.write(data)
+        else:
+            sys.stdout.write(data.decode())
+
+    def close(self, keep: bool = True):
+        """Finish the output; the temporary file replaces the target when
+        keep and every step succeeds, and is removed otherwise. A discard
+        raises no OSError: after a failed write, closing flushes what the
+        buffer holds and fails again (a full disk), but the file is closed."""
+        try:
+            if self.fh:
+                self.fh.close()
+            if keep and self.tmp:
+                os.replace(self.tmp, self.path)
+        except OSError:
+            if keep:
+                raise
+        finally:
+            if self.tmp and os.path.exists(self.tmp):
+                os.unlink(self.tmp)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.close(keep=exc_type is None)
 
 
 @dataclass
@@ -236,37 +259,18 @@ def _physics(config: RunConfig) -> tuple:
 class Evaluation:
     """The outputs a run's physics fixes, shared by every run of it: the
     columns t, lambda_t and every observable, the ESD intervals (when
-    detect_events) and the oracle deviation (when oracle_check).
-
-    text holds the g17 cells of the columns formatted so far, by name; see
-    _format. A run's CSV rows are its columns' cells joined."""
+    detect_events) and the oracle deviation (when oracle_check)."""
 
     columns: dict[str, np.ndarray]
     intervals: list[EsdInterval]
     oracle_dev: float | None
-    text: dict[str, np.ndarray] = dc_field(default_factory=dict, repr=False)
 
 
-# values per g17 call, about: five 2,000-row columns. g17 holds ~140 B a value
-# at its peak, its 32-byte cells included, so an 8,000-row group of six columns
-# (t, lambda_t and four observables) formats in five calls that each hold
-# ~1.3 MB, not in one of ~6.7 MB
+# values per row range that outputs are written in, about: five 2,000-row
+# columns. g17 holds ~140 B a value at its peak, its 32-byte cells included,
+# so an 8,000-row group of six CSV columns (t, lambda_t and four observables)
+# is formatted and written in five ranges that each hold ~1.3 MB
 _FORMAT_VALUES = 10_000
-
-
-def _format(evaluation: Evaluation, names):
-    """Put the g17 cells of every column of names that evaluation.text
-    lacks there, formatted together: in one g17 call, or in as few calls
-    of equal row ranges as keep each near _FORMAT_VALUES values."""
-    missing = [name for name in dict.fromkeys(names) if name not in evaluation.text]
-    if missing:
-        values = np.column_stack([evaluation.columns[name] for name in missing])
-        cells = np.empty((*values.shape, WIDTH), np.uint8)
-        step = math.ceil(len(values) / math.ceil(values.size / _FORMAT_VALUES))  # rows a call
-        for start in range(0, len(values), step):
-            rows = slice(start, start + step)
-            cells[rows] = g17(values[rows]).reshape(-1, len(missing), WIDTH)
-        evaluation.text.update((name, cells[:, j]) for j, name in enumerate(missing))
 
 
 def evaluate(config: RunConfig) -> Evaluation:
@@ -294,9 +298,15 @@ def evaluate(config: RunConfig) -> Evaluation:
 
 
 def execute(config: RunConfig, evaluation: Evaluation) -> RunResult:
-    """Render and write a valid config's output from the evaluation of its
-    physics, and return its RunResult; validates and evaluates nothing."""
-    _write(config.output_path, _render(config, evaluation))
+    """Write a valid config's output from the evaluation of its physics, as
+    a group of one, and return its RunResult; validates and evaluates
+    nothing."""
+    [result] = _write_outputs([config], evaluation)
+    return result
+
+
+def _result(config: RunConfig, evaluation: Evaluation) -> RunResult:
+    """The RunResult of config when its output is written."""
     columns, oracle_dev = evaluation.columns, evaluation.oracle_dev
     result = RunResult(
         config=config,
@@ -312,42 +322,133 @@ def execute(config: RunConfig, evaluation: Evaluation) -> RunResult:
     return result
 
 
-def _render(config: RunConfig, evaluation: Evaluation) -> bytes:
-    keys = ["t", "lambda_t", *config.observables]
-    intervals, oracle_dev = evaluation.intervals, evaluation.oracle_dev
-    if config.output_format == "json":
-        doc = {
-            "config": asdict(config),
-            "samples": [dict(zip(keys, row)) for row in
-                        zip(*(evaluation.columns[key].tolist() for key in keys))],
-            "events": [asdict(iv) for iv in intervals],
-        }
-        if oracle_dev is not None:
-            doc["oracle"] = {
-                "max_deviation": oracle_dev,
-                "threshold": ORACLE_FAIL_THRESHOLD,
-                "passed": oracle_dev <= ORACLE_FAIL_THRESHOLD,
-            }
-        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+def _keys(config: RunConfig) -> tuple[str, ...]:
+    return ("t", "lambda_t", *config.observables)
 
-    # one row of cells per sample, each cell's last byte (NUL) made ',', the row's last '\n'
-    _format(evaluation, keys)
-    body = np.stack([evaluation.text[key] for key in keys], axis=1)
-    body[:, :, -1] = ord(",")
-    body[:, -1, -1] = ord("\n")
+
+def _csv_parts(config: RunConfig, evaluation: Evaluation, union: list[str]):
+    """(header, block, trailer) of config's CSV: block(rows, cells) is the
+    text of its rows from the g17 cells of the union's columns there."""
+    keys = _keys(config)
+    at = [union.index(key) for key in keys]
+
+    def block(rows: slice, cells: np.ndarray) -> bytes:
+        # each cell's last byte (NUL) made ',', the row's last '\n', the NULs dropped
+        body = cells[:, at]
+        body[:, :, -1] = ord(",")
+        body[:, -1, -1] = ord("\n")
+        return body.tobytes().translate(None, b"\0")
+
     lines = []
     if config.detect_events:
         lines.append("# esd_intervals: t_death,t_birth,min_lambda,refined\n")
-        for iv in intervals:
+        for iv in evaluation.intervals:
             lines.append(
                 "# " + ",".join([_fmt(iv.t_death), _fmt(iv.t_birth),
                                  _fmt(iv.min_lambda), str(iv.refined).lower()]) + "\n"
             )
+    oracle_dev = evaluation.oracle_dev
     if oracle_dev is not None:
         ok = "pass" if oracle_dev <= ORACLE_FAIL_THRESHOLD else "FAIL"
         lines.append(f"# oracle_max_deviation,{_fmt(oracle_dev)},{ok}\n")
-    header = ",".join(keys) + "\n"
-    return header.encode() + body.tobytes().translate(None, b"\0") + "".join(lines).encode()
+    return (",".join(keys) + "\n").encode(), block, "".join(lines).encode()
+
+
+def _json_parts(config: RunConfig, evaluation: Evaluation):
+    """(head, block, tail) of config's JSON, which are together
+    json.dumps(doc, indent=2, sort_keys=True) + "\n": block(rows, cells) is
+    the text of the samples of rows; it formats no cells."""
+    doc = {"config": asdict(config), "events": [asdict(iv) for iv in evaluation.intervals]}
+    oracle_dev = evaluation.oracle_dev
+    if oracle_dev is not None:
+        doc["oracle"] = {
+            "max_deviation": oracle_dev,
+            "threshold": ORACLE_FAIL_THRESHOLD,
+            "passed": oracle_dev <= ORACLE_FAIL_THRESHOLD,
+        }
+    # "samples" sorts last: the document without it, then its samples
+    head = json.dumps(doc, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
+    keys = sorted(_keys(config))
+    sample = "\n    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in keys) + "\n    }"
+    columns = [evaluation.columns[key] for key in keys]
+
+    def block(rows: slice, cells: np.ndarray | None) -> bytes:
+        values = np.column_stack([column[rows] for column in columns])
+        # json's own text of each value: its repr, or NaN and (-)Infinity
+        text = ",".join([sample] * len(values)) % tuple(
+            json.dumps(values.ravel().tolist())[1:-1].split(", "))
+        return (text if rows.start == 0 else "," + text).encode()
+
+    return head.encode(), block, b"\n  ]\n}\n"
+
+
+def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[RunResult]:
+    """Write the outputs of valid configs of one physics from its
+    evaluation, and return their RunResults; validates and evaluates
+    nothing.
+
+    The outputs are open together and written a row range at a time, each
+    from its header to its trailer; only one of them writes stdout at a
+    time, so a further one starts a new pass over the rows. A pass's row
+    ranges are equal and as few as keep each near _FORMAT_VALUES values of
+    the columns its CSVs print, t and lambda_t included (of its JSONs' when
+    it has no CSV). Each range of those columns is one g17 call, and each
+    CSV writes its own columns' cells from it. So an evaluation's columns
+    and one range of cells are held at a time, whatever the rows. A
+    failure fails only the output it comes from, its temporary file
+    removed; one of g17 fails every CSV of the pass."""
+    results = _attempt(configs[0], lambda: [_result(cfg, evaluation) for cfg in configs])
+    if isinstance(results, RunResult):
+        return [replace(results, config=cfg) for cfg in configs]
+    passes = [[]]
+    for i, cfg in enumerate(configs):
+        if not cfg.output_path and any(not configs[j].output_path for j in passes[-1]):
+            passes.append([])
+        passes[-1].append(i)
+    count = len(evaluation.columns["t"])
+    live = {}   # index: (output, block, trailer) of each output being written
+
+    def attempt(indices: list[int], action: Callable):
+        """action(), or its failure, which fails the outputs of indices"""
+        value = _attempt(configs[indices[0]], action)
+        if isinstance(value, RunResult):
+            for i in indices:
+                results[i] = replace(value, config=configs[i])
+                if i in live:
+                    live.pop(i)[0].close(keep=False)
+        return value
+
+    def start(i: int):
+        cfg = configs[i]
+        head, *rest = (_csv_parts(cfg, evaluation, csv_keys) if cfg.output_format == "csv"
+                       else _json_parts(cfg, evaluation))
+        live[i] = (_Output(cfg.output_path), *rest)
+        live[i][0].write(head)
+
+    try:
+        for members in passes:
+            csv_keys = list(dict.fromkeys(key for i in members if configs[i].output_format == "csv"
+                                          for key in _keys(configs[i])))
+            width = len(csv_keys) or len({key for i in members for key in _keys(configs[i])})
+            size = math.ceil(count / math.ceil(count * width / _FORMAT_VALUES))  # rows a range
+            for i in members:
+                attempt([i], lambda: start(i))
+            for begin in range(0, count, size):
+                rows = slice(begin, begin + size)
+                cells = None
+                if tables := [i for i in live if configs[i].output_format == "csv"]:
+                    cells = attempt(tables, lambda: g17(np.column_stack(
+                        [evaluation.columns[key][rows] for key in csv_keys])).reshape(
+                            -1, len(csv_keys), WIDTH))
+                for i, (output, block, _) in list(live.items()):
+                    attempt([i], lambda: output.write(block(rows, cells)))
+            for i, (output, _, trailer) in list(live.items()):
+                attempt([i], lambda: (output.write(trailer), output.close()))
+                live.pop(i, None)
+    finally:
+        for output, *_ in live.values():
+            output.close(keep=False)
+    return results
 
 
 def _attempt(cfg: RunConfig, step: Callable):
@@ -374,12 +475,11 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
     file summary_path or an earlier item writes, fails without running.
-    Valid items with the same physics form one group, evaluated once and
-    written member by member (a failed evaluation fails every member).
-    Groups run one at a time on the calling thread, in the order of their
-    first items. Before writing, a group formats every column its CSV
-    members print, t and lambda_t included, together (see _format). So one
-    group's evaluation and its cells are held at a time.
+    Valid items with the same physics form one group, evaluated once, whose
+    outputs are written together in row ranges (see _write_outputs); a
+    failed evaluation fails every member. Groups run one at a time on the
+    calling thread, in the order of their first items, so one group's
+    evaluation and one row range of its cells are held at a time.
     """
     # results[i] holds item i's config until its group (its one writer) puts the result there
     results, groups = [], {}
@@ -403,18 +503,12 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     def run_group(members: list[int]):
         # a function, so that its evaluation is dropped before the next group's
         first = results[members[0]]
-        csv = [results[i] for i in members if results[i].output_format == "csv"]
-
-        def evaluate_group() -> Evaluation:
-            evaluation = evaluate(first)
-            _format(evaluation, [key for cfg in csv for key in ("t", "lambda_t", *cfg.observables)])
-            return evaluation
-
-        evaluation = _attempt(first, evaluate_group)
-        for i in members:
-            cfg = results[i]
-            results[i] = (replace(evaluation, config=cfg) if isinstance(evaluation, RunResult)
-                          else _attempt(cfg, lambda: execute(cfg, evaluation)))
+        evaluation = _attempt(first, lambda: evaluate(first))
+        written = ([replace(evaluation, config=results[i]) for i in members]
+                   if isinstance(evaluation, RunResult)
+                   else _write_outputs([results[i] for i in members], evaluation))
+        for i, result in zip(members, written):
+            results[i] = result
 
     for members in groups.values():
         run_group(members)
@@ -563,7 +657,8 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"jobs must be >= 1, got {args.jobs}")
         targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
         summary, exit_code = sweep(targets, summary_path=args.output)
-        _write(args.output, summary.encode())
+        with _Output(args.output) as output:
+            output.write(summary.encode())
         return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
 
     if args.command == "run":

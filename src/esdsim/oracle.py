@@ -225,9 +225,11 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
 
 
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
-    """All 16 entries of the two-qubit reductions, shape (times, 4, 4), by the
-    formula of reduced_two_qubit_series at tau = h.lam times, one block
-    shape of B at a time."""
+    """The upper triangle of the two-qubit reductions, shape (times, 10),
+    entries in np.triu_indices(4) order, by the formula of
+    reduced_two_qubit_series at tau = h.lam times, one block shape of B at a
+    time. Entry (j, m) is its column where qubit 1 is in the same state in
+    j and m, else i times its column; the entries below are its conjugates."""
     nf = h.fock_cutoff + 1
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
@@ -275,10 +277,7 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
             pair = pair.reshape(len(cos), -1)
             upper[b : b + step, same] += pair[:, : len(k_same)] @ k_same
             upper[b : b + step, ~same] += pair[:, len(k_same) :] @ k_diff
-    rho4 = np.empty((times.size, 4, 4), dtype=complex)
-    rho4[:, j, m] = np.where(same, upper, 1j * upper)
-    rho4[:, m, j] = rho4[:, j, m].conj()
-    return rho4
+    return upper
 
 
 def reduced_two_qubit_series(
@@ -298,8 +297,9 @@ def reduced_two_qubit_series(
     f with (j, f) of parity p of W_(j,f)^T W_(m,f). Then, with
     K_A = G_0 o M_0 + G_1 o M_1, K_B = G_0 o M_1 + G_1 o M_0, c = cos(sigma tau)
     and s = sin(sigma tau), rho_jm = c^T K_A c + s^T K_B s when qubit 1 is in
-    the same state in j and m, else i (c^T K_A s - s^T K_B c). All 16
-    entries are computed; any outside the X pattern above 1e-8 at any time
+    the same state in j and m, else i (c^T K_A s - s^T K_B c). The 10
+    entries on and above the diagonal are computed, the others being their
+    conjugates; any of the five outside the X pattern above 1e-8 at any time
     is an error.
 
     M_p, and so K_A and K_B, vanish between two of B's blocks, whose columns
@@ -316,15 +316,17 @@ def reduced_two_qubit_series(
             f"fock_cutoff {h.fock_cutoff} leaves no headroom above "
             f"the thermal truncation nmax={field.nmax}; need nmax + 2"
         )
-    rho4 = _reduce(h, field, np.atleast_1d(np.asarray(times, dtype=float)))
+    upper = _reduce(h, field, np.atleast_1d(np.asarray(times, dtype=float)))
+    # by np.triu_indices(4): the diagonal is columns 0, 4, 7 and 9, rho23 is i
+    # times column 5 (qubit 1 differs in eg and ge), and the other five are off-X
     series = StateSeries(
-        rho11=rho4[:, 0, 0].real,
-        rho22=rho4[:, 1, 1].real,
-        rho33=rho4[:, 2, 2].real,
-        rho44=rho4[:, 3, 3].real,
-        rho23=rho4[:, 1, 2],
+        rho11=upper[:, 0],
+        rho22=upper[:, 4],
+        rho33=upper[:, 7],
+        rho44=upper[:, 9],
+        rho23=1j * upper[:, 5],
     )
-    off_x = np.abs(rho4 - series.matrix()).max()
+    off_x = np.abs(upper[:, [1, 2, 3, 6, 8]]).max()
     if off_x > _OFF_X_TOL:
         raise ValueError(f"off-X element {off_x} in reduced state")
     return series

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from esdsim import ModelParams, build_thermal, cli, dynamics, scan_esd, sector_frequencies
 from esdsim.cli import (
+    ALL_OBSERVABLES,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
@@ -68,6 +70,39 @@ def count_evaluations(monkeypatch, fail_k=None):
 
     monkeypatch.setattr(cli, "two_qubit_states", counting)
     return calls
+
+
+class FullDisk(io.RawIOBase):
+    """A file whose every write fails as a full disk does; closing it
+    closes its descriptor."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def close(self):
+        if not self.closed:
+            os.close(self.fd)
+        super().close()
+
+
+def fill_disk(monkeypatch, opens=(1,)):
+    """Make the temporary files of the given os.fdopen calls (counted from
+    1) a full disk."""
+    calls, real = [], os.fdopen
+
+    def fdopen(fd, *args, **kwargs):
+        calls.append(fd)
+        if len(calls) in opens:
+            return io.BufferedWriter(FullDisk(fd))
+        return real(fd, *args, **kwargs)
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
 
 
 def count_formatting(monkeypatch):
@@ -492,6 +527,116 @@ class TestFormatting:
             assert main(["run", "--preset", n, "--steps", str(k), "--t1", "1.0",
                          "-o", str(out)]) == EXIT_OK
             assert (tmp_path / "swept" / f"{n}.csv").read_bytes() == out.read_bytes()
+
+
+class TestWriter:
+    def test_failure_in_a_later_range_leaves_the_target(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "run.csv"
+        target.write_text("old\n")
+        calls, real = [], cli.g17
+
+        def failing(x):
+            calls.append(np.size(x))
+            if len(calls) == 2:
+                raise OSError("no space left")
+            return real(x)
+
+        monkeypatch.setattr(cli, "g17", failing)
+        # 7 columns of 4,000 rows in 3 ranges: the second fails, the third never comes
+        assert main(["run", "--steps", "4000", "-o", str(target)]) == EXIT_IO
+        assert calls == [9338, 9338]
+        assert capsys.readouterr().err == "esdsim: no space left\n"
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    def test_an_output_that_cannot_be_opened_fails_alone(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "swept").mkdir()
+        configs = [reduced(n, tmp_path / "swept", steps=4000) for n in ("fig1a", "fig3a")]
+        (tmp_path / "swept" / "fig3a.csv").mkdir()   # open() refuses a directory
+        calls = count_evaluations(monkeypatch)
+        summary, code = sweep(configs)
+        assert code == EXIT_IO and calls == [0.1]
+        assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
+            ["fig1a", "ok"], ["fig3a", "failed(4)"]]
+        assert capsys.readouterr().err == (
+            f"esdsim: fig3a: [Errno 21] Is a directory: '{tmp_path / 'swept' / 'fig3a.csv'}'\n")
+        alone = tmp_path / "alone.csv"
+        assert main(["run", "--preset", "fig1a", "--steps", "4000", "--t1", "1.0",
+                     "-o", str(alone)]) == EXIT_OK
+        assert (tmp_path / "swept" / "fig1a.csv").read_bytes() == alone.read_bytes()
+        assert sorted(p.name for p in (tmp_path / "swept").iterdir()) == ["fig1a.csv", "fig3a.csv"]
+
+    # 20 rows fit the file's buffer, so the write fails as it closes; 4,000 in a row range
+    @pytest.mark.parametrize("steps", [20, 4000])
+    def test_a_full_disk_fails_the_run_and_leaves_the_target(self, steps, tmp_path,
+                                                             monkeypatch, capsys):
+        target = tmp_path / "run.csv"
+        target.write_text("old\n")
+        fill_disk(monkeypatch)
+        assert main(["run", "--steps", str(steps), "-o", str(target)]) == EXIT_IO
+        assert capsys.readouterr().err == "esdsim: [Errno 28] No space left on device\n"
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+    @pytest.mark.parametrize("steps", [20, 4000])
+    def test_a_full_disk_fails_only_its_own_member(self, steps, tmp_path, monkeypatch, capsys):
+        (tmp_path / "swept").mkdir()
+        configs = [reduced(n, tmp_path / "swept", steps=steps) for n in ("fig1a", "fig3a")]
+        fill_disk(monkeypatch)   # fig1a's file: the group opens its members in order
+        calls = count_evaluations(monkeypatch)
+        summary, code = sweep(configs)
+        assert code == EXIT_IO and calls == [0.1]
+        assert [row.split(",")[:2] for row in summary.splitlines()[1:]] == [
+            ["fig1a", "failed(4)"], ["fig3a", "ok"]]
+        assert capsys.readouterr().err == (
+            "esdsim: fig1a: [Errno 28] No space left on device\n")
+        alone = tmp_path / "alone.csv"
+        assert main(["run", "--preset", "fig3a", "--steps", str(steps), "--t1", "1.0",
+                     "-o", str(alone)]) == EXIT_OK
+        assert (tmp_path / "swept" / "fig3a.csv").read_bytes() == alone.read_bytes()
+        assert [p.name for p in (tmp_path / "swept").iterdir()] == ["fig3a.csv"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_gets_the_bytes_of_a_file(self, fmt, tmp_path, capsys):
+        out = tmp_path / f"run.{fmt}"
+        argv = ["run", "--k", "0.5", "--nbar", "1", "--steps", "4000", "--detect-events",
+                "--output-format", fmt]
+        assert main([*argv, "-o", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        # a JSON's config names its output file, or null for stdout
+        want = out.read_text().replace(json.dumps(str(out)), "null")
+        assert capsys.readouterr().out == want and want.count("\n") > 4000
+
+    def test_outputs_on_stdout_are_written_one_after_another(self, tmp_path, capsys):
+        # one physics, so one group: the second stdout output waits for the first
+        configs = [RunConfig(steps=4000, observables=obs, name=name) for name, obs in
+                   (("a", ("lambda",)), ("b", ("entropy",)))]
+        assert sweep(configs)[1] == EXIT_OK
+        swept = capsys.readouterr().out
+        for cfg in configs:
+            assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert swept == capsys.readouterr().out and swept.count("\n") == 2 * 4001
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_memory_beyond_the_columns_does_not_grow_with_the_rows(self, fmt, tmp_path):
+        # the writer's traced peak over what the evaluation holds, at 20,000 and
+        # 200,000 steps: one row range of text (~1.5 MB), not ~900 B a step for
+        # a whole body. A JSON sample is a Python object per value while it is
+        # written, and tracemalloc slows those, so the JSON run has one observable
+        observables = ALL_OBSERVABLES if fmt == "csv" else ("lambda",)
+        above = []
+        for steps in (20_000, 200_000):
+            cfg = RunConfig(k=0.1, nbar=1.0, steps=steps, observables=observables,
+                            output_format=fmt, output_path=str(tmp_path / f"run.{fmt}"))
+            evaluation = cli.evaluate(cfg)
+            tracemalloc.start()
+            try:
+                assert execute(cfg, evaluation).exit_code == EXIT_OK
+                above.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert above[1] <= 1.1 * above[0] and above[0] < 4e6, above
 
 
 class TestParser:

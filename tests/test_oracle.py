@@ -75,6 +75,17 @@ def planted_hamiltonian(rng, shapes, fock_cutoff):
     return hamiltonian_from_dense(h1, fock_cutoff), b
 
 
+def reduce4(h, field, times):
+    """oracle._reduce's upper triangle as all 16 entries, shape (times, 4, 4)."""
+    upper = oracle._reduce(h, field, np.asarray(times, dtype=float))
+    j, m = np.triu_indices(4)
+    s1 = h.parity[:, 0]   # 1 where qubit 1 is excited
+    rho = np.empty((len(upper), 4, 4), dtype=complex)
+    rho[:, j, m] = np.where(s1[j] == s1[m], upper, 1j * upper)
+    rho[:, m, j] = rho[:, j, m].conj()
+    return rho
+
+
 def dense_reduce(h, field, times):
     """All 16 entries, shape (times, 4, 4), from dense kernels
     K_A = G_0 o M_0 + G_1 o M_1 and K_B = G_0 o M_1 + G_1 o M_0 over all of
@@ -350,7 +361,7 @@ class TestBlockKernels:
         params, field = ModelParams(lam=10.0, k=k), build_thermal(3.0)
         h = build_hamiltonians(params, field.nmax + 2)
         times = np.linspace(0.0, 13.0, 12)
-        assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
+        assert np.abs(reduce4(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_null_columns_stand_alone(self, seed):
@@ -363,7 +374,7 @@ class TestBlockKernels:
         field = build_thermal(1.0, 1e-2)
         assert field.nmax < h.fock_cutoff
         times = np.linspace(0.0, 13.0, 40)
-        assert np.abs(oracle._reduce(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
+        assert np.abs(reduce4(h, field, times) - dense_reduce(h, field, times)).max() <= 1e-13
 
     @pytest.mark.parametrize("case", ["k=0.3", "k=1e-6", "k=0", "seed=0", "seed=1", "seed=2"])
     def test_column_blocks_are_ws_own(self, case):
@@ -402,7 +413,7 @@ class TestBlockKernels:
         params, field, h = weak_setup
         driven = driven_hamiltonian(params, h)
         times = np.linspace(0.0, 2.0, 9)
-        rho = oracle._reduce(driven, field, times)
+        rho = reduce4(driven, field, times)
         assert np.abs(rho - dense_reduce(driven, field, times)).max() <= 1e-13
         assert np.abs(rho[:, 0, 2]).max() > 1e-3   # off-X, and it agrees too
 
@@ -415,8 +426,8 @@ class TestBlockKernels:
         rows = oracle._CELLS // (3 * sigma.size**2)
         assert rows > 1
         times = np.linspace(0.0, 2.0, rows + 1)
-        rho = oracle._reduce(driven, field, times)
-        one_by_one = np.concatenate([oracle._reduce(driven, field, times[i : i + 1])
+        rho = reduce4(driven, field, times)
+        one_by_one = np.concatenate([reduce4(driven, field, times[i : i + 1])
                                      for i in range(times.size)])
         assert np.abs(rho - one_by_one).max() <= 1e-14
         at = [0, rows // 2, rows]
@@ -433,8 +444,8 @@ class TestBlockKernels:
             field = build_thermal(3.0)
             h = build_hamiltonians(ModelParams(lam=10.0, k=0.3), field.nmax + 2)
         times = np.linspace(-1.0, 4.0, 120)
-        rho = oracle._reduce(h, field, times)
-        one_by_one = np.concatenate([oracle._reduce(h, field, times[i : i + 1])
+        rho = reduce4(h, field, times)
+        one_by_one = np.concatenate([reduce4(h, field, times[i : i + 1])
                                      for i in range(times.size)])
         sigma = max(sigma.max() for _, sigma, _ in h.eigensystem())
         bound = 4 * np.spacing(sigma * np.abs(h.lam * times).max()) + 8 * np.spacing(1.0)
@@ -480,6 +491,13 @@ def test_trig_is_taken_per_block_of_times():
     # of cos alone, 2,000 x dim/2 doubles (15.2 MB)
     h, peak = traced_peak(20.0, 2000)
     assert peak < 2000 * (h.dim // 2) * 8
+
+
+def test_off_x_check_builds_no_dense_stacks():
+    # the off-X check reads the five off-X columns of the (times, 10) upper
+    # triangle: no (times, 4, 4) complex stack (256 B a time each) is built
+    (_, small), (_, large) = traced_peak(1.0, 20_000), traced_peak(1.0, 60_000)
+    assert (large - small) / 40_000 <= 250
 
 
 class TestEvolve:

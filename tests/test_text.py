@@ -1,6 +1,8 @@
 """The CSV text kernel against Python's own '%.17g'."""
 
+import json
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdsim.cli import Evaluation, RunConfig, _render
+from esdsim import cli
+from esdsim.cli import Evaluation, RunConfig, execute
 from esdsim.events import EsdInterval
 from esdsim._text import WIDTH, g17
 
@@ -131,10 +134,10 @@ class TestKernel:
         assert g17(np.array([])).shape == (0, WIDTH)
 
 
-def test_render_equals_a_percent_g_join():
-    """_render's CSV body equals '%.17g' cells joined by ',' and '\\n'."""
+def edge_columns(n: int) -> dict[str, np.ndarray]:
+    """Every output column over n rows: zeros of both signs, tiny, huge and
+    non-finite values among random ones."""
     rng = np.random.default_rng(3)
-    n = 257
     columns = {
         "t": np.linspace(-1.0, 3.0, n),
         "lambda_t": np.linspace(-10.0, 30.0, n),
@@ -145,14 +148,51 @@ def test_render_equals_a_percent_g_join():
         "entropy": -np.zeros(n),
     }
     columns["lambda"][:3] = [-0.0, 1e-300, -float("inf")]
-    keys = ("concurrence", "lambda", "inversion", "coherence", "entropy")
-    interval = EsdInterval(t_death=0.25, t_birth=1.5, min_lambda=-1e-3, refined=True)
-    config = RunConfig(observables=keys, detect_events=True)
-    text = _render(config, Evaluation(columns, [interval], 2.5e-12)).decode("ascii")
+    return columns
 
-    header = ",".join(["t", "lambda_t", *keys])
-    rows = [",".join("%.17g" % columns[key][i] for key in ["t", "lambda_t", *keys])
+
+KEYS = ("concurrence", "lambda", "inversion", "coherence", "entropy")
+INTERVAL = EsdInterval(t_death=0.25, t_birth=1.5, min_lambda=-1e-3, refined=True)
+
+
+def test_render_equals_a_percent_g_join(tmp_path, monkeypatch):
+    """A CSV's body equals '%.17g' cells joined by ',' and '\\n', across the
+    row ranges it is written in."""
+    n = 257
+    columns = edge_columns(n)
+    out = tmp_path / "run.csv"
+    config = RunConfig(observables=KEYS, detect_events=True, output_path=str(out))
+    # 7 columns of 257 rows in ranges of 86, 86 and 85 rows
+    monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
+    assert execute(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+    text = out.read_bytes().decode("ascii")
+
+    header = ",".join(["t", "lambda_t", *KEYS])
+    rows = [",".join("%.17g" % columns[key][i] for key in ["t", "lambda_t", *KEYS])
             for i in range(n)]
     tail = ["# esd_intervals: t_death,t_birth,min_lambda,refined",
             "# 0.25,1.5,-0.001,true", f"# oracle_max_deviation,{2.5e-12:.17g},pass"]
     assert text == "\n".join([header, *rows, *tail]) + "\n"
+
+
+def test_json_equals_one_dumps(tmp_path, monkeypatch):
+    """A JSON output, written in row ranges, is json.dumps of its whole
+    document: NaN and (-)Infinity as json writes them, samples sorted last."""
+    n = 257
+    columns = edge_columns(n)
+    columns["inversion"][5:7] = [float("nan"), float("inf")]
+    out = tmp_path / "run.json"
+    config = RunConfig(observables=KEYS, detect_events=True, output_format="json",
+                       output_path=str(out))
+    monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
+    assert execute(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+
+    keys = ["t", "lambda_t", *KEYS]
+    doc = {
+        "config": asdict(config),
+        "samples": [dict(zip(keys, row)) for row in
+                    zip(*(columns[key].tolist() for key in keys))],
+        "events": [asdict(INTERVAL)],
+        "oracle": {"max_deviation": 2.5e-12, "threshold": 1e-7, "passed": True},
+    }
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
