@@ -8,9 +8,9 @@ entries and decomposed block by block.
 """
 
 from .model import ModelParams, ThermalField, build_thermal
-from .dynamics import SectorFrequencies, StateSeries, sector_frequencies, two_qubit_states
-from .observables import concurrence_wootters, inversion_closed, observable_columns
-from .events import EsdInterval, scan_esd, dwell_fraction
+from .dynamics import SectorFrequencies, SectorTable, StateSeries, sector_frequencies, two_qubit_states
+from .observables import observable_columns
+from .events import EsdInterval, dwell_fraction, esd_intervals
 
 __version__ = "0.1.0"
 
@@ -19,13 +19,12 @@ __all__ = [
     "ThermalField",
     "build_thermal",
     "SectorFrequencies",
-    "StateSeries",
     "sector_frequencies",
+    "SectorTable",
+    "StateSeries",
     "two_qubit_states",
-    "concurrence_wootters",
-    "inversion_closed",
     "observable_columns",
     "EsdInterval",
-    "scan_esd",
+    "esd_intervals",
     "dwell_fraction",
 ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -216,13 +217,23 @@ class _Output:
         """Finish the output; the temporary file replaces the target when
         keep and every step succeeds, and is removed otherwise. A discard
         raises no OSError: after a failed write, closing flushes what the
-        buffer holds and fails again (a full disk), but the file is closed."""
+        buffer holds and fails again (a full disk), but the file is closed.
+        Stdout is flushed; where that fails, its descriptor is pointed at
+        the null device, so what it still buffers cannot fail again when
+        the interpreter flushes it at exit, which would make the exit code 120."""
         try:
             if self.fh:
                 self.fh.close()
+            else:
+                sys.stdout.flush()
             if keep and self.tmp:
                 os.replace(self.tmp, self.path)
         except OSError:
+            if not self.fh:
+                with contextlib.suppress(OSError):   # a stdout with no descriptor (a StringIO)
+                    fd, null = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(null, fd)
+                    os.close(null)
             if keep:
                 raise
         finally:
@@ -297,14 +308,6 @@ def evaluate(config: RunConfig) -> Evaluation:
     return Evaluation(columns, intervals, oracle_dev)
 
 
-def execute(config: RunConfig, evaluation: Evaluation) -> RunResult:
-    """Write a valid config's output from the evaluation of its physics, as
-    a group of one, and return its RunResult; validates and evaluates
-    nothing."""
-    [result] = _write_outputs([config], evaluation)
-    return result
-
-
 def _result(config: RunConfig, evaluation: Evaluation) -> RunResult:
     """The RunResult of config when its output is written."""
     columns, oracle_dev = evaluation.columns, evaluation.oracle_dev
@@ -312,7 +315,9 @@ def _result(config: RunConfig, evaluation: Evaluation) -> RunResult:
         config=config,
         exit_code=EXIT_OK,
         max_concurrence=float(columns["concurrence"].max()),
-        dwell=dwell_fraction(evaluation.intervals, config.t0, config.t1),
+        # not measured (nan) unless the run detects events
+        dwell=(dwell_fraction(evaluation.intervals, config.t0, config.t1)
+               if config.detect_events else float("nan")),
         final_entropy=float(columns["entropy"][-1]),
         oracle_deviation=oracle_dev,
     )
@@ -385,27 +390,25 @@ def _json_parts(config: RunConfig, evaluation: Evaluation):
 def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[RunResult]:
     """Write the outputs of valid configs of one physics from its
     evaluation, and return their RunResults; validates and evaluates
-    nothing.
+    nothing. At most one of them writes stdout (_run refuses a second).
 
     The outputs are open together and written a row range at a time, each
-    from its header to its trailer; only one of them writes stdout at a
-    time, so a further one starts a new pass over the rows. A pass's row
-    ranges are equal and as few as keep each near _FORMAT_VALUES values of
-    the columns its CSVs print, t and lambda_t included (of its JSONs' when
-    it has no CSV). Each range of those columns is one g17 call, and each
+    from its header to its trailer, in one pass over the rows. The ranges
+    are equal and as few as keep each near _FORMAT_VALUES values of the
+    columns the CSVs print, t and lambda_t included (of the JSONs' when
+    there is no CSV). Each range of those columns is one g17 call, and each
     CSV writes its own columns' cells from it. So an evaluation's columns
     and one range of cells are held at a time, whatever the rows. A
     failure fails only the output it comes from, its temporary file
-    removed; one of g17 fails every CSV of the pass."""
+    removed; one of g17 fails every CSV."""
     results = _attempt(configs[0], lambda: [_result(cfg, evaluation) for cfg in configs])
     if isinstance(results, RunResult):
         return [replace(results, config=cfg) for cfg in configs]
-    passes = [[]]
-    for i, cfg in enumerate(configs):
-        if not cfg.output_path and any(not configs[j].output_path for j in passes[-1]):
-            passes.append([])
-        passes[-1].append(i)
     count = len(evaluation.columns["t"])
+    csv_keys = list(dict.fromkeys(key for cfg in configs if cfg.output_format == "csv"
+                                  for key in _keys(cfg)))
+    width = len(csv_keys) or len({key for cfg in configs for key in _keys(cfg)})
+    size = math.ceil(count / math.ceil(count * width / _FORMAT_VALUES))  # rows a range
     live = {}   # index: (output, block, trailer) of each output being written
 
     def attempt(indices: list[int], action: Callable):
@@ -426,25 +429,20 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
         live[i][0].write(head)
 
     try:
-        for members in passes:
-            csv_keys = list(dict.fromkeys(key for i in members if configs[i].output_format == "csv"
-                                          for key in _keys(configs[i])))
-            width = len(csv_keys) or len({key for i in members for key in _keys(configs[i])})
-            size = math.ceil(count / math.ceil(count * width / _FORMAT_VALUES))  # rows a range
-            for i in members:
-                attempt([i], lambda: start(i))
-            for begin in range(0, count, size):
-                rows = slice(begin, begin + size)
-                cells = None
-                if tables := [i for i in live if configs[i].output_format == "csv"]:
-                    cells = attempt(tables, lambda: g17(np.column_stack(
-                        [evaluation.columns[key][rows] for key in csv_keys])).reshape(
-                            -1, len(csv_keys), WIDTH))
-                for i, (output, block, _) in list(live.items()):
-                    attempt([i], lambda: output.write(block(rows, cells)))
-            for i, (output, _, trailer) in list(live.items()):
-                attempt([i], lambda: (output.write(trailer), output.close()))
-                live.pop(i, None)
+        for i in range(len(configs)):
+            attempt([i], lambda: start(i))
+        for begin in range(0, count, size):
+            rows = slice(begin, begin + size)
+            cells = None
+            if tables := [i for i in live if configs[i].output_format == "csv"]:
+                cells = attempt(tables, lambda: g17(np.column_stack(
+                    [evaluation.columns[key][rows] for key in csv_keys])).reshape(
+                        -1, len(csv_keys), WIDTH))
+            for i, (output, block, _) in list(live.items()):
+                attempt([i], lambda: output.write(block(rows, cells)))
+        for i, (output, _, trailer) in list(live.items()):
+            attempt([i], lambda: (output.write(trailer), output.close()))
+            live.pop(i, None)
     finally:
         for output, *_ in live.values():
             output.close(keep=False)
@@ -474,12 +472,13 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     resolve: resolve() builds the config inside the item's error isolation,
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
-    file summary_path or an earlier item writes, fails without running.
-    Valid items with the same physics form one group, evaluated once, whose
-    outputs are written together in row ranges (see _write_outputs); a
-    failed evaluation fails every member. Groups run one at a time on the
-    calling thread, in the order of their first items, so one group's
-    evaluation and one row range of its cells are held at a time.
+    (a file, or stdout when it has no output_path) summary_path or an
+    earlier item writes, fails without running. Valid items with the same
+    physics form one group, evaluated once, whose outputs are written
+    together in row ranges (see _write_outputs); a failed evaluation fails
+    every member. Groups run one at a time on the calling thread, in the
+    order of their first items, so one group's evaluation and one row
+    range of its cells are held at a time.
     """
     # results[i] holds item i's config until its group (its one writer) puts the result there
     results, groups = [], {}
@@ -492,8 +491,8 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
         if isinstance(cfg, RunConfig):
             cfg = _attempt(cfg, cfg.validate)
         if isinstance(cfg, RunConfig):
-            path = cfg.output_path and os.path.realpath(cfg.output_path)
-            if path and writer.setdefault(path, cfg) is not cfg:
+            path = os.path.realpath(cfg.output_path) if cfg.output_path else "stdout"
+            if writer.setdefault(path, cfg) is not cfg:
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path].name}")
             else:
@@ -644,27 +643,27 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.list_presets:
-        print("\n".join(preset_names()))
-        return EXIT_OK
-    if args.command is None:
-        parser.print_help()
-        return EXIT_USAGE
-
-    def sweep_command() -> RunResult:
-        _check_output(args.output)
-        if args.jobs < 1:
-            raise UsageError(f"jobs must be >= 1, got {args.jobs}")
-        targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
-        summary, exit_code = sweep(targets, summary_path=args.output)
-        with _Output(args.output) as output:
-            output.write(summary.encode())
+    def command() -> RunResult:
+        """--list-presets, or sweep: its runs, then the text it prints"""
+        if args.list_presets:
+            text, exit_code, path = "\n".join(preset_names()) + "\n", EXIT_OK, None
+        else:
+            _check_output(args.output)
+            if args.jobs < 1:
+                raise UsageError(f"jobs must be >= 1, got {args.jobs}")
+            targets = [_sweep_target(t, args.output_dir) for t in args.targets or preset_names()]
+            (text, exit_code), path = sweep(targets, summary_path=args.output), args.output
+        with _Output(path) as output:
+            output.write(text.encode())
         return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
 
-    if args.command == "run":
+    if args.list_presets or args.command == "sweep":
+        result = _attempt(RunConfig(name="sweep"), command)
+    elif args.command == "run":
         [result] = _run([("run", lambda: _config_from_args(args))])
     else:
-        result = _attempt(RunConfig(name="sweep"), sweep_command)
+        parser.print_help()
+        return EXIT_USAGE
     if result.error:
         print(f"esdsim: {result.error}", file=sys.stderr)
     return result.exit_code

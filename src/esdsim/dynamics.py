@@ -99,15 +99,6 @@ class StateSeries:
     def __len__(self) -> int:
         return self.rho11.size
 
-    def matrix(self) -> np.ndarray:
-        """Dense density matrices, shape (len, 4, 4)."""
-        rho = np.zeros((len(self), 4, 4), dtype=complex)
-        for j, name in enumerate(("rho11", "rho22", "rho33", "rho44")):
-            rho[:, j, j] = getattr(self, name)
-        rho[:, 1, 2] = self.rho23
-        rho[:, 2, 1] = np.conj(self.rho23)
-        return rho
-
 
 def sector_frequencies(k, n) -> SectorFrequencies:
     """Amplitudes and frequencies of sector n (int or array) at k = g/lam, in units of lam."""

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SectorTable
-from .model import ModelParams, ThermalField
 from .observables import separability
 
 _CROSSING_TOL = 1e-9
@@ -38,10 +37,6 @@ class EsdInterval:
     refined: bool
     open_left: bool = False
     open_right: bool = False
-
-    @property
-    def width(self) -> float:
-        return self.t_birth - self.t_death
 
 
 def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative, t_start):
@@ -79,25 +74,6 @@ def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative, t_start):
         active, lo, hi, lo_neg, t = (a[~hit] for a in (active, lo, hi, lo_neg, t))
     roots[active] = t
     return roots, converged
-
-
-def scan_esd(
-    params: ModelParams,
-    field: ThermalField,
-    t0: float,
-    t1: float,
-    n_grid: int,
-) -> list[EsdInterval]:
-    """Scan [t0, t1] for intervals with Lambda < 0; empty list if none."""
-    if not (np.isfinite(t0) and np.isfinite(t1)):
-        raise ValueError(f"need a finite window, got [{t0}, {t1}]")
-    if not t0 < t1:
-        raise ValueError(f"need t0 < t1, got [{t0}, {t1}]")
-    if n_grid < 2:
-        raise ValueError(f"n_grid must be >= 2, got {n_grid}")
-    table = SectorTable(params, field)
-    times = np.linspace(t0, t1, n_grid)
-    return esd_intervals(table, times, separability(table.series(times)))
 
 
 def esd_intervals(table: SectorTable, times: np.ndarray, lam: np.ndarray) -> list[EsdInterval]:

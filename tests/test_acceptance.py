@@ -7,16 +7,14 @@ import time
 
 import numpy as np
 import pytest
-from conftest import amplitude_table, dense_h1, random_xstates, sector_basis_indices
+from conftest import (amplitude_table, concurrence_wootters, dense, dense_h1, inversion_closed,
+                      random_xstates, scan, sector_basis_indices)
 
 from esdsim import (
     ModelParams,
     build_thermal,
-    concurrence_wootters,
     dwell_fraction,
-    inversion_closed,
     observable_columns,
-    scan_esd,
     sector_frequencies,
     two_qubit_states,
 )
@@ -53,7 +51,7 @@ def esd_runs():
                 "times": times,
                 "lambda": columns["lambda"],
                 "coherence": columns["coherence"],
-                "intervals": scan_esd(params, field, t0, t1, n),
+                "intervals": scan(params, field, t0, t1, n),
                 "window": (t0, t1),
             }
     return runs
@@ -70,7 +68,7 @@ def test_criterion_01_oracle_equivalence():
             h = build_hamiltonians(params, field.nmax + 2)
             oracle_states = reduced_two_qubit_series(h, field, times)
             analytic_states = two_qubit_states(params, field, times)
-            dev = np.abs(analytic_states.matrix() - oracle_states.matrix()).max()
+            dev = np.abs(dense(analytic_states) - dense(oracle_states)).max()
             worst = max(worst, dev)
     elapsed = time.time() - start
     verdict(1, "oracle equivalence", worst <= 1e-8 and elapsed <= 60.0,
@@ -109,7 +107,7 @@ def test_criterion_03_per_sector_unitarity():
 
 def test_criterion_04_concurrence_equivalence():
     s = random_xstates(np.random.default_rng(2024), 10_000)
-    worst = np.abs(concurrence_wootters(s.matrix()) - observable_columns(s)["concurrence"]).max()
+    worst = np.abs(concurrence_wootters(dense(s)) - observable_columns(s)["concurrence"]).max()
     verdict(4, "concurrence dual routes", worst <= 1e-10, f"max dev {worst:.2e}")
 
 
@@ -150,7 +148,7 @@ def test_criterion_07_decoupled_baseline():
     times = np.linspace(0.0, 2.0, 2000)
     conc = observable_columns(two_qubit_states(params, field, times))["concurrence"]
     dev = np.abs(conc - np.abs(np.sin(2 * LAM * times))).max()
-    intervals = scan_esd(params, field, 0.0, 2.0, 4000)
+    intervals = scan(params, field, 0.0, 2.0, 4000)
     verdict(7, "g=0 baseline", dev <= 1e-12 and not intervals,
             f"max dev {dev:.2e}, {len(intervals)} intervals")
 

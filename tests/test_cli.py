@@ -15,10 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import dense, scan, write_output
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdsim import ModelParams, build_thermal, cli, dynamics, scan_esd, sector_frequencies
+from esdsim import (EsdInterval, ModelParams, build_thermal, cli, dwell_fraction, dynamics,
+                    sector_frequencies)
 from esdsim.cli import (
     ALL_OBSERVABLES,
     EXIT_IO,
@@ -28,7 +30,6 @@ from esdsim.cli import (
     UsageError,
     _config_from_args,
     build_parser,
-    execute,
     load_config,
     main,
     preset_config,
@@ -210,7 +211,7 @@ class TestRun:
         out = tmp_path / "out.csv"
         cfg = RunConfig(k=0.0, nbar=0.0, steps=200, t1=2.0,
                         observables=("concurrence",), output_path=str(out))
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         header, data = read_table(out)
         assert header == ["t", "lambda_t", "concurrence"]
         t = data[:, 0]
@@ -222,7 +223,7 @@ class TestRun:
         cfg = preset_config("fig1d")
         cfg.t1, cfg.steps = 4.0, 2000
         cfg.output_path = str(out)
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         _, data = read_table(out)
         assert (data[:, 2] == 0.0).sum() >= 1
 
@@ -230,7 +231,7 @@ class TestRun:
         out = tmp_path / "o.csv"
         cfg = RunConfig(k=0.5, nbar=1.0, steps=200, observables=("concurrence",),
                         oracle_check=True, output_path=str(out))
-        res = execute(cfg, cli.evaluate(cfg))
+        res = write_output(cfg, cli.evaluate(cfg))
         assert res.exit_code == EXIT_OK
         assert res.oracle_deviation < 1e-8
         assert "# oracle_max_deviation" in out.read_text()
@@ -259,7 +260,7 @@ class TestRun:
         assert peak <= 250 * steps
         series = cli.two_qubit_states(cfg.params(), build_thermal(cfg.nbar),
                                       np.linspace(cfg.t0, cfg.t1, steps))
-        assert evaluation.oracle_dev == np.abs(series.matrix() - oracle[0].matrix()).max()
+        assert evaluation.oracle_dev == np.abs(dense(series) - dense(oracle[0])).max()
 
     def test_deterministic_output(self, tmp_path):
         outs = []
@@ -267,7 +268,7 @@ class TestRun:
             out = tmp_path / name
             cfg = RunConfig(k=0.5, nbar=1.0, steps=100, detect_events=True,
                             output_path=str(out))
-            assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+            assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
@@ -275,7 +276,7 @@ class TestRun:
         out = tmp_path / "run.json"
         cfg = RunConfig(k=0.1, nbar=1.0, steps=10, output_format="json",
                         detect_events=True, output_path=str(out))
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         doc = json.loads(out.read_text())
         # the inputs only: k as given, no derived g
         assert doc["config"]["k"] == 0.1 and "g" not in doc["config"]
@@ -288,9 +289,9 @@ class TestRun:
         out = tmp_path / "esd.json"
         cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
                         output_format="json", output_path=str(out))
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         events = json.loads(out.read_text())["events"]
-        intervals = scan_esd(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        intervals = scan(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert events and events == [asdict(iv) for iv in intervals]
         assert all(set(e) == {"t_death", "t_birth", "min_lambda", "refined",
                               "open_left", "open_right"} for e in events)
@@ -328,9 +329,9 @@ class TestRun:
         out = tmp_path / "esd.csv"
         cfg = RunConfig(k=0.5, nbar=1.0, t1=4.0, steps=400, detect_events=True,
                         observables=("lambda",), output_path=str(out))
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         rows = [l[2:].split(",") for l in out.read_text().splitlines()[402:]]
-        intervals = scan_esd(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
+        intervals = scan(ModelParams(lam=10.0, k=0.5), build_thermal(1.0), 0.0, 4.0, 400)
         assert len(intervals) >= 1
         assert rows == [[f"{iv.t_death:.17g}", f"{iv.t_birth:.17g}", f"{iv.min_lambda:.17g}",
                          str(iv.refined).lower()] for iv in intervals]
@@ -356,6 +357,18 @@ class TestSweep:
         rows = summary.splitlines()
         assert len(rows) == 5
         assert all("ok" in row for row in rows[1:])
+
+    def test_dwell_fraction_is_measured_only_with_events(self, tmp_path):
+        plain = replace(preset_config("fig1a"), output_path=str(tmp_path / "plain.csv"))
+        events = replace(plain, detect_events=True, output_format="json", name="events",
+                         output_path=str(tmp_path / "events.json"))
+        summary, code = sweep([plain, events])
+        assert code == EXIT_OK
+        rows = {row["name"]: row for row in csv.DictReader(io.StringIO(summary))}
+        assert rows["fig1a"]["dwell_fraction"] == "nan"
+        doc = json.loads((tmp_path / "events.json").read_text())
+        want = dwell_fraction([EsdInterval(**iv) for iv in doc["events"]], plain.t0, plain.t1)
+        assert float(rows["events"]["dwell_fraction"]) == want > 0
 
     def test_error_isolation(self, tmp_path):
         good = preset_config("fig1a")
@@ -423,7 +436,7 @@ class TestSharedPhysics:
         assert sweep(configs)[1] == EXIT_OK and calls == [0.5, 0.5]
         for cfg in configs:
             alone = replace(cfg, output_path=str(tmp_path / "alone.csv"))
-            assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
+            assert write_output(alone, cli.evaluate(alone)).exit_code == EXIT_OK
             assert (tmp_path / "alone.csv").read_bytes() == (
                 tmp_path / f"{cfg.name}.csv").read_bytes()
 
@@ -437,7 +450,7 @@ class TestSharedPhysics:
         assert formatted == [4 * 200]
         for cfg in (by_k, as_json):
             alone = replace(cfg, output_path=str(tmp_path / "alone"))
-            assert execute(alone, cli.evaluate(alone)).exit_code == EXIT_OK
+            assert write_output(alone, cli.evaluate(alone)).exit_code == EXIT_OK
             swept = Path(cfg.output_path).read_text().replace(cfg.output_path, alone.output_path)
             assert (tmp_path / "alone").read_text() == swept
 
@@ -510,7 +523,7 @@ class TestFormatting:
         assert main(argv) == EXIT_OK
         cfg = _config_from_args(build_parser().parse_args(argv))
         calls = count_formatting(monkeypatch)
-        assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
+        assert write_output(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
         assert calls == [4 * 30]
         out = capsys.readouterr().out
         assert out.count("t,lambda_t,entropy,concurrence\n") == 2
@@ -608,15 +621,20 @@ class TestWriter:
         want = out.read_text().replace(json.dumps(str(out)), "null")
         assert capsys.readouterr().out == want and want.count("\n") > 4000
 
-    def test_outputs_on_stdout_are_written_one_after_another(self, tmp_path, capsys):
-        # one physics, so one group: the second stdout output waits for the first
-        configs = [RunConfig(steps=4000, observables=obs, name=name) for name, obs in
-                   (("a", ("lambda",)), ("b", ("entropy",)))]
-        assert sweep(configs)[1] == EXIT_OK
-        swept = capsys.readouterr().out
-        for cfg in configs:
-            assert execute(cfg, cli.evaluate(cfg)).exit_code == EXIT_OK
-        assert swept == capsys.readouterr().out and swept.count("\n") == 2 * 4001
+    def test_a_second_output_on_stdout_is_refused(self, tmp_path):
+        # two config files of one physics, output_path left empty: stdout has one writer
+        for name, obs in (("a", "lambda"), ("b", "entropy")):
+            (tmp_path / f"{name}.cfg").write_text(
+                f"k = 0.5\nnbar = 1\nsteps = 40\nobservables = {obs}\noutput_path =\n")
+        summary = tmp_path / "summary.csv"
+        code, out, err = run_main(["sweep", str(tmp_path / "a.cfg"), str(tmp_path / "b.cfg"),
+                                   "--output-dir", str(tmp_path), "-o", str(summary)])
+        assert code == EXIT_USAGE
+        assert err == "esdsim: b: output stdout already written by a\n"
+        assert [row.split(",")[:2] for row in summary.read_text().splitlines()[1:]] == [
+            ["a", "ok"], ["b", "failed(2)"]]
+        alone = run_main(["run", "--config", str(tmp_path / "a.cfg")])
+        assert alone == (EXIT_OK, out, "") and out.count("\n") == 41
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_beyond_the_columns_does_not_grow_with_the_rows(self, fmt, tmp_path):
@@ -632,7 +650,7 @@ class TestWriter:
             evaluation = cli.evaluate(cfg)
             tracemalloc.start()
             try:
-                assert execute(cfg, evaluation).exit_code == EXIT_OK
+                assert write_output(cfg, evaluation).exit_code == EXIT_OK
                 above.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -669,6 +687,15 @@ class TestMain:
         assert main(["--list-presets"]) == EXIT_OK
         out = capsys.readouterr().out.split()
         assert len(out) == 48
+
+    def test_list_presets_on_a_broken_pipe(self, monkeypatch, capsys):
+        class Broken(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", Broken())
+        assert main(["--list-presets"]) == EXIT_IO
+        assert capsys.readouterr().err == "esdsim: [Errno 32] Broken pipe\n"
 
     def test_run_stdout(self, capsys):
         code = main(["run", "--k", "0", "--nbar", "0", "--steps", "5",

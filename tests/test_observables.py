@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from conftest import random_xstates
+from conftest import concurrence_wootters, dense, inversion_closed, random_xstates
 
 from esdsim import (
     ModelParams,
     StateSeries,
     build_thermal,
-    concurrence_wootters,
-    inversion_closed,
     observable_columns,
     two_qubit_states,
 )
@@ -19,19 +17,19 @@ PRODUCT = StateSeries(rho11=0.0, rho22=1.0, rho33=0.0, rho44=0.0, rho23=0.0)
 
 class TestConcurrence:
     def test_product_state(self):
-        assert concurrence_wootters(PRODUCT.matrix())[0] == 0.0
+        assert concurrence_wootters(dense(PRODUCT))[0] == 0.0
         m = observable_columns(PRODUCT)
         assert (m["concurrence"][0], m["lambda"][0]) == (0.0, 0.0)
 
     def test_bell_state(self):
-        assert concurrence_wootters(BELL.matrix())[0] == pytest.approx(1.0, abs=1e-12)
+        assert concurrence_wootters(dense(BELL))[0] == pytest.approx(1.0, abs=1e-12)
         m = observable_columns(BELL)
         assert m["concurrence"][0] == pytest.approx(1.0, abs=1e-12)
         assert m["lambda"][0] == pytest.approx(1.0, abs=1e-12)
 
     def test_wootters_equals_xstate_on_random_states(self):
         s = random_xstates(np.random.default_rng(11), 10_000)
-        cw = concurrence_wootters(s.matrix())
+        cw = concurrence_wootters(dense(s))
         assert np.abs(cw - observable_columns(s)["concurrence"]).max() <= 1e-10
 
     def test_isolated_pair_lambda(self):

@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import dense_entries, dense_h1, dense_w, hamiltonian_from_dense, sector_basis_indices
+from conftest import (dense, dense_entries, dense_h1, dense_w, hamiltonian_from_dense,
+                      sector_basis_indices)
 from scipy.linalg import expm
 
 from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
@@ -349,7 +350,7 @@ class TestBlockSplit:
         times = np.linspace(0.0, 2.0, 200)
         s_or = reduced_two_qubit_series(h, field, times)
         s_an = two_qubit_states(params, field, times)
-        assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
+        assert np.abs(dense(s_or) - dense(s_an)).max() <= 1e-13
 
 
 class TestBlockKernels:
@@ -506,11 +507,11 @@ class TestEvolve:
         s = reduced_two_qubit_series(h, field, [0.0])
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 1] = field.weights.sum()
-        assert np.abs(s.matrix()[0] - expected).max() < 1e-14
+        assert np.abs(dense(s)[0] - expected).max() < 1e-14
 
     def test_state_invariants(self, weak_setup):
         _, field, h = weak_setup
-        rho = reduced_two_qubit_series(h, field, [1.3]).matrix()[0]
+        rho = dense(reduced_two_qubit_series(h, field, [1.3]))[0]
         assert np.trace(rho).real == pytest.approx(1.0, abs=field.epsilon)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -528,7 +529,7 @@ class TestPartialTraces:
         times = [0.5, 2.0, 5.0]
         s_or = reduced_two_qubit_series(h, field, times)
         s_an = two_qubit_states(params, field, times)
-        assert np.abs(s_or.matrix() - s_an.matrix()).max() < 1e-8
+        assert np.abs(dense(s_or) - dense(s_an)).max() < 1e-8
         for got, want in zip(qubit1_populations(s_or), qubit1_populations(s_an)):
             assert np.abs(got - want).max() < 1e-8
 
@@ -542,7 +543,7 @@ class TestPartialTraces:
         times = np.linspace(0.0, 2.0, 200)
         s_or = reduced_two_qubit_series(h, field, times)
         s_an = two_qubit_states(params, field, times)
-        assert np.abs(s_or.matrix() - s_an.matrix()).max() <= 1e-13
+        assert np.abs(dense(s_or) - dense(s_an)).max() <= 1e-13
 
     def test_decoupled_half_swap(self):
         p = ModelParams(lam=10.0, k=0.0)
@@ -557,7 +558,7 @@ class TestPartialTraces:
         _, field, h = weak_setup
         times = np.linspace(0, 2, 9)
         series = reduced_two_qubit_series(h, field, times)
-        assert np.abs(series.matrix() - expm_reference(h, field, times)).max() < 1e-12
+        assert np.abs(dense(series) - expm_reference(h, field, times)).max() < 1e-12
 
     @pytest.mark.parametrize("k,nbar", [(1e-6, 3.0), (0.3, 3.0)])
     def test_series_matches_expm(self, k, nbar):
@@ -568,11 +569,11 @@ class TestPartialTraces:
         h = build_hamiltonians(params, field.nmax + 2)
         times = np.array([0.0, 0.37, 1.9, 13.0])
         series = reduced_two_qubit_series(h, field, times)
-        assert np.abs(series.matrix() - expm_reference(h, field, times)).max() < 1e-12
+        assert np.abs(dense(series) - expm_reference(h, field, times)).max() < 1e-12
 
     def test_reductions_against_analytic_grid(self, weak_setup):
         params, field, h = weak_setup
         times = np.linspace(0, 2, 25)
         series = reduced_two_qubit_series(h, field, times)
         analytic = two_qubit_states(params, field, times)
-        assert np.abs(series.matrix() - analytic.matrix()).max() < 1e-8
+        assert np.abs(dense(series) - dense(analytic)).max() < 1e-8

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_output
+
 from esdsim import cli
-from esdsim.cli import Evaluation, RunConfig, execute
+from esdsim.cli import Evaluation, RunConfig
 from esdsim.events import EsdInterval
 from esdsim._text import WIDTH, g17
 
@@ -164,7 +166,7 @@ def test_render_equals_a_percent_g_join(tmp_path, monkeypatch):
     config = RunConfig(observables=KEYS, detect_events=True, output_path=str(out))
     # 7 columns of 257 rows in ranges of 86, 86 and 85 rows
     monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
-    assert execute(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+    assert write_output(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
     text = out.read_bytes().decode("ascii")
 
     header = ",".join(["t", "lambda_t", *KEYS])
@@ -185,7 +187,7 @@ def test_json_equals_one_dumps(tmp_path, monkeypatch):
     config = RunConfig(observables=KEYS, detect_events=True, output_format="json",
                        output_path=str(out))
     monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
-    assert execute(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+    assert write_output(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
 
     keys = ["t", "lambda_t", *KEYS]
     doc = {
