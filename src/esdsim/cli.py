@@ -464,34 +464,38 @@ def _attempt(cfg: RunConfig, step: Callable):
         return RunResult(config=cfg, exit_code=EXIT_IO, error=f"{type(exc).__name__}: {exc}")
 
 
+def _target(path: str | None) -> str:
+    """The output a path names for the one-writer rule: the file it
+    resolves to, through any symlinks, or stdout for no path."""
+    return os.path.realpath(path) if path else "stdout"
+
+
 def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
-         summary_path: str | None = None) -> list[RunResult]:
+         summary: str | None = None) -> list[RunResult]:
     """The RunResult of each item, in order.
 
     An item is a (name, resolve) pair, or a RunConfig, which is its own
     resolve: resolve() builds the config inside the item's error isolation,
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
-    (a file, or stdout when it has no output_path) summary_path or an
-    earlier item writes, fails without running. Valid items with the same
-    physics form one group, evaluated once, whose outputs are written
-    together in row ranges (see _write_outputs); a failed evaluation fails
-    every member. Groups run one at a time on the calling thread, in the
-    order of their first items, so one group's evaluation and one row
-    range of its cells are held at a time.
+    (the _target of its output_path) the summary (a _target too, when
+    given) or an earlier item writes, fails without running. Valid items
+    with the same physics form one group, evaluated once, whose outputs
+    are written together in row ranges (see _write_outputs); a failed
+    evaluation fails every member. Groups run one at a time on the calling
+    thread, in the order of their first items, so one group's evaluation
+    and one row range of its cells are held at a time.
     """
     # results[i] holds item i's config until its group (its one writer) puts the result there
     results, groups = [], {}
-    writer = {}
-    if summary_path:
-        writer[os.path.realpath(summary_path)] = RunConfig(name="the summary")
+    writer = {} if summary is None else {summary: RunConfig(name="the summary")}
     for item in items:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
         cfg = _attempt(RunConfig(name=name), resolve)
         if isinstance(cfg, RunConfig):
             cfg = _attempt(cfg, cfg.validate)
         if isinstance(cfg, RunConfig):
-            path = os.path.realpath(cfg.output_path) if cfg.output_path else "stdout"
+            path = _target(cfg.output_path)
             if writer.setdefault(path, cfg) is not cfg:
                 cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
                                 error=f"output {path} already written by {writer[path].name}")
@@ -516,15 +520,16 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
 
 def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
           summary_path: str | None = None) -> tuple[str, int]:
-    """Run the items as _run does, none of them writing summary_path, and
-    return (summary CSV, aggregate exit code): one row per item, its
-    fields quoted where they hold a comma or a line break, and one stderr
-    line per failed item's error."""
+    """Run the items as _run does, none of them writing the summary's
+    output, summary_path or stdout when it is None, and return (summary
+    CSV, aggregate exit code): one row per item, its fields quoted where
+    they hold a comma or a line break, and one stderr line per failed
+    item's error."""
     out = io.StringIO()
     rows = csv.writer(out, lineterminator="\n")
     rows.writerow(["name", "status", "max_concurrence", "dwell_fraction", "final_entropy"])
     exit_code = EXIT_OK
-    for res in _run(configs, summary_path):
+    for res in _run(configs, _target(summary_path)):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
         rows.writerow([res.config.name, status,
                        _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy)])

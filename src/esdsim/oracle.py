@@ -19,23 +19,23 @@ Computations). H is held as its nonzero entries, which are the edges of a
 graph on the basis states: the parity check reads each entry's two ends,
 and B's entries are those from an even to an odd state. B is split into
 the connected blocks of that edge list, read as a bipartite graph of rows
-and columns, and each block is decomposed on its own, blocks of one shape
-scattered from their entries into one batched SVD. The split reads only
-which entries are nonzero, never a basis label or sector, so a
-Hamiltonian that connects every state is one block and one dense SVD.
-Each block's singular pairs and null vectors are kept as a stack of its
-own, so no dim x dim or dim x dim/2 array is built and memory is O(dim)
-when the blocks are small.
+and columns, and each block is decomposed on its own: all blocks, each
+zero-padded to the widest, are scattered from their entries into one
+stack and one batched SVD. The split reads only which entries are
+nonzero, never a basis label or sector, so a Hamiltonian that connects
+every state is one block and one dense SVD. The blocks' singular pairs
+and null vectors are kept as that one stack, so no dim x dim or
+dim x dim/2 array is built and memory is O(dim) when the blocks are small.
 
-The reduction to the two qubits reads those stacks directly: its kernels
-vanish between two blocks of B, so they are built per block shape in a
-fixed number of batched calls, and every entry is one product of the pair
-products of the blocks' cos and sin columns with the stacked kernels, per
-block shape and block of times. On a linspace of times, each block of
-times takes its cos and sin columns from dynamics.linspace_trig, by angle
-addition from about 2 sqrt(rows) libm points per column; other times take
-libm at every point. linspace_trig sees only frequencies and times, never a
-sector, so the validator stays independent of the sector structure.
+The reduction to the two qubits reads that stack directly: its kernels
+vanish between two blocks of B, so they are built in a fixed number of
+batched calls, and every entry is one product of the pair products of
+the blocks' cos and sin columns with the stacked kernels, per block of
+times. On a linspace of times, each block of times takes its cos and sin
+columns from one dynamics.linspace_trig call, by angle addition from
+about 2 sqrt(rows) libm points per column; other times take libm at every
+point. linspace_trig sees only frequencies and times, never a sector, so
+the validator stays independent of the sector structure.
 """
 
 from __future__ import annotations
@@ -99,8 +99,8 @@ class HamiltonianMatrix:
         return (s1 + np.arange(self.fock_cutoff + 1)) % 2
 
     def eigensystem(self):
-        """The spectral blocks of the parity-flipping block B of H~ = H / lam,
-        one stack per block shape: a list of (rows, sigma, w), sigma in lam.
+        """The spectral blocks of the parity-flipping block B of H~ = H / lam
+        as one stack (rows, sigma, w), sigma in lam.
 
         With B = H~[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
         +-sigma with vectors (u, +-v)/sqrt(2), and a null vector of B, left or
@@ -108,15 +108,19 @@ class HamiltonianMatrix:
         entries from an even row to an odd column, each at the places of its
         two states among the states of their parity; their mirrors are B^T's.
         B is decomposed block by block: each connected block of its entries,
-        as _blocks gives them, gets an SVD, in one batched call per block
-        shape (r, c). For the n blocks of a shape, rows (n, r + c) are their
-        basis rows, even then odd; w (n, r + c, m), m = r + c - p with
-        p = min(r, c), holds their columns: the p singular pairs (u; v), then
-        the r - p left null vectors (u; 0) and the c - p right ones (0; v);
-        sigma (n, m) holds their singular values, 0 on the null columns. An
-        empty row or column is a (1, 0) or (0, 1) block, whose SVD gives
-        w = [[1]]. Raises ValueError if H couples two states of the same
-        parity, so that this form does not hold.
+        as _blocks gives them, is zero-padded to R rows and C columns, the
+        most of any block, and the n blocks take one batched SVD; a zero row
+        or column adds only sigma = 0 directions, so cos and sin of H do not
+        change. rows (n, R + C) are the blocks' basis rows, even then odd, -1
+        where a block lacks one; w (n, R + C, M), M = R + C - P with
+        P = min(R, C), holds their columns, 0 on absent rows: the P singular
+        pairs (u; v), then the R - P left null vectors (u; 0) and the C - P
+        right ones (0; v), and a column on absent rows alone is 0; sigma
+        (n, M) holds their singular values, 0 on the null columns. Every
+        block pays the widest one's shape: for build_hamiltonians the 2 x 2
+        block of an excitation sector, which all but a few edge blocks are.
+        Raises ValueError if H couples two states of the same parity, so
+        that this form does not hold.
         """
         parity = self.parity.ravel()
         row_parity = parity[self.row]
@@ -128,33 +132,29 @@ class HamiltonianMatrix:
                 f"anticommute with the parity (-1)^(s1 + n)"
             )
         half = self.dim // 2
-        even_rows, odd_rows = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+        # each parity's states, then -1, so that an absent row (-1) stays -1
+        even_rows, odd_rows = (np.append(np.flatnonzero(parity == p), -1) for p in (0, 1))
         place = np.empty(self.dim, dtype=np.intp)   # a state's index among its parity's
-        place[even_rows] = place[odd_rows] = np.arange(half)
+        place[even_rows[:-1]] = place[odd_rows[:-1]] = np.arange(half)
         on_b = row_parity == 0
         b_row, b_col, b_val = place[self.row[on_b]], place[self.col[on_b]], self.val[on_b]
-        blocks = _blocks(b_row, b_col, (half, half))
-        # every row's block shape and block within it, every row's and
-        # column's place in its block
-        shape, block, at_row, at_col = (np.empty(half, dtype=np.intp) for _ in range(4))
-        for k, (rows, cols) in enumerate(blocks):
-            shape[rows], block[rows] = k, np.arange(len(rows))[:, None]
-            at_row[rows], at_col[cols] = np.arange(rows.shape[1]), np.arange(cols.shape[1])
-        b_shape = shape[b_row]
-        out = []
-        for k, (rows, cols) in enumerate(blocks):
-            (n, r), c = rows.shape, cols.shape[1]
-            p = min(r, c)
-            sigma, w = np.zeros((n, r + c - p)), np.zeros((n, r + c, r + c - p))
-            on = b_shape == k
-            stack = np.zeros((n, r, c))
-            stack[block[b_row[on]], at_row[b_row[on]], at_col[b_col[on]]] = b_val[on]
-            u, sigma[:, :p], vt = np.linalg.svd(stack)
-            v = vt.transpose(0, 2, 1)
-            w[:, :r, :r] = u   # the pairs' u, then the left null vectors
-            w[:, r:, :p], w[:, r:, r:] = v[..., :p], v[..., p:]
-            out.append((np.hstack([even_rows[rows], odd_rows[cols]]), sigma, w))
-        return out
+        rows, cols = _blocks(b_row, b_col, (half, half))
+        (n, r), c = rows.shape, cols.shape[1]
+        p = min(r, c)
+        # every row's block and every row's and column's place in its block;
+        # the last slot takes the absent ones
+        block, at_row, at_col = (np.empty(half + 1, dtype=np.intp) for _ in range(3))
+        block[rows], at_row[rows], at_col[cols] = np.arange(n)[:, None], np.arange(r), np.arange(c)
+        stack = np.zeros((n, r, c))
+        stack[block[b_row], at_row[b_row], at_col[b_col]] = b_val
+        sigma, w = np.zeros((n, r + c - p)), np.zeros((n, r + c, r + c - p))
+        u, sigma[:, :p], vt = np.linalg.svd(stack)
+        v = vt.transpose(0, 2, 1)
+        w[:, :r, :r] = u   # the pairs' u, then the left null vectors
+        w[:, r:, :p], w[:, r:, r:] = v[..., :p], v[..., p:]
+        rows = np.hstack([even_rows[rows], odd_rows[cols]])
+        w[rows < 0] = 0
+        return rows, sigma, w
 
 
 def _components(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -174,30 +174,24 @@ def _components(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> np.ndar
         np.minimum.at(root, hi, lo)
 
 
-def _blocks(
-    i: np.ndarray, j: np.ndarray, shape: tuple[int, int]
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def _blocks(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The connected blocks of a shape[0] x shape[1] pattern with an entry
-    at each (i, j), one (rows, cols) pair of index arrays per block shape
-    (r, c), shaped (blocks, r) and (blocks, c); an empty row is a (1, 0)
-    block and an empty column a (0, 1) block."""
+    at each (i, j), as one (rows, cols) pair of index arrays shaped
+    (blocks, R) and (blocks, C), R and C the most rows and columns of any
+    block: each block's rows or columns ascending, then -1 for each it
+    lacks. An empty row is a block with no column, an empty column one
+    with no row."""
     root = _components(i, j, shape)
     is_root = root == np.arange(root.size)
     label = (np.cumsum(is_root) - 1)[root]   # blocks numbered 0, 1, ... by root
-    sides = []
-    for side in (label[: shape[0]], label[shape[0] :]):
-        size = np.bincount(side, minlength=np.count_nonzero(is_root))
-        sides.append((np.argsort(side, kind="stable"), np.cumsum(size) - size, size))
-    (row_order, row_start, r), (col_order, col_start, c) = sides
-    key = r * (shape[1] + 1) + c   # one number per block shape
-    shapes = np.sort(key)
     out = []
-    for k in shapes[np.diff(shapes, prepend=-1) > 0]:
-        which = np.flatnonzero(key == k)
-        rows, cols = divmod(int(k), shape[1] + 1)
-        out.append((row_order[row_start[which, None] + np.arange(rows)],
-                    col_order[col_start[which, None] + np.arange(cols)]))
-    return out
+    for side in (label[: shape[0]], label[shape[0] :]):
+        order = np.argsort(side, kind="stable")
+        size = np.bincount(side, minlength=np.count_nonzero(is_root))
+        at = np.full((size.size, size.max()), -1)
+        at[side[order], np.arange(order.size) - (np.cumsum(size) - size)[side[order]]] = order
+        out.append(at)
+    return tuple(out)
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:
@@ -227,8 +221,8 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
     """The upper triangle of the two-qubit reductions, shape (times, 10),
     entries in np.triu_indices(4) order, by the formula of
-    reduced_two_qubit_series at tau = h.lam times, one block shape of B at a
-    time. Entry (j, m) is its column where qubit 1 is in the same state in
+    reduced_two_qubit_series at tau = h.lam times, all of B's blocks at
+    once. Entry (j, m) is its column where qubit 1 is in the same state in
     j and m, else i times its column; the entries below are its conjugates."""
     nf = h.fock_cutoff + 1
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
@@ -236,47 +230,45 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
     start[1, : field.nmax + 1] = field.weights   # rows |e g, n>
     j, m = np.triu_indices(4)
     same = s1[j] == s1[m]
+    rows, sigma, w = h.eigensystem()
+    nb, _, c = w.shape
+    # w is 0 on absent rows (-1), so what they read here adds nothing
+    qubits, fock = np.divmod(rows, nf)
+    parity, weight = h.parity.ravel()[rows], start.ravel()[rows]
+    # each row's slot by Fock level (from its block's lowest) and qubit pair
+    # state, none for an absent row; G_p is the Gram of a block's rows of
+    # parity p against all its rows, slot by slot
+    fock = np.where(rows >= 0, fock - fock.min(axis=1, keepdims=True), 0)
+    onto = (4 * fock + qubits)[:, None] == np.arange(4 * fock.max() + 4)[:, None]
+    right = (onto @ w).reshape(nb, -1, 4 * c)
+    mass, gram = [], []
+    for p in (0, 1):
+        on = (parity == p)[..., None]
+        mass.append((w * on * weight[..., None]).transpose(0, 2, 1) @ w)
+        g = (onto @ (w * on)).reshape(nb, -1, 4 * c).transpose(0, 2, 1) @ right
+        gram.append(g.reshape(nb, 4, c, 4, c)[:, j, :, m])   # (10, nb, c, c)
+    k_a = gram[0] * mass[0] + gram[1] * mass[1]
+    k_b = gram[0] * mass[1] + gram[1] * mass[0]
+    # s^T K_B c = c^T K_B^T s, so three pair products serve the 10 entries:
+    # cc and ss weigh K_A and K_B of the 6 entries with qubit 1 the same,
+    # cs weighs K_A - K_B^T of the other 4; rows ordered as the products
+    k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(-1, 6)
+    k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
     dt, tau = linspace_step(times), h.lam * times
-    upper = np.zeros((times.size, j.size))
-    for rows, sigma, wb in h.eigensystem():
-        nb, _, c = wb.shape
-        qubits, fock = np.divmod(rows, nf)
-        parity, weight = h.parity.ravel()[rows], start.ravel()[rows]
-        # the block's rows by Fock level (from the block's lowest) and qubit
-        # pair state; G_p is the Gram of its rows of parity p against all
-        low = fock.min(axis=1, keepdims=True)
-        at = (np.arange(nb)[:, None], fock - low, qubits)
-        right = np.zeros((nb, int((fock - low).max()) + 1, 4, c))
-        right[at] = wb
-        mass, gram = [], []
-        for p in (0, 1):
-            on = (parity == p)[..., None]
-            mass.append((wb * on * weight[..., None]).transpose(0, 2, 1) @ wb)
-            left = np.zeros_like(right)
-            left[at] = wb * on
-            g = left.reshape(nb, -1, 4 * c).transpose(0, 2, 1) @ right.reshape(nb, -1, 4 * c)
-            gram.append(g.reshape(nb, 4, c, 4, c)[:, j, :, m])   # (10, nb, c, c)
-        k_a = gram[0] * mass[0] + gram[1] * mass[1]
-        k_b = gram[0] * mass[1] + gram[1] * mass[0]
-        # s^T K_B c = c^T K_B^T s, so three pair products serve the 10 entries:
-        # cc and ss weigh K_A and K_B of the 6 entries with qubit 1 the same,
-        # cs weighs K_A - K_B^T of the other 4; rows ordered as the products
-        k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(-1, 6)
-        k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
-        step = max(1, _CELLS // (3 * nb * c * c))
-        for b in range(0, times.size, step):
-            if dt is None:
-                angle = tau[b : b + step, None, None] * sigma.T
-                cos, sin = np.cos(angle), np.sin(angle)
-            else:
-                count = min(step, times.size - b)
-                cos, sin = linspace_trig(sigma.T, tau[b], h.lam * dt, count)
-            pair = np.empty((len(cos), 3, c, c, nb))   # cos, sin: (times, c, nb)
-            for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
-                np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
-            pair = pair.reshape(len(cos), -1)
-            upper[b : b + step, same] += pair[:, : len(k_same)] @ k_same
-            upper[b : b + step, ~same] += pair[:, len(k_same) :] @ k_diff
+    upper = np.empty((times.size, j.size))
+    step = max(1, _CELLS // (3 * nb * c * c))
+    for b in range(0, times.size, step):
+        if dt is None:
+            angle = tau[b : b + step, None, None] * sigma.T
+            cos, sin = np.cos(angle), np.sin(angle)
+        else:
+            cos, sin = linspace_trig(sigma.T, tau[b], h.lam * dt, min(step, times.size - b))
+        pair = np.empty((len(cos), 3, c, c, nb))   # cos, sin: (times, c, nb)
+        for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
+            np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
+        pair = pair.reshape(len(cos), -1)
+        upper[b : b + step, same] = pair[:, : len(k_same)] @ k_same
+        upper[b : b + step, ~same] = pair[:, len(k_same) :] @ k_diff
     return upper
 
 
@@ -303,13 +295,13 @@ def reduced_two_qubit_series(
     is an error.
 
     M_p, and so K_A and K_B, vanish between two of B's blocks, whose columns
-    share no row, so the kernels are taken block by block, blocks of one
-    shape stacked. With s^T K_B c = c^T K_B^T s, the pair products c_a c_a',
-    s_a s_a' and c_a s_a' of a block's columns, in blocks of times of at most
-    _CELLS cells, times the stacked kernels give every entry. When times t
-    are a linspace (lam t need not be one), each block of times takes c and
-    s from linspace_trig at step lam dt, by angle addition; the table it
-    builds is per block, never for the whole grid.
+    share no row, so the kernels are taken block by block, every block in
+    eigensystem's one stack. With s^T K_B c = c^T K_B^T s, the pair products
+    c_a c_a', s_a s_a' and c_a s_a' of a block's columns, in blocks of times
+    of at most _CELLS cells, times the stacked kernels give every entry.
+    When times t are a linspace (lam t need not be one), each block of
+    times takes c and s from one linspace_trig call at step lam dt, by angle
+    addition; the table it builds is per block, never for the whole grid.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(

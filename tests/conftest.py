@@ -57,18 +57,15 @@ def dense_h1(h):
 
 
 def dense_w(h):
-    """sigma and the dense dim x m W of h.eigensystem()'s stacks, columns in
-    stack order: each block's singular pairs (u; v), then its null vectors
-    (u; 0) and (0; v)."""
-    stacks = h.eigensystem()
-    sigma = np.concatenate([s.ravel() for _, s, _ in stacks])
+    """sigma and the dense dim x m W of h.eigensystem()'s one stack, columns
+    in stack order: each block's singular pairs (u; v), then its null
+    vectors (u; 0) and (0; v); a column on a block's absent rows alone is 0."""
+    rows, sigma, wb = h.eigensystem()
+    cols = np.arange(sigma.size).reshape(sigma.shape)
+    b, a = np.nonzero(rows >= 0)
     w = np.zeros((h.dim, sigma.size))
-    col = 0
-    for rows, s, wb in stacks:
-        cols = col + np.arange(s.size).reshape(s.shape)
-        w[rows[:, :, None], cols[:, None, :]] = wb
-        col += s.size
-    return sigma, w
+    w[rows[b, a, None], cols[b]] = wb[b, a]
+    return sigma.ravel(), w
 
 
 def hamiltonian_from_dense(h1, fock_cutoff):

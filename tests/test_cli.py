@@ -636,6 +636,16 @@ class TestWriter:
         alone = run_main(["run", "--config", str(tmp_path / "a.cfg")])
         assert alone == (EXIT_OK, out, "") and out.count("\n") == 41
 
+    def test_stdout_of_a_stdout_summary_is_refused(self, tmp_path):
+        # output_path left empty and no -o: stdout is the summary's, so it holds one document
+        (tmp_path / "a.cfg").write_text("k = 0.5\nnbar = 1\nsteps = 40\noutput_path =\n")
+        code, out, err = run_main(["sweep", str(tmp_path / "a.cfg"), "--output-dir", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert err == "esdsim: a: output stdout already written by the summary\n"
+        assert out.splitlines() == ["name,status,max_concurrence,dwell_fraction,final_entropy",
+                                    "a,failed(2),nan,nan,nan"]
+        assert [p.name for p in tmp_path.iterdir()] == ["a.cfg"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_memory_beyond_the_columns_does_not_grow_with_the_rows(self, fmt, tmp_path):
         # the writer's traced peak over what the evaluation holds, at 20,000 and

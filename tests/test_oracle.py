@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -119,17 +120,22 @@ def driven_hamiltonian(params, h):
 
 
 def block_shapes(b):
-    """{(rows, cols): count} of the connected blocks the validator finds in b."""
-    return {(rows.shape[1], cols.shape[1]): len(rows)
-            for rows, cols in oracle._blocks(*np.nonzero(b), b.shape)}
+    """{(rows, cols): count} of the connected blocks the validator finds in
+    b, absent (-1) rows and columns not counted."""
+    rows, cols = oracle._blocks(*np.nonzero(b), b.shape)
+    return dict(Counter(zip((rows >= 0).sum(axis=1).tolist(), (cols >= 0).sum(axis=1).tolist())))
 
 
 def assert_jordan_wielandt(h):
-    """sigma and W from dense_w(h) diagonalise H / h.lam: a singular-pair column
-    (u; v) gives the eigenvectors (u, +-v)/sqrt(2) for +-sigma, a null
-    column (u; 0) or (0; v) one eigenvector for 0."""
+    """sigma and W over dense_w(h)'s nonzero columns diagonalise H / h.lam: a
+    singular-pair column (u; v) gives the eigenvectors (u, +-v)/sqrt(2) for
+    +-sigma, a null column (u; 0) or (0; v) one eigenvector for 0. A column
+    on a block's absent rows alone is 0, with sigma 0; returns the others."""
     sigma, w = dense_w(h)
     assert w.shape == (h.dim, sigma.size) and (sigma >= 0).all()
+    live = w.any(axis=0)
+    assert (sigma[~live] == 0).all()
+    sigma, w = sigma[live], w[:, live]
     even = h.parity.ravel() == 0
     paired = (w[even] != 0).any(axis=0) & (w[~even] != 0).any(axis=0)
     assert 2 * paired.sum() + (~paired).sum() == h.dim   # every eigenvector once
@@ -367,11 +373,11 @@ class TestBlockKernels:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_null_columns_stand_alone(self, seed):
         # a null vector is an eigenvector of H on its own, so no column pairs
-        # two blocks of B: one stack entry per block, 6 null columns
+        # two blocks of B: one stack entry per block, 6 nonzero null columns
         h, b = planted_hamiltonian(np.random.default_rng(seed), TestBlockSplit.SHAPES, 7)
-        stacks = h.eigensystem()
-        assert sum(len(rows) for rows, _, _ in stacks) == sum(block_shapes(b).values())
-        assert sum((sigma == 0).sum() for _, sigma, _ in stacks) == 6
+        rows, sigma, w = h.eigensystem()
+        assert len(rows) == sum(block_shapes(b).values())
+        assert (sigma[w.any(axis=1)] == 0).sum() == 6
         field = build_thermal(1.0, 1e-2)
         assert field.nmax < h.fock_cutoff
         times = np.linspace(0.0, 13.0, 40)
@@ -379,10 +385,11 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("case", ["k=0.3", "k=1e-6", "k=0", "seed=0", "seed=1", "seed=2"])
     def test_column_blocks_are_ws_own(self, case):
-        # eigensystem's stacks are B's connected blocks, even rows then odd,
-        # and they are the connected blocks of the dense W's own pattern;
-        # after a block's p = min(r, c) singular pairs come its r - p left
-        # null columns (u; 0) and c - p right ones (0; v), with sigma = 0
+        # eigensystem's stack holds B's connected blocks, even rows then odd,
+        # -1 and a zero W row for a row a block lacks, and they are the
+        # connected blocks of the dense W's own pattern; after a block's
+        # p = min(r, c) singular pairs come its r - p left null columns
+        # (u; 0) and c - p right ones (0; v), with sigma = 0
         name, value = case.split("=")
         if name == "k":
             field = build_thermal(3.0)
@@ -390,25 +397,29 @@ class TestBlockKernels:
         else:
             h, _ = planted_hamiltonian(np.random.default_rng(int(value)), TestBlockSplit.SHAPES, 7)
         parity = h.parity.ravel()
-        even, odd = np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
-        b = dense_h1(h)[np.ix_(even, odd)]
-        stacks = h.eigensystem()
-        want = oracle._blocks(*np.nonzero(b), b.shape)
-        assert len(stacks) == len(want)
-        starts = np.cumsum([0] + [sigma.size for _, sigma, _ in stacks])
-        got = set()
-        for (rows, sigma, w), (b_rows, b_cols), start in zip(stacks, want, starts):
-            assert np.array_equal(rows, np.hstack([even[b_rows], odd[b_cols]]))
-            r, c = b_rows.shape[1], b_cols.shape[1]
-            p = min(r, c)
-            assert sigma.shape == w.shape[::2] == (len(rows), r + c - p)
-            assert (sigma[:, p:] == 0).all()
-            assert (w[:, r:, p:r] == 0).all() and (w[:, :r, r:] == 0).all()
-            cols = start + np.arange(sigma.size).reshape(sigma.shape)
-            got |= {(tuple(np.sort(i)), tuple(j)) for i, j in zip(rows, cols)}
+        even, odd = (np.append(np.flatnonzero(parity == p), -1) for p in (0, 1))
+        b = dense_h1(h)[np.ix_(even[:-1], odd[:-1])]
+        rows, sigma, w = h.eigensystem()
+        b_rows, b_cols = oracle._blocks(*np.nonzero(b), b.shape)
+        assert np.array_equal(rows, np.hstack([even[b_rows], odd[b_cols]]))
+        (n, most_r), most_c = b_rows.shape, b_cols.shape[1]
+        assert sigma.shape == w.shape[::2] == (n, most_r + most_c - min(most_r, most_c))
+        assert (w[rows < 0] == 0).all()
+        r, c = (b_rows >= 0).sum(axis=1), (b_cols >= 0).sum(axis=1)
+        p = np.minimum(r, c)
+        after = np.arange(sigma.shape[1]) >= p[:, None]
+        assert (sigma[after] == 0).all()
+        on_u, on_v = w[:, :most_r].any(axis=1), w[:, most_r:].any(axis=1)
+        assert np.array_equal(on_u & on_v, ~after)
+        assert np.array_equal((on_u & ~on_v).sum(axis=1), r - p)
+        assert np.array_equal((~on_u & on_v).sum(axis=1), c - p)
+        cols = np.arange(sigma.size).reshape(sigma.shape)
+        got = {(tuple(np.sort(i[i >= 0])), tuple(j[live]))
+               for i, j, live in zip(rows, cols, on_u | on_v)}
         _, dense = dense_w(h)
-        assert got == {(tuple(i), tuple(j)) for rows, cols in oracle._blocks(*np.nonzero(dense), dense.shape)
-                       for i, j in zip(rows, cols)}
+        live = np.flatnonzero(dense.any(axis=0))
+        w_rows, w_cols = oracle._blocks(*np.nonzero(dense[:, live]), (h.dim, live.size))
+        assert got == {(tuple(i[i >= 0]), tuple(live[j[j >= 0]])) for i, j in zip(w_rows, w_cols)}
 
     def test_connected_matches_dense_kernels(self, weak_setup):
         params, field, h = weak_setup
@@ -421,7 +432,7 @@ class TestBlockKernels:
     def test_time_blocks(self, weak_setup):
         params, field, h = weak_setup
         driven = driven_hamiltonian(params, h)
-        (_, sigma, _), = driven.eigensystem()
+        _, sigma, _ = driven.eigensystem()
         assert sigma.shape == (1, h.dim // 2)
         # one block of dim/2 columns: cc, ss and cs pair products per time row
         rows = oracle._CELLS // (3 * sigma.size**2)
@@ -448,9 +459,41 @@ class TestBlockKernels:
         rho = reduce4(h, field, times)
         one_by_one = np.concatenate([reduce4(h, field, times[i : i + 1])
                                      for i in range(times.size)])
-        sigma = max(sigma.max() for _, sigma, _ in h.eigensystem())
+        sigma = h.eigensystem()[1].max()
         bound = 4 * np.spacing(sigma * np.abs(h.lam * times).max()) + 8 * np.spacing(1.0)
         assert np.abs(rho - one_by_one).max() <= bound
+
+
+class TestOneStack:
+    """B's blocks as one stack, padded to the widest, and one pass over it."""
+
+    @pytest.mark.parametrize("k", [0.0, 1e-6, 0.3])
+    @pytest.mark.parametrize("nbar", [0.0, 3.0, 10.0])
+    def test_eigensystem_is_one_stack(self, k, nbar):
+        # the widest block is a sector's 2 x 2 for k > 0, the 1 x 1 exchange at k = 0
+        field = build_thermal(nbar)
+        h = build_hamiltonians(ModelParams(lam=10.0, k=k), field.nmax + 2)
+        triple = h.eigensystem()
+        assert isinstance(triple, tuple) and len(triple) == 3
+        rows, sigma, w = triple
+        assert w.shape == ((len(rows), 4, 2) if k else (len(rows), 2, 1))
+        assert rows.shape == w.shape[:2] and sigma.shape == w.shape[::2]
+        assert np.array_equal(np.sort(rows[rows >= 0]), np.arange(h.dim))
+        assert (rows < 0).any() and (w[rows < 0] == 0).all()
+
+    def test_one_trig_call(self, monkeypatch):
+        # 100 times of nbar = 6's blocks fit one block of times: one call, not one per shape
+        calls, real = [], oracle.linspace_trig
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oracle, "linspace_trig", counting)
+        field = build_thermal(6.0)
+        h = build_hamiltonians(ModelParams(lam=10.0, k=0.3), field.nmax + 2)
+        reduced_two_qubit_series(h, field, np.linspace(0, 2, 100))
+        assert len(calls) == 1
 
 
 def traced_peak(nbar, steps):
