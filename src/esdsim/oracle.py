@@ -29,13 +29,16 @@ dim x dim/2 array is built and memory is O(dim) when the blocks are small.
 
 The reduction to the two qubits reads that stack directly: its kernels
 vanish between two blocks of B, so they are built in a fixed number of
-batched calls, and every entry is one product of the pair products of
-the blocks' cos and sin columns with the stacked kernels, per block of
-times. On a linspace of times, each block of times takes its cos and sin
-columns from one dynamics.linspace_trig call, by angle addition from
-about 2 sqrt(rows) libm points per column; other times take libm at every
-point. linspace_trig sees only frequencies and times, never a sector, so
-the validator stays independent of the sector structure.
+batched calls. Per block of times, each column's products with its
+block's cos and sin columns go, one column of every block at a time,
+into one reused buffer, and each takes one matrix product with that
+column's stacked kernels into every entry; no matrix of all column
+pairs' products is built. On a linspace of times, each block of times
+takes its cos and sin columns from one dynamics.linspace_trig call, by
+angle addition from about 2 sqrt(rows) libm points per column; other
+times take libm at every point. linspace_trig sees only frequencies and
+times, never a sector, so the validator stays independent of the sector
+structure.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ from .dynamics import StateSeries, linspace_step, linspace_trig
 from .model import ModelParams, ThermalField
 
 _OFF_X_TOL = 1e-8
-_CELLS = 2**18   # pair-product cells per block of times, one time row at least
+# cells of cos, sin and the product buffer per block of times (2 MB),
+# one time row at least
+_CELLS = 2**18
 
 
 @dataclass(frozen=True)
@@ -223,7 +228,11 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
     entries in np.triu_indices(4) order, by the formula of
     reduced_two_qubit_series at tau = h.lam times, all of B's blocks at
     once. Entry (j, m) is its column where qubit 1 is in the same state in
-    j and m, else i times its column; the entries below are its conjugates."""
+    j and m, else i times its column; the entries below are its conjugates.
+    A block of times holds cos and sin, (times, c, blocks), and one product
+    buffer of that shape: for each column a, c_a c, s_a s and c_a s of
+    every block in turn, each taking one matrix product with column a's
+    kernels, so the block costs 3 c blocks cells per time row."""
     nf = h.fock_cutoff + 1
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
@@ -249,26 +258,31 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
         gram.append(g.reshape(nb, 4, c, 4, c)[:, j, :, m])   # (10, nb, c, c)
     k_a = gram[0] * mass[0] + gram[1] * mass[1]
     k_b = gram[0] * mass[1] + gram[1] * mass[0]
-    # s^T K_B c = c^T K_B^T s, so three pair products serve the 10 entries:
-    # cc and ss weigh K_A and K_B of the 6 entries with qubit 1 the same,
-    # cs weighs K_A - K_B^T of the other 4; rows ordered as the products
-    k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(-1, 6)
-    k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(-1, 4)
+    # s^T K_B c = c^T K_B^T s, so three products of a block's columns serve
+    # the 10 entries: cc and ss weigh K_A and K_B of the 6 entries with
+    # qubit 1 the same, cs weighs K_A - K_B^T of the other 4; one kernel
+    # per column a, its rows ordered (a', block) as the products with a
+    k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(2, c, -1, 6)
+    k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(c, -1, 4)
     dt, tau = linspace_step(times), h.lam * times
     upper = np.empty((times.size, j.size))
-    step = max(1, _CELLS // (3 * nb * c * c))
+    step = max(1, _CELLS // (3 * c * nb))
     for b in range(0, times.size, step):
         if dt is None:
             angle = tau[b : b + step, None, None] * sigma.T
             cos, sin = np.cos(angle), np.sin(angle)
         else:
             cos, sin = linspace_trig(sigma.T, tau[b], h.lam * dt, min(step, times.size - b))
-        pair = np.empty((len(cos), 3, c, c, nb))   # cos, sin: (times, c, nb)
-        for i, (u, v) in enumerate(((cos, cos), (sin, sin), (cos, sin))):
-            np.multiply(u[:, :, None], v[:, None], out=pair[:, i])
-        pair = pair.reshape(len(cos), -1)
-        upper[b : b + step, same] = pair[:, : len(k_same)] @ k_same
-        upper[b : b + step, ~same] = pair[:, len(k_same) :] @ k_diff
+        prod = np.empty(cos.shape)   # cos, sin: (times, c, nb)
+        flat = prod.reshape(len(cos), -1)
+        on_same, on_diff = np.zeros((len(cos), 6)), np.zeros((len(cos), 4))
+        for a in range(c):
+            for u, v, k, out in ((cos, cos, k_same[0, a], on_same),
+                                 (sin, sin, k_same[1, a], on_same),
+                                 (cos, sin, k_diff[a], on_diff)):
+                np.multiply(u[:, a, None], v, out=prod)
+                out += flat @ k
+        upper[b : b + step, same], upper[b : b + step, ~same] = on_same, on_diff
     return upper
 
 
@@ -296,9 +310,12 @@ def reduced_two_qubit_series(
 
     M_p, and so K_A and K_B, vanish between two of B's blocks, whose columns
     share no row, so the kernels are taken block by block, every block in
-    eigensystem's one stack. With s^T K_B c = c^T K_B^T s, the pair products
-    c_a c_a', s_a s_a' and c_a s_a' of a block's columns, in blocks of times
-    of at most _CELLS cells, times the stacked kernels give every entry.
+    eigensystem's one stack. With s^T K_B c = c^T K_B^T s, the products
+    c_a c_a', s_a s_a' and c_a s_a' of a block's columns times the stacked
+    kernels give every entry. They are formed for one column a of every
+    block at a time, against all of its block's columns, in blocks of times
+    whose c, s and one product buffer hold at most _CELLS cells (one time
+    row at least); no times give an empty series.
     When times t are a linspace (lam t need not be one), each block of
     times takes c and s from one linspace_trig call at step lam dt, by angle
     addition; the table it builds is per block, never for the whole grid.
@@ -318,7 +335,7 @@ def reduced_two_qubit_series(
         rho44=upper[:, 9],
         rho23=1j * upper[:, 5],
     )
-    off_x = np.abs(upper[:, [1, 2, 3, 6, 8]]).max()
+    off_x = np.abs(upper[:, [1, 2, 3, 6, 8]]).max(initial=0.0)
     if off_x > _OFF_X_TOL:
         raise ValueError(f"off-X element {off_x} in reduced state")
     return series

@@ -7,7 +7,8 @@ from conftest import (dense, dense_entries, dense_h1, dense_w, hamiltonian_from_
                       sector_basis_indices)
 from scipy.linalg import expm
 
-from esdsim import ModelParams, build_thermal, sector_frequencies, two_qubit_states
+from esdsim import (ModelParams, SectorTable, build_thermal, sector_frequencies,
+                    two_qubit_states)
 from esdsim import oracle
 from esdsim.oracle import HamiltonianMatrix, build_hamiltonians, reduced_two_qubit_series
 
@@ -434,21 +435,23 @@ class TestBlockKernels:
         driven = driven_hamiltonian(params, h)
         _, sigma, _ = driven.eigensystem()
         assert sigma.shape == (1, h.dim // 2)
-        # one block of dim/2 columns: cc, ss and cs pair products per time row
-        rows = oracle._CELLS // (3 * sigma.size**2)
+        # one block of dim/2 columns: cos, sin and one product buffer, each
+        # dim/2 cells per time row; the grid crosses into a second block of
+        # times, and every 32nd time and both sides of the seam are checked
+        rows = oracle._CELLS // (3 * sigma.size)
         assert rows > 1
         times = np.linspace(0.0, 2.0, rows + 1)
         rho = reduce4(driven, field, times)
-        one_by_one = np.concatenate([reduce4(driven, field, times[i : i + 1])
-                                     for i in range(times.size)])
-        assert np.abs(rho - one_by_one).max() <= 1e-14
+        at = np.r_[0:rows:32, rows - 1, rows]
+        one_by_one = np.concatenate([reduce4(driven, field, times[i : i + 1]) for i in at])
+        assert np.abs(rho[at] - one_by_one).max() <= 1e-14
         at = [0, rows // 2, rows]
         assert np.abs(rho[at] - expm_reference(driven, field, times[at])).max() <= 1e-12
 
     @pytest.mark.parametrize("case", ["driven", "k=0.3"])
     def test_linspace_matches_one_time_at_a_time(self, case, weak_setup):
         # a linspace takes cos and sin by angle addition per block of times,
-        # one time alone takes libm; the driven H crosses time blocks
+        # one time alone takes libm; the driven H is one dim/2-wide block
         params, field, h = weak_setup
         if case == "driven":
             h = driven_hamiltonian(params, h)
@@ -537,6 +540,24 @@ def test_trig_is_taken_per_block_of_times():
     assert peak < 2000 * (h.dim // 2) * 8
 
 
+def test_reduction_holds_no_pair_products():
+    # k = .45, nbar = 10 (dim 976, 246 blocks of 2 columns) over 100 times:
+    # one block of times holds cos, sin and one product buffer of a column
+    # against its block's columns (2.09 MiB traced), where the (times, 3,
+    # c, c, blocks) matrix of every column pair's products peaked at 3.72 MiB
+    field = build_thermal(10.0)
+    h = build_hamiltonians(ModelParams(lam=10.0, k=0.45), field.nmax + 2)
+    assert h.dim == 976
+    times = np.linspace(0.0, 2.0, 100)
+    tracemalloc.start()
+    try:
+        reduced_two_qubit_series(h, field, times)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 2**20
+
+
 def test_off_x_check_builds_no_dense_stacks():
     # the off-X check reads the five off-X columns of the (times, 10) upper
     # triangle: no (times, 4, 4) complex stack (256 B a time each) is built
@@ -557,6 +578,16 @@ class TestEvolve:
         rho = dense(reduced_two_qubit_series(h, field, [1.3]))[0]
         assert np.trace(rho).real == pytest.approx(1.0, abs=field.epsilon)
         assert np.linalg.eigvalsh(rho).min() > -1e-10
+
+    def test_empty_times(self, weak_setup):
+        # no times is an empty series, as the engine gives: the off-X
+        # maximum over no rows is 0
+        params, field, h = weak_setup
+        s = reduced_two_qubit_series(h, field, np.array([]))
+        engine = SectorTable(params, field).series(np.array([]))
+        for name in ("rho11", "rho22", "rho33", "rho44", "rho23"):
+            assert getattr(s, name).shape == getattr(engine, name).shape == (0,)
+        assert s.rho23.dtype == complex
 
 
 class TestPartialTraces:
