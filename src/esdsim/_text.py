@@ -7,7 +7,7 @@ import numpy as np
 # a cell is four little-endian uint64 words: the sign, and for e < 0 '0.' and
 # zeros, in word 0, the leading digit in its last byte, and the other 16 digits
 # and '.' in words 1 to 3. The widest '%.17g' is 24 bytes
-# ('-1.2345678901234567e-308'); byte WIDTH - 1 is always NUL, a separator slot
+# ('-1.2345678901234567e-308'); its last two bytes are always NUL: a CSV ',' or JSON '.0' slot
 WIDTH = 32
 _POW10 = 10.0 ** np.arange(23)  # exact doubles
 _U = np.uint64

@@ -279,8 +279,8 @@ class Evaluation:
 
 # values per row range that outputs are written in, about: five 2,000-row
 # columns. g17 holds ~140 B a value at its peak, its 32-byte cells included,
-# so an 8,000-row group of six CSV columns (t, lambda_t and four observables)
-# is formatted and written in five ranges that each hold ~1.3 MB
+# so an 8,000-row group whose outputs print six columns (t, lambda_t and four
+# observables) is formatted and written in five ranges that each hold ~1.3 MB
 _FORMAT_VALUES = 10_000
 
 
@@ -359,10 +359,11 @@ def _csv_parts(config: RunConfig, evaluation: Evaluation, union: list[str]):
     return (",".join(keys) + "\n").encode(), block, "".join(lines).encode()
 
 
-def _json_parts(config: RunConfig, evaluation: Evaluation):
-    """(head, block, tail) of config's JSON, which are together
-    json.dumps(doc, indent=2, sort_keys=True) + "\n": block(rows, cells) is
-    the text of the samples of rows; it formats no cells."""
+def _json_parts(config: RunConfig, evaluation: Evaluation, union: list[str]):
+    """(head, block, tail) of config's JSON: json.dumps(doc, indent=2,
+    sort_keys=True) + "\n" but for the samples' numbers, which block(rows,
+    cells) writes from the g17 cells of the union's columns there: '%.17g',
+    '.0' after an integer (so json reads a float), NaN and (-)Infinity."""
     doc = {"config": asdict(config), "events": [asdict(iv) for iv in evaluation.intervals]}
     oracle_dev = evaluation.oracle_dev
     if oracle_dev is not None:
@@ -374,17 +375,25 @@ def _json_parts(config: RunConfig, evaluation: Evaluation):
     # "samples" sorts last: the document without it, then its samples
     head = json.dumps(doc, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
     keys = sorted(_keys(config))
-    sample = "\n    {" + ",".join(f"\n      {json.dumps(key)}: %s" for key in keys) + "\n    }"
-    columns = [evaluation.columns[key] for key in keys]
+    at = [union.index(key) for key in keys]
+    # each key's fixed text, NUL-padded, before its cell; the first key's
+    # closes the previous sample and opens this one
+    fixed = np.array([("\n    },\n    {" if j == 0 else ",") + f"\n      {json.dumps(key)}: "
+                      for j, key in enumerate(keys)], "S").view(np.uint8).reshape(len(keys), -1)
 
-    def block(rows: slice, cells: np.ndarray | None) -> bytes:
-        values = np.column_stack([column[rows] for column in columns])
-        # json's own text of each value: its repr, or NaN and (-)Infinity
-        text = ",".join([sample] * len(values)) % tuple(
-            json.dumps(values.ravel().tolist())[1:-1].split(", "))
-        return (text if rows.start == 0 else "," + text).encode()
+    def block(rows: slice, cells: np.ndarray) -> bytes:
+        values = np.column_stack([evaluation.columns[key][rows] for key in keys])
+        body = np.empty((len(values), len(keys), fixed.shape[1] + WIDTH), np.uint8)
+        body[:, :, :-WIDTH], body[:, :, -WIDTH:] = fixed, cells[:, at]
+        # '.0' in the last two bytes, always NUL, of a cell that prints an integer
+        body[(values == np.trunc(values)) & (np.abs(values) < 1e17), -2:] = (ord("."), ord("0"))
+        for i, j in np.argwhere(~np.isfinite(values)):   # json's NaN and (-)Infinity
+            body[i, j, -WIDTH:] = list(json.dumps(values[i, j]).encode().ljust(WIDTH, b"\0"))
+        if rows.start == 0:
+            body[0, 0, :7] = 0   # no '\n    },' before the first sample
+        return body.tobytes().translate(None, b"\0")
 
-    return head.encode(), block, b"\n  ]\n}\n"
+    return head.encode(), block, b"\n    }\n  ]\n}\n"
 
 
 def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[RunResult]:
@@ -395,20 +404,17 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
     The outputs are open together and written a row range at a time, each
     from its header to its trailer, in one pass over the rows. The ranges
     are equal and as few as keep each near _FORMAT_VALUES values of the
-    columns the CSVs print, t and lambda_t included (of the JSONs' when
-    there is no CSV). Each range of those columns is one g17 call, and each
-    CSV writes its own columns' cells from it. So an evaluation's columns
-    and one range of cells are held at a time, whatever the rows. A
-    failure fails only the output it comes from, its temporary file
-    removed; one of g17 fails every CSV."""
+    union of the outputs' columns, CSV and JSON alike. Each range of the
+    union is one g17 call, and each output writes its own columns' cells
+    from it. So an evaluation's columns and one range of cells are held at
+    a time, whatever the rows. A failure fails only the output it comes
+    from, its temporary file removed; one of g17 fails every open output."""
     results = _attempt(configs[0], lambda: [_result(cfg, evaluation) for cfg in configs])
     if isinstance(results, RunResult):
         return [replace(results, config=cfg) for cfg in configs]
     count = len(evaluation.columns["t"])
-    csv_keys = list(dict.fromkeys(key for cfg in configs if cfg.output_format == "csv"
-                                  for key in _keys(cfg)))
-    width = len(csv_keys) or len({key for cfg in configs for key in _keys(cfg)})
-    size = math.ceil(count / math.ceil(count * width / _FORMAT_VALUES))  # rows a range
+    union = list(dict.fromkeys(key for cfg in configs for key in _keys(cfg)))
+    size = math.ceil(count / math.ceil(count * len(union) / _FORMAT_VALUES))  # rows a range
     live = {}   # index: (output, block, trailer) of each output being written
 
     def attempt(indices: list[int], action: Callable):
@@ -423,21 +429,19 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
 
     def start(i: int):
         cfg = configs[i]
-        head, *rest = (_csv_parts(cfg, evaluation, csv_keys) if cfg.output_format == "csv"
-                       else _json_parts(cfg, evaluation))
+        parts = _csv_parts if cfg.output_format == "csv" else _json_parts
+        head, *rest = parts(cfg, evaluation, union)
         live[i] = (_Output(cfg.output_path), *rest)
         live[i][0].write(head)
 
     try:
         for i in range(len(configs)):
             attempt([i], lambda: start(i))
-        for begin in range(0, count, size):
-            rows = slice(begin, begin + size)
-            cells = None
-            if tables := [i for i in live if configs[i].output_format == "csv"]:
-                cells = attempt(tables, lambda: g17(np.column_stack(
-                    [evaluation.columns[key][rows] for key in csv_keys])).reshape(
-                        -1, len(csv_keys), WIDTH))
+        # each row range while any output is open
+        for rows in (slice(begin, begin + size) for begin in range(0, count, size) if live):
+            cells = None   # the last range's, dropped before this one is formatted
+            cells = attempt(list(live), lambda: g17(np.column_stack(
+                [evaluation.columns[key][rows] for key in union])).reshape(-1, len(union), WIDTH))
             for i, (output, block, _) in list(live.items()):
                 attempt([i], lambda: output.write(block(rows, cells)))
         for i, (output, _, trailer) in list(live.items()):

@@ -441,13 +441,13 @@ class TestSharedPhysics:
                 tmp_path / f"{cfg.name}.csv").read_bytes()
 
     def test_presentation_shares_the_evaluation(self, tmp_path, monkeypatch):
-        # one g17 pass over t, lambda_t and the CSV's observables; the JSON adds none
+        # one g17 pass over t, lambda_t and the observables of the CSV and the JSON
         by_k = reduced("fig2a", tmp_path, observables=("lambda", "entropy"), name="by_k")
         as_json = replace(by_k, observables=("concurrence", "coherence"), output_format="json",
                           name="as_json", output_path=str(tmp_path / "as_json.json"))
         calls, formatted = count_evaluations(monkeypatch), count_formatting(monkeypatch)
         assert sweep([by_k, as_json])[1] == EXIT_OK and calls == [0.5]
-        assert formatted == [4 * 200]
+        assert formatted == [6 * 200]
         for cfg in (by_k, as_json):
             alone = replace(cfg, output_path=str(tmp_path / "alone"))
             assert write_output(alone, cli.evaluate(alone)).exit_code == EXIT_OK
@@ -511,11 +511,13 @@ class TestFormatting:
         assert calls == [42, 42, 42, 42, 42, 42, 7]
         assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
-    def test_json_formats_nothing(self, tmp_path, monkeypatch):
+    def test_json_formats_as_its_csv_twin(self, tmp_path, monkeypatch):
+        # the samples are the g17 cells of the same ranges a CSV prints
         calls = count_formatting(monkeypatch)
-        assert main(["run", "--steps", "20", "--output-format", "json",
-                     "-o", str(tmp_path / "run.json")]) == EXIT_OK
-        assert calls == []
+        for fmt in ("csv", "json"):
+            assert main(["run", "--steps", "4000", "--output-format", fmt,
+                         "-o", str(tmp_path / f"run.{fmt}")]) == EXIT_OK
+        assert calls == [9338, 9338, 9324] * 2
 
     def test_lone_execute_renders_what_run_writes(self, tmp_path, monkeypatch, capsys):
         argv = ["run", "--k", "0.3", "--nbar", "2", "--steps", "30", "--detect-events",
@@ -579,7 +581,18 @@ class TestWriter:
         assert (tmp_path / "swept" / "fig1a.csv").read_bytes() == alone.read_bytes()
         assert sorted(p.name for p in (tmp_path / "swept").iterdir()) == ["fig1a.csv", "fig3a.csv"]
 
-    # 20 rows fit the file's buffer, so the write fails as it closes; 4,000 in a row range
+    def test_a_group_with_no_output_open_formats_nothing(self, tmp_path, monkeypatch):
+        # the directory is gone between validation and writing
+        configs = [reduced("fig1a", tmp_path / "missing", name=f"run.{fmt}", output_format=fmt,
+                           output_path=str(tmp_path / "missing" / f"run.{fmt}"))
+                   for fmt in ("csv", "json")]
+        evaluation = cli.evaluate(configs[0])
+        calls = count_formatting(monkeypatch)
+        results = cli._write_outputs(configs, evaluation)
+        assert [r.exit_code for r in results] == [EXIT_IO, EXIT_IO] and calls == []
+        assert all("No such file or directory" in r.error for r in results)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("steps", [20, 4000])
     def test_a_full_disk_fails_the_run_and_leaves_the_target(self, steps, tmp_path,
                                                              monkeypatch, capsys):
@@ -650,12 +663,10 @@ class TestWriter:
     def test_memory_beyond_the_columns_does_not_grow_with_the_rows(self, fmt, tmp_path):
         # the writer's traced peak over what the evaluation holds, at 20,000 and
         # 200,000 steps: one row range of text (~1.5 MB), not ~900 B a step for
-        # a whole body. A JSON sample is a Python object per value while it is
-        # written, and tracemalloc slows those, so the JSON run has one observable
-        observables = ALL_OBSERVABLES if fmt == "csv" else ("lambda",)
+        # a whole body
         above = []
         for steps in (20_000, 200_000):
-            cfg = RunConfig(k=0.1, nbar=1.0, steps=steps, observables=observables,
+            cfg = RunConfig(k=0.1, nbar=1.0, steps=steps, observables=ALL_OBSERVABLES,
                             output_format=fmt, output_path=str(tmp_path / f"run.{fmt}"))
             evaluation = cli.evaluate(cfg)
             tracemalloc.start()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from esdsim._text import WIDTH, g17
 def texts(xs) -> list[str]:
     matrix = g17(np.array(xs, dtype=float))
     assert matrix.shape == (len(xs), WIDTH) and matrix.dtype == np.uint8
-    assert not matrix[:, WIDTH - 1].any()  # the separator slot of every cell is NUL
+    assert not matrix[:, WIDTH - 2:].any()  # the separator and '.0' slots of every cell are NUL
     return [row.tobytes().translate(None, b"\0").decode("ascii") for row in matrix]
 
 
@@ -179,13 +180,17 @@ def test_render_equals_a_percent_g_join(tmp_path, monkeypatch):
 
 def test_json_equals_one_dumps(tmp_path, monkeypatch):
     """A JSON output, written in row ranges, is json.dumps of its whole
-    document: NaN and (-)Infinity as json writes them, samples sorted last."""
+    document but for the numbers of its samples, which are '%.17g' with
+    '.0' after an integer, and json's NaN and (-)Infinity: json.loads reads
+    back the same document, every sample value the same float."""
     n = 257
     columns = edge_columns(n)
-    columns["inversion"][5:7] = [float("nan"), float("inf")]
+    columns["inversion"][5:13] = [float("nan"), float("inf"), 1.0, -3.0, 1e16, 123456.0,
+                                  1e17, 99999999999999984.0]
     out = tmp_path / "run.json"
     config = RunConfig(observables=KEYS, detect_events=True, output_format="json",
                        output_path=str(out))
+    # 7 columns of 257 rows in ranges of 86, 86 and 85 rows
     monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
     assert write_output(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
 
@@ -197,4 +202,24 @@ def test_json_equals_one_dumps(tmp_path, monkeypatch):
         "events": [asdict(INTERVAL)],
         "oracle": {"max_deviation": 2.5e-12, "threshold": 1e-7, "passed": True},
     }
-    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text, want = out.read_text(), json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # the text outside the samples' numbers is json's, byte for byte
+    number = re.compile(r'(?<=": )[^,\n]*(?=,?\n)')
+    head, samples = text.split('"samples": [')
+    want_head, want_samples = want.split('"samples": [')
+    assert head == want_head
+    assert number.sub("", samples) == number.sub("", want_samples)
+
+    def expected(x: float) -> str:
+        if not math.isfinite(x):
+            return json.dumps(x)
+        text = "%.17g" % x
+        return text if "." in text or "e" in text else text + ".0"
+
+    values = [sample[key] for sample in doc["samples"] for key in sorted(keys)]
+    assert number.findall(samples) == [expected(x) for x in values]
+    got = [sample[key] for sample in json.loads(text)["samples"] for key in sorted(keys)]
+    assert len(got) == len(values) == 7 * n
+    for a, b in zip(got, values):
+        assert type(a) is float and (a == b or math.isnan(a) and math.isnan(b)), (a, b)
+        assert math.copysign(1, a) == math.copysign(1, b), (a, b)
