@@ -17,15 +17,15 @@ H = [[0, B], [B^T, 0]], and the SVD of the half-size block B gives its
 whole spectrum (the Jordan-Wielandt matrix; Golub & Van Loan, Matrix
 Computations). H is held as its nonzero entries, which are the edges of a
 graph on the basis states: the parity check reads each entry's two ends,
-and B's entries are those from an even to an odd state. B is split into
-the connected blocks of that edge list, read as a bipartite graph of rows
-and columns, and each block is decomposed on its own: all blocks, each
-zero-padded to the widest, are scattered from their entries into one
-stack and one batched SVD. The split reads only which entries are
-nonzero, never a basis label or sector, so a Hamiltonian that connects
-every state is one block and one dense SVD. The blocks' singular pairs
-and null vectors are kept as that one stack, so no dim x dim or
-dim x dim/2 array is built and memory is O(dim) when the blocks are small.
+and B's entries are those from an even to an odd state. H is split into
+the connected blocks of that edge list, and B's share of each block is
+decomposed on its own: every block, padded to one square of the most
+states on either side, is scattered from its entries into one stack and
+one batched SVD. The split reads only which entries are nonzero, never a
+basis label or sector, so a Hamiltonian that connects every state is one
+block and one dense SVD. The blocks' columns are kept as that one stack,
+so no dim x dim or dim x dim/2 array is built and memory is O(dim) when
+the blocks are small.
 
 The reduction to the two qubits reads that stack directly: its kernels
 vanish between two blocks of B, so they are built in a fixed number of
@@ -109,23 +109,18 @@ class HamiltonianMatrix:
 
         With B = H~[even, odd] = U diag(sigma) V^T, the eigenpairs of H are
         +-sigma with vectors (u, +-v)/sqrt(2), and a null vector of B, left or
-        right, is an eigenvector of H for 0 on its own. B's entries are H's
-        entries from an even row to an odd column, each at the places of its
-        two states among the states of their parity; their mirrors are B^T's.
-        B is decomposed block by block: each connected block of its entries,
-        as _blocks gives them, is zero-padded to R rows and C columns, the
-        most of any block, and the n blocks take one batched SVD; a zero row
-        or column adds only sigma = 0 directions, so cos and sin of H do not
-        change. rows (n, R + C) are the blocks' basis rows, even then odd, -1
-        where a block lacks one; w (n, R + C, M), M = R + C - P with
-        P = min(R, C), holds their columns, 0 on absent rows: the P singular
-        pairs (u; v), then the R - P left null vectors (u; 0) and the C - P
-        right ones (0; v), and a column on absent rows alone is 0; sigma
-        (n, M) holds their singular values, 0 on the null columns. Every
-        block pays the widest one's shape: for build_hamiltonians the 2 x 2
-        block of an excitation sector, which all but a few edge blocks are.
-        Raises ValueError if H couples two states of the same parity, so
-        that this form does not hold.
+        right, is an eigenvector of H for 0 on its own. H's connected blocks,
+        as _components and _blocks give them in basis states, are padded to
+        S even and S odd states, S the most on either side of any block, and
+        B's entries in them take one batched SVD of n square blocks. rows
+        (n, 2S) are the blocks' states, even then odd, -1 where padded; w
+        (n, 2S, S) holds their columns (u; v), 0 on padded rows, and sigma
+        (n, S) their singular values. Padding adds only sigma = 0 pairs, and
+        a pair whose other half is padded is a null vector (u; 0) or (0; v);
+        where the SVD mixes them with a block's own null directions, the sums
+        of their outer products are still projectors, so cos and sin of H do
+        not change. Raises ValueError if H couples two states of the same
+        parity, so that this form does not hold.
         """
         parity = self.parity.ravel()
         row_parity = parity[self.row]
@@ -136,67 +131,48 @@ class HamiltonianMatrix:
                 f"entry ({self.row[e]}, {self.col[e]}); the validator needs H to "
                 f"anticommute with the parity (-1)^(s1 + n)"
             )
-        half = self.dim // 2
-        # each parity's states, then -1, so that an absent row (-1) stays -1
-        even_rows, odd_rows = (np.append(np.flatnonzero(parity == p), -1) for p in (0, 1))
-        place = np.empty(self.dim, dtype=np.intp)   # a state's index among its parity's
-        place[even_rows[:-1]] = place[odd_rows[:-1]] = np.arange(half)
         on_b = row_parity == 0
-        b_row, b_col, b_val = place[self.row[on_b]], place[self.col[on_b]], self.val[on_b]
-        rows, cols = _blocks(b_row, b_col, (half, half))
-        (n, r), c = rows.shape, cols.shape[1]
-        p = min(r, c)
-        # every row's block and every row's and column's place in its block;
-        # the last slot takes the absent ones
-        block, at_row, at_col = (np.empty(half + 1, dtype=np.intp) for _ in range(3))
-        block[rows], at_row[rows], at_col[cols] = np.arange(n)[:, None], np.arange(r), np.arange(c)
-        stack = np.zeros((n, r, c))
-        stack[block[b_row], at_row[b_row], at_col[b_col]] = b_val
-        sigma, w = np.zeros((n, r + c - p)), np.zeros((n, r + c, r + c - p))
-        u, sigma[:, :p], vt = np.linalg.svd(stack)
-        v = vt.transpose(0, 2, 1)
-        w[:, :r, :r] = u   # the pairs' u, then the left null vectors
-        w[:, r:, :p], w[:, r:, r:] = v[..., :p], v[..., p:]
-        rows = np.hstack([even_rows[rows], odd_rows[cols]])
+        b_row, b_col, b_val = self.row[on_b], self.col[on_b], self.val[on_b]
+        label = _components(b_row, b_col, self.dim)
+        rows, slot = _blocks(label, parity)
+        n, s = rows.shape[0], rows.shape[1] // 2
+        stack = np.zeros((n, s, s))
+        stack[label[b_row], slot[b_row], slot[b_col]] = b_val
+        u, sigma, vt = np.linalg.svd(stack)
+        w = np.concatenate([u, vt.transpose(0, 2, 1)], axis=1)
         w[rows < 0] = 0
         return rows, sigma, w
 
 
-def _components(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Connected-block roots of the rows and then the columns of a
-    shape[0] x shape[1] pattern with an entry at each (i, j), read as the
-    nodes of a bipartite graph with one edge per entry. Each pass hooks the
-    larger root of every edge under the smaller one and jumps every pointer
-    to its root; it stops when each edge has one root."""
-    j = j + shape[0]   # columns are the nodes after the rows
-    root = np.arange(sum(shape))
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Each node's connected-block label in an n-node graph with one edge
+    at each (i, j), blocks numbered 0, 1, ... in the order of their lowest
+    node. Each pass hooks the larger root of every edge under the smaller
+    one and jumps every pointer to its root; it stops when each edge has one
+    root, so each block's root is its lowest node."""
+    root = np.arange(n)
     while True:
         while not np.array_equal(up := root[root], root):   # pointers only point down
             root = up
         lo, hi = np.minimum(root[i], root[j]), np.maximum(root[i], root[j])
         if np.array_equal(lo, hi):
-            return root
+            return (np.cumsum(root == np.arange(n)) - 1)[root]
         np.minimum.at(root, hi, lo)
 
 
-def _blocks(i: np.ndarray, j: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """The connected blocks of a shape[0] x shape[1] pattern with an entry
-    at each (i, j), as one (rows, cols) pair of index arrays shaped
-    (blocks, R) and (blocks, C), R and C the most rows and columns of any
-    block: each block's rows or columns ascending, then -1 for each it
-    lacks. An empty row is a block with no column, an empty column one
-    with no row."""
-    root = _components(i, j, shape)
-    is_root = root == np.arange(root.size)
-    label = (np.cumsum(is_root) - 1)[root]   # blocks numbered 0, 1, ... by root
-    out = []
-    for side in (label[: shape[0]], label[shape[0] :]):
-        order = np.argsort(side, kind="stable")
-        size = np.bincount(side, minlength=np.count_nonzero(is_root))
-        at = np.full((size.size, size.max()), -1)
-        at[side[order], np.arange(order.size) - (np.cumsum(size) - size)[side[order]]] = order
-        out.append(at)
-    return tuple(out)
+def _blocks(label: np.ndarray, side: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of nodes labelled 0, 1, ... with a side 0 or 1 each, as
+    rows (blocks, 2S): each block's side-0 nodes, then its side-1 nodes,
+    each side ascending and padded with -1 to S, the most nodes on either
+    side of any block; and slot, each node's place within its side."""
+    key = 2 * label + side
+    order = np.argsort(key, kind="stable")
+    size = np.bincount(key, minlength=2 * label.max() + 2)
+    slot = np.empty(key.size, dtype=np.intp)
+    slot[order] = np.arange(key.size) - (np.cumsum(size) - size)[key[order]]
+    rows = np.full((size.size, size.max()), -1)
+    rows[key, slot] = np.arange(key.size)
+    return rows.reshape(size.size // 2, -1), slot
 
 
 def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatrix:
@@ -293,11 +269,10 @@ def reduced_two_qubit_series(
     rho(0) = |e1><e1| x |g2><g2| x the thermal mix.
 
     H = lam H~, so U(t) = exp(-i H~ tau) at tau = lam t, and every time is
-    evaluated as tau. With W the columns (u; v), (u; 0) and (0; v) of
-    h.eigensystem(), cos(H~ tau) = W cos(sigma tau) W^T between rows of equal
-    parity and sin(H~ tau) = W sin(sigma tau) W^T between rows of opposite
-    parity, column by column: a null column has sigma = 0, and cos 0 = 1,
-    sin 0 = 0.
+    evaluated as tau. With W the columns (u; v) of h.eigensystem(),
+    cos(H~ tau) = W cos(sigma tau) W^T between rows of equal parity and
+    sin(H~ tau) = W sin(sigma tau) W^T between rows of opposite parity,
+    column by column: a null column has sigma = 0, and cos 0 = 1, sin 0 = 0.
     With W_n the row of W at |e g, n>, M_p = sum over n of parity p of
     P_n W_n^T W_n; for qubit pair states j, m, G_p = sum over the Fock rows
     f with (j, f) of parity p of W_(j,f)^T W_(m,f). Then, with

@@ -58,8 +58,9 @@ def dense_h1(h):
 
 def dense_w(h):
     """sigma and the dense dim x m W of h.eigensystem()'s one stack, columns
-    in stack order: each block's singular pairs (u; v), then its null
-    vectors (u; 0) and (0; v); a column on a block's absent rows alone is 0."""
+    in stack order: each block's S columns (u; v) of its square SVD, 0 on
+    the rows padded to S, so a null vector of B is (u; 0) or (0; v) and a
+    column on padded rows alone is 0."""
     rows, sigma, wb = h.eigensystem()
     cols = np.arange(sigma.size).reshape(sigma.shape)
     b, a = np.nonzero(rows >= 0)

@@ -6,6 +6,7 @@ import pytest
 from conftest import (dense, dense_entries, dense_h1, dense_w, hamiltonian_from_dense,
                       sector_basis_indices)
 from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
 
 from esdsim import (ModelParams, SectorTable, build_thermal, sector_frequencies,
                     two_qubit_states)
@@ -58,19 +59,27 @@ def free_hamiltonian(fock_cutoff, omega=100.0):
 
 def planted_hamiltonian(rng, shapes, fock_cutoff):
     """A Jordan-Wielandt h1 whose parity-flipping block B holds random blocks
-    of the given shapes on its diagonal, empty rows and columns filling it
-    out, with its rows and columns then permuted at random; returns (h, B)."""
+    of the given shapes on its diagonal, then a 2x2 rotation block, as
+    plant lays them out; returns (h, B)."""
+    blocks = [rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 2.0, shape) for shape in shapes]
+    # a 2x2 rotation block has one doubly degenerate singular value
+    angle = rng.uniform(0, np.pi / 2)
+    blocks.append(1.5 * np.array([[np.cos(angle), -np.sin(angle)],
+                                  [np.sin(angle), np.cos(angle)]]))
+    return plant(rng, blocks, fock_cutoff)
+
+
+def plant(rng, blocks, fock_cutoff):
+    """A Jordan-Wielandt h1 whose parity-flipping block B holds the given
+    blocks on its diagonal, empty rows and columns filling it out, with its
+    rows and columns then permuted at random; returns (h, B)."""
     m = 2 * (fock_cutoff + 1)
     b = np.zeros((m, m))
     r = c = 0
-    for rows, cols in shapes:
-        sign = rng.choice([-1.0, 1.0], (rows, cols))
-        b[r : r + rows, c : c + cols] = sign * rng.uniform(0.5, 2.0, (rows, cols))
+    for block in blocks:
+        rows, cols = block.shape
+        b[r : r + rows, c : c + cols] = block
         r, c = r + rows, c + cols
-    # a 2x2 rotation block has one doubly degenerate singular value
-    angle = rng.uniform(0, np.pi / 2)
-    b[r : r + 2, c : c + 2] = 1.5 * np.array([[np.cos(angle), -np.sin(angle)],
-                                               [np.sin(angle), np.cos(angle)]])
     b = b[rng.permutation(m)][:, rng.permutation(m)]
     h1 = np.zeros((2 * m, 2 * m))
     even = hamiltonian_from_dense(h1, fock_cutoff).parity.ravel() == 0
@@ -120,10 +129,21 @@ def driven_hamiltonian(params, h):
     return hamiltonian_from_dense(dense_h1(h) + 0.3 * params.lam * drive, h.fock_cutoff)
 
 
+def bipartite_blocks(i, j, shape):
+    """The connected blocks of a shape[0] x shape[1] pattern with an entry at
+    each (i, j), through the validator's own split of a graph whose nodes are
+    the rows and then the columns: (rows, cols), each (blocks, S), every
+    block's rows or columns ascending, then -1 for each it lacks."""
+    label = oracle._components(i, j + shape[0], sum(shape))
+    rows, _ = oracle._blocks(label, np.arange(sum(shape)) >= shape[0])
+    s = rows.shape[1] // 2
+    return rows[:, :s], np.where(rows[:, s:] < 0, -1, rows[:, s:] - shape[0])
+
+
 def block_shapes(b):
     """{(rows, cols): count} of the connected blocks the validator finds in
     b, absent (-1) rows and columns not counted."""
-    rows, cols = oracle._blocks(*np.nonzero(b), b.shape)
+    rows, cols = bipartite_blocks(*np.nonzero(b), b.shape)
     return dict(Counter(zip((rows >= 0).sum(axis=1).tolist(), (cols >= 0).sum(axis=1).tolist())))
 
 
@@ -131,7 +151,9 @@ def assert_jordan_wielandt(h):
     """sigma and W over dense_w(h)'s nonzero columns diagonalise H / h.lam: a
     singular-pair column (u; v) gives the eigenvectors (u, +-v)/sqrt(2) for
     +-sigma, a null column (u; 0) or (0; v) one eigenvector for 0. A column
-    on a block's absent rows alone is 0, with sigma 0; returns the others."""
+    on a block's padded rows alone is 0, with sigma 0; returns the others.
+    It needs each null vector of B in one column, as the SVD gives them when
+    every block has full rank."""
     sigma, w = dense_w(h)
     assert w.shape == (h.dim, sigma.size) and (sigma >= 0).all()
     live = w.any(axis=0)
@@ -335,6 +357,31 @@ class TestBlockSplit:
             assert np.abs(cos - u.real).max() <= 1e-12
             assert np.abs(sin + u.imag).max() <= 1e-12
 
+    def test_components_and_blocks_label_a_random_graph(self):
+        # 80 nodes, 50 random edges (some loops), a random side each
+        rng = np.random.default_rng(3)
+        n = 80
+        i, j = rng.integers(0, n, (2, 50))
+        side = rng.integers(0, 2, n)
+        label = oracle._components(i, j, n)
+        adjacency = np.zeros((n, n), dtype=bool)
+        adjacency[i, j] = True
+        count, ref = connected_components(adjacency, directed=False)
+        lowest = np.array([np.flatnonzero(ref == b).min() for b in range(count)])
+        # the reference's blocks, numbered by their lowest node
+        assert np.array_equal(label, np.argsort(np.argsort(lowest))[ref])
+        assert np.array_equal(np.unique(label, return_index=True)[1], np.sort(lowest))
+        rows, slot = oracle._blocks(label, side)
+        s = rows.shape[1] // 2
+        assert rows.shape == (count, 2 * s)
+        assert np.array_equal(rows[label, side * s + slot], np.arange(n))
+        assert (rows >= 0).sum() == n
+        for half in rows.reshape(-1, s):
+            x = half[half >= 0]
+            assert np.array_equal(half, np.r_[x, np.full(s - x.size, -1)])
+            assert (np.diff(x) > 0).all()
+        assert s == np.bincount(2 * label + side).max()
+
     def test_driven_hamiltonian_is_one_block(self, weak_setup):
         params, field, h = weak_setup
         # the qubit-1 drive of test_off_x_detected connects every state
@@ -386,11 +433,14 @@ class TestBlockKernels:
 
     @pytest.mark.parametrize("case", ["k=0.3", "k=1e-6", "k=0", "seed=0", "seed=1", "seed=2"])
     def test_column_blocks_are_ws_own(self, case):
-        # eigensystem's stack holds B's connected blocks, even rows then odd,
-        # -1 and a zero W row for a row a block lacks, and they are the
-        # connected blocks of the dense W's own pattern; after a block's
-        # p = min(r, c) singular pairs come its r - p left null columns
-        # (u; 0) and c - p right ones (0; v), with sigma = 0
+        # eigensystem's stack holds H's connected blocks in basis states, in
+        # the order of each block's lowest state: its even states, then its
+        # odd ones, each side ascending and padded with -1 (and zero W rows)
+        # to S, the most on either side of any block. Every block here has
+        # full rank: its p = min(r, c) singular pairs are two-sided columns,
+        # its |r - c| null vectors one-sided ones with sigma = 0, and its
+        # padding only all-zero columns. The blocks are the connected blocks
+        # of the dense W's own pattern
         name, value = case.split("=")
         if name == "k":
             field = build_thermal(3.0)
@@ -398,29 +448,51 @@ class TestBlockKernels:
         else:
             h, _ = planted_hamiltonian(np.random.default_rng(int(value)), TestBlockSplit.SHAPES, 7)
         parity = h.parity.ravel()
-        even, odd = (np.append(np.flatnonzero(parity == p), -1) for p in (0, 1))
-        b = dense_h1(h)[np.ix_(even[:-1], odd[:-1])]
         rows, sigma, w = h.eigensystem()
-        b_rows, b_cols = oracle._blocks(*np.nonzero(b), b.shape)
-        assert np.array_equal(rows, np.hstack([even[b_rows], odd[b_cols]]))
-        (n, most_r), most_c = b_rows.shape, b_cols.shape[1]
-        assert sigma.shape == w.shape[::2] == (n, most_r + most_c - min(most_r, most_c))
+        n, s = len(rows), rows.shape[1] // 2
+        _, label = connected_components(dense_entries(h) != 0, directed=False)
+        states = sorted((np.flatnonzero(label == b) for b in np.unique(label)), key=min)
+        sides = [[x[parity[x] == p] for p in (0, 1)] for x in states]
+        assert s == max(len(x) for side in sides for x in side)
+        want = np.full((len(states), 2, s), -1)
+        for block, side in zip(want, sides):
+            for at, x in zip(block, side):
+                at[: len(x)] = x
+        assert np.array_equal(rows, want.reshape(len(states), 2 * s))
+        assert sigma.shape == (n, s) and w.shape == (n, 2 * s, s)
         assert (w[rows < 0] == 0).all()
-        r, c = (b_rows >= 0).sum(axis=1), (b_cols >= 0).sum(axis=1)
-        p = np.minimum(r, c)
-        after = np.arange(sigma.shape[1]) >= p[:, None]
-        assert (sigma[after] == 0).all()
-        on_u, on_v = w[:, :most_r].any(axis=1), w[:, most_r:].any(axis=1)
-        assert np.array_equal(on_u & on_v, ~after)
-        assert np.array_equal((on_u & ~on_v).sum(axis=1), r - p)
-        assert np.array_equal((~on_u & on_v).sum(axis=1), c - p)
+        r, c = (rows[:, :s] >= 0).sum(axis=1), (rows[:, s:] >= 0).sum(axis=1)
+        on_u, on_v = w[:, :s].any(axis=1), w[:, s:].any(axis=1)
+        assert np.array_equal((on_u & on_v).sum(axis=1), np.minimum(r, c))
+        assert (sigma[on_u & on_v] > 0).all() and (sigma[~(on_u & on_v)] == 0).all()
+        assert np.array_equal((on_u ^ on_v).sum(axis=1), np.abs(r - c))
         cols = np.arange(sigma.size).reshape(sigma.shape)
         got = {(tuple(np.sort(i[i >= 0])), tuple(j[live]))
                for i, j, live in zip(rows, cols, on_u | on_v)}
         _, dense = dense_w(h)
         live = np.flatnonzero(dense.any(axis=0))
-        w_rows, w_cols = oracle._blocks(*np.nonzero(dense[:, live]), (h.dim, live.size))
+        w_rows, w_cols = bipartite_blocks(*np.nonzero(dense[:, live]), (h.dim, live.size))
         assert got == {(tuple(i[i >= 0]), tuple(live[j[j >= 0]])) for i, j in zip(w_rows, w_cols)}
+
+    def test_rank_deficient_blocks(self):
+        # S = 3, from the full 3 x 3 block. A rank-1 block's null directions
+        # share sigma = 0 with its padding, and the SVD may mix them; the sum
+        # over the sigma = 0 columns is a projector whatever basis it picks,
+        # so cos and sin of H, and the reduction, do not change
+        rng = np.random.default_rng(7)
+        first = rng.uniform(0.5, 2.0, 3)
+        blocks = [np.outer([1.0, 0.7], first), rng.uniform(0.5, 2.0, (2, 1)),
+                  np.outer(rng.uniform(0.5, 2.0, 2), rng.uniform(0.5, 2.0, 3)),
+                  rng.uniform(0.5, 2.0, (3, 3))]
+        h, b = plant(rng, blocks, 7)
+        assert block_shapes(b) == {(2, 3): 2, (2, 1): 1, (3, 3): 1, (1, 0): 7, (0, 1): 6}
+        assert h.eigensystem()[2].shape[1:] == (6, 3)
+        field = build_thermal(1.0, 1e-2)
+        assert field.nmax < h.fock_cutoff
+        times = np.linspace(0.0, 13.0, 40)
+        rho = reduce4(h, field, times)
+        assert np.abs(rho - expm_reference(h, field, times)).max() <= 1e-12
+        assert np.abs(rho - dense_reduce(h, field, times)).max() <= 1e-13
 
     def test_connected_matches_dense_kernels(self, weak_setup):
         params, field, h = weak_setup
@@ -468,7 +540,8 @@ class TestBlockKernels:
 
 
 class TestOneStack:
-    """B's blocks as one stack, padded to the widest, and one pass over it."""
+    """H's blocks as one square stack, padded to the widest side, and one pass
+    over it."""
 
     @pytest.mark.parametrize("k", [0.0, 1e-6, 0.3])
     @pytest.mark.parametrize("nbar", [0.0, 3.0, 10.0])
