@@ -36,20 +36,9 @@ ORACLE_FAIL_THRESHOLD = 1e-7
 # inside the 1e-9 to which ESD endpoints are closed
 _MAX_PHASE = 1e-9 * 2.0**53
 
-# window lengths in units of lam*t: >=5, >=20 and >=100 oscillation
-# periods of the isolated-pair concurrence (period pi in lam*t)
-_WINDOWS = {"short": (20.0, 2000), "medium": (80.0, 4000), "long": (400.0, 8000)}
-_FIG_K = {1: 0.1, 2: 0.5, 3: 0.1, 4: 0.5, 5: 0.1, 6: 0.5, 7: 0.1, 8: 0.5}
-_FIG_OBS = {
-    1: "concurrence", 2: "concurrence",
-    3: "lambda", 4: "lambda",
-    5: "coherence", 6: "coherence",
-    7: "entropy", 8: "entropy",
-}
-_PANELS = {
-    "a": (1.0, "short"), "b": (1.0, "medium"), "c": (1.0, "long"),
-    "d": (10.0, "short"), "e": (10.0, "medium"), "f": (10.0, "long"),
-}
+# a preset's (lam*t span, steps) by its panel: lam*t spans of >=5, >=20 and
+# >=100 oscillation periods of the isolated-pair concurrence (period pi in lam*t)
+_WINDOWS = ((20.0, 2000), (80.0, 4000), (400.0, 8000))
 
 
 class UsageError(ValueError):
@@ -159,22 +148,17 @@ def preset_names() -> list[str]:
 
 
 def preset_config(name: str) -> RunConfig:
-    """One of the 48 figure-panel regimes: figN sets k and the observable,
-    the panel letter sets nbar and the time window."""
+    """One of the 48 figure-panel regimes, by its rules: figN sets k (0.1 odd,
+    0.5 even) and the observable, the panel letter nbar (1 for a-c, 10 for
+    d-f) and the time window; lam is the RunConfig default."""
     if name not in preset_names():
         raise UsageError(f"unknown preset {name!r}; see --list-presets")
-    fig, (nbar, window) = int(name[3]), _PANELS[name[4]]
-    lam_t_span, steps = _WINDOWS[window]
-    lam = 10.0
-    return RunConfig(
-        lam=lam,
-        k=_FIG_K[fig],
-        nbar=nbar,
-        t1=lam_t_span / lam,
-        steps=steps,
-        observables=(_FIG_OBS[fig],),
-        name=name,
-    )
+    fig, panel = int(name[3]), "abcdef".index(name[4])
+    lam_t_span, steps = _WINDOWS[panel % 3]
+    observable = ("concurrence", "lambda", "coherence", "entropy")[(fig - 1) // 2]
+    return RunConfig(k=0.1 if fig % 2 else 0.5, nbar=1.0 if panel < 3 else 10.0,
+                     t1=lam_t_span / RunConfig.lam, steps=steps, observables=(observable,),
+                     name=name)
 
 
 def _fmt(x: float) -> str:
@@ -249,7 +233,7 @@ class _Output:
 
 @dataclass
 class RunResult:
-    config: RunConfig
+    name: str
     exit_code: int
     max_concurrence: float = float("nan")
     dwell: float = float("nan")
@@ -270,11 +254,12 @@ def _physics(config: RunConfig) -> tuple:
 class Evaluation:
     """The outputs a run's physics fixes, shared by every run of it: the
     columns t, lambda_t and every observable, the ESD intervals (when
-    detect_events) and the oracle deviation (when oracle_check)."""
+    detect_events) and the oracle check (when oracle_check): the JSON
+    "oracle" block, whose "passed" is the run's one verdict (exit 3 if false)."""
 
     columns: dict[str, np.ndarray]
     intervals: list[EsdInterval]
-    oracle_dev: float | None
+    oracle: dict | None
 
 
 # values per row range that outputs are written in, about: five 2,000-row
@@ -298,32 +283,35 @@ def evaluate(config: RunConfig) -> Evaluation:
     if config.detect_events:
         intervals = esd_intervals(table, times, columns["lambda"])
 
-    oracle_dev = None
+    oracle = None
     if config.oracle_check:
         h = build_hamiltonians(params, fock_cutoff=thermal.nmax + 2)
-        oracle = reduced_two_qubit_series(h, thermal, times)
+        exact = reduced_two_qubit_series(h, thermal, times)
         # the dense matrices' maximum, entry by entry, without building them
-        oracle_dev = float(max(np.abs(getattr(series, f.name) - getattr(oracle, f.name)).max()
-                               for f in fields(series)))
-    return Evaluation(columns, intervals, oracle_dev)
+        dev = float(max(np.abs(getattr(series, f.name) - getattr(exact, f.name)).max()
+                        for f in fields(series)))
+        oracle = {"max_deviation": dev, "threshold": ORACLE_FAIL_THRESHOLD,
+                  "passed": dev <= ORACLE_FAIL_THRESHOLD}
+    return Evaluation(columns, intervals, oracle)
 
 
 def _result(config: RunConfig, evaluation: Evaluation) -> RunResult:
-    """The RunResult of config when its output is written."""
-    columns, oracle_dev = evaluation.columns, evaluation.oracle_dev
+    """The RunResult of config when its output is written: exit 3 when the
+    one verdict its CSV and JSON outputs print, oracle["passed"], is false."""
+    columns, oracle = evaluation.columns, evaluation.oracle
     result = RunResult(
-        config=config,
+        name=config.name,
         exit_code=EXIT_OK,
         max_concurrence=float(columns["concurrence"].max()),
         # not measured (nan) unless the run detects events
         dwell=(dwell_fraction(evaluation.intervals, config.t0, config.t1)
                if config.detect_events else float("nan")),
         final_entropy=float(columns["entropy"][-1]),
-        oracle_deviation=oracle_dev,
+        oracle_deviation=oracle["max_deviation"] if oracle else None,
     )
-    if oracle_dev is not None and oracle_dev > ORACLE_FAIL_THRESHOLD:
+    if oracle and not oracle["passed"]:
         result.exit_code = EXIT_ORACLE
-        result.error = f"oracle deviation {oracle_dev:.3e} exceeds {ORACLE_FAIL_THRESHOLD}"
+        result.error = "oracle deviation {max_deviation:.3e} exceeds {threshold}".format(**oracle)
     return result
 
 
@@ -352,10 +340,9 @@ def _csv_parts(config: RunConfig, evaluation: Evaluation, union: list[str]):
                 "# " + ",".join([_fmt(iv.t_death), _fmt(iv.t_birth),
                                  _fmt(iv.min_lambda), str(iv.refined).lower()]) + "\n"
             )
-    oracle_dev = evaluation.oracle_dev
-    if oracle_dev is not None:
-        ok = "pass" if oracle_dev <= ORACLE_FAIL_THRESHOLD else "FAIL"
-        lines.append(f"# oracle_max_deviation,{_fmt(oracle_dev)},{ok}\n")
+    if oracle := evaluation.oracle:
+        ok = "pass" if oracle["passed"] else "FAIL"
+        lines.append(f"# oracle_max_deviation,{_fmt(oracle['max_deviation'])},{ok}\n")
     return (",".join(keys) + "\n").encode(), block, "".join(lines).encode()
 
 
@@ -365,13 +352,8 @@ def _json_parts(config: RunConfig, evaluation: Evaluation, union: list[str]):
     cells) writes from the g17 cells of the union's columns there: '%.17g',
     '.0' after an integer (so json reads a float), NaN and (-)Infinity."""
     doc = {"config": asdict(config), "events": [asdict(iv) for iv in evaluation.intervals]}
-    oracle_dev = evaluation.oracle_dev
-    if oracle_dev is not None:
-        doc["oracle"] = {
-            "max_deviation": oracle_dev,
-            "threshold": ORACLE_FAIL_THRESHOLD,
-            "passed": oracle_dev <= ORACLE_FAIL_THRESHOLD,
-        }
+    if evaluation.oracle:
+        doc["oracle"] = evaluation.oracle
     # "samples" sorts last: the document without it, then its samples
     head = json.dumps(doc, indent=2, sort_keys=True)[:-2] + ',\n  "samples": ['
     keys = sorted(_keys(config))
@@ -409,9 +391,9 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
     from it. So an evaluation's columns and one range of cells are held at
     a time, whatever the rows. A failure fails only the output it comes
     from, its temporary file removed; one of g17 fails every open output."""
-    results = _attempt(configs[0], lambda: [_result(cfg, evaluation) for cfg in configs])
+    results = _attempt(configs[0].name, lambda: [_result(cfg, evaluation) for cfg in configs])
     if isinstance(results, RunResult):
-        return [replace(results, config=cfg) for cfg in configs]
+        return [replace(results, name=cfg.name) for cfg in configs]
     count = len(evaluation.columns["t"])
     union = list(dict.fromkeys(key for cfg in configs for key in _keys(cfg)))
     size = math.ceil(count / math.ceil(count * len(union) / _FORMAT_VALUES))  # rows a range
@@ -419,10 +401,10 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
 
     def attempt(indices: list[int], action: Callable):
         """action(), or its failure, which fails the outputs of indices"""
-        value = _attempt(configs[indices[0]], action)
+        value = _attempt(configs[indices[0]].name, action)
         if isinstance(value, RunResult):
             for i in indices:
-                results[i] = replace(value, config=configs[i])
+                results[i] = replace(value, name=configs[i].name)
                 if i in live:
                     live.pop(i)[0].close(keep=False)
         return value
@@ -453,19 +435,19 @@ def _write_outputs(configs: list[RunConfig], evaluation: Evaluation) -> list[Run
     return results
 
 
-def _attempt(cfg: RunConfig, step: Callable):
-    """step(), or the RunResult of its failure for cfg: a UsageError exits 2,
-    any other error 4 (a file that cannot be read or written, for one). The
-    message of any error but those and OSError or UnicodeError names its
-    type, since it comes from a defect rather than from the input."""
+def _attempt(name: str, step: Callable):
+    """step(), or the RunResult of its failure, labelled name: a UsageError
+    exits 2, any other error 4 (a file that cannot be read or written, for
+    one). The message of any error but those and OSError or UnicodeError
+    names its type, since it comes from a defect rather than from the input."""
     try:
         return step()
     except UsageError as exc:
-        return RunResult(config=cfg, exit_code=EXIT_USAGE, error=str(exc))
+        return RunResult(name=name, exit_code=EXIT_USAGE, error=str(exc))
     except (OSError, UnicodeError) as exc:
-        return RunResult(config=cfg, exit_code=EXIT_IO, error=str(exc))
+        return RunResult(name=name, exit_code=EXIT_IO, error=str(exc))
     except Exception as exc:  # isolate per-run failures
-        return RunResult(config=cfg, exit_code=EXIT_IO, error=f"{type(exc).__name__}: {exc}")
+        return RunResult(name=name, exit_code=EXIT_IO, error=f"{type(exc).__name__}: {exc}")
 
 
 def _target(path: str | None) -> str:
@@ -483,35 +465,37 @@ def _run(items: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     and name labels its result when that fails. Items resolve and validate
     once, in order, before any evaluation; one that fails, or whose output
     (the _target of its output_path) the summary (a _target too, when
-    given) or an earlier item writes, fails without running. Valid items
-    with the same physics form one group, evaluated once, whose outputs
-    are written together in row ranges (see _write_outputs); a failed
-    evaluation fails every member. Groups run one at a time on the calling
-    thread, in the order of their first items, so one group's evaluation
-    and one row range of its cells are held at a time.
+    given) or an earlier item writes, fails without running, its error
+    naming that writer: a registry maps each output to its writer's name.
+    Valid items with the same physics form one group, evaluated once, whose
+    outputs are written together in row ranges (see _write_outputs); a
+    failed evaluation fails every member. Groups run one at a time on the
+    calling thread, in the order of their first items, so one group's
+    evaluation and one row range of its cells are held at a time.
     """
     # results[i] holds item i's config until its group (its one writer) puts the result there
     results, groups = [], {}
-    writer = {} if summary is None else {summary: RunConfig(name="the summary")}
+    writer = {} if summary is None else {summary: "the summary"}   # output: its writer's name
     for item in items:
         name, resolve = (item.name, lambda: item) if isinstance(item, RunConfig) else item
-        cfg = _attempt(RunConfig(name=name), resolve)
+        cfg = _attempt(name, resolve)
         if isinstance(cfg, RunConfig):
-            cfg = _attempt(cfg, cfg.validate)
+            cfg = _attempt(cfg.name, cfg.validate)
         if isinstance(cfg, RunConfig):
             path = _target(cfg.output_path)
-            if writer.setdefault(path, cfg) is not cfg:
-                cfg = RunResult(config=cfg, exit_code=EXIT_USAGE,
-                                error=f"output {path} already written by {writer[path].name}")
+            if path in writer:
+                cfg = RunResult(name=cfg.name, exit_code=EXIT_USAGE,
+                                error=f"output {path} already written by {writer[path]}")
             else:
+                writer[path] = cfg.name
                 groups.setdefault(_physics(cfg), []).append(len(results))
         results.append(cfg)
 
     def run_group(members: list[int]):
         # a function, so that its evaluation is dropped before the next group's
         first = results[members[0]]
-        evaluation = _attempt(first, lambda: evaluate(first))
-        written = ([replace(evaluation, config=results[i]) for i in members]
+        evaluation = _attempt(first.name, lambda: evaluate(first))
+        written = ([replace(evaluation, name=results[i].name) for i in members]
                    if isinstance(evaluation, RunResult)
                    else _write_outputs([results[i] for i in members], evaluation))
         for i, result in zip(members, written):
@@ -535,11 +519,11 @@ def sweep(configs: list[RunConfig | tuple[str, Callable[[], RunConfig]]],
     exit_code = EXIT_OK
     for res in _run(configs, _target(summary_path)):
         status = "ok" if res.exit_code == EXIT_OK else f"failed({res.exit_code})"
-        rows.writerow([res.config.name, status,
+        rows.writerow([res.name, status,
                        _fmt(res.max_concurrence), _fmt(res.dwell), _fmt(res.final_entropy)])
         exit_code = max(exit_code, res.exit_code)
         if res.error:
-            print(f"esdsim: {res.config.name}: {res.error}", file=sys.stderr)
+            print(f"esdsim: {res.name}: {res.error}", file=sys.stderr)
     return out.getvalue(), exit_code
 
 
@@ -587,7 +571,7 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
     A name with a control character would break its summary row or stderr
     line, so it is refused, and the row shows it with the character escaped.
     """
-    is_file = os.path.exists(target)
+    is_file = os.path.exists(target) and not os.path.isdir(target)
     name = os.path.splitext(os.path.basename(target))[0] if is_file else target
 
     def resolve() -> RunConfig:
@@ -664,10 +648,10 @@ def main(argv: list[str] | None = None) -> int:
             (text, exit_code), path = sweep(targets, summary_path=args.output), args.output
         with _Output(path) as output:
             output.write(text.encode())
-        return RunResult(config=RunConfig(name="sweep"), exit_code=exit_code)
+        return RunResult(name="sweep", exit_code=exit_code)
 
     if args.list_presets or args.command == "sweep":
-        result = _attempt(RunConfig(name="sweep"), command)
+        result = _attempt("sweep", command)
     elif args.command == "run":
         [result] = _run([("run", lambda: _config_from_args(args))])
     else:

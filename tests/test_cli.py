@@ -4,6 +4,7 @@ import csv
 import errno
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import tracemalloc
 import weakref
 from dataclasses import asdict, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,6 +52,57 @@ RUN_OPTIONS = ["-h", "--help", "--preset", "--config", "--lam", "--lambda", "--k
                "--detect-events", "--oracle-check", "--output-format", "-o", "--output"]
 SWEEP_OPTIONS = ["-h", "--help", "--jobs", "--output-dir", "-o", "--output"]
 FLAGS = [(f, flag) for f in fields(RunConfig) for flag in f.metadata["flags"]]
+# every preset's (k, nbar, t1, steps, observable); lam is 10.0 and the rest the defaults
+PRESETS = {
+    "fig1a": (0.1, 1.0, 2.0, 2000, "concurrence"),
+    "fig1b": (0.1, 1.0, 8.0, 4000, "concurrence"),
+    "fig1c": (0.1, 1.0, 40.0, 8000, "concurrence"),
+    "fig1d": (0.1, 10.0, 2.0, 2000, "concurrence"),
+    "fig1e": (0.1, 10.0, 8.0, 4000, "concurrence"),
+    "fig1f": (0.1, 10.0, 40.0, 8000, "concurrence"),
+    "fig2a": (0.5, 1.0, 2.0, 2000, "concurrence"),
+    "fig2b": (0.5, 1.0, 8.0, 4000, "concurrence"),
+    "fig2c": (0.5, 1.0, 40.0, 8000, "concurrence"),
+    "fig2d": (0.5, 10.0, 2.0, 2000, "concurrence"),
+    "fig2e": (0.5, 10.0, 8.0, 4000, "concurrence"),
+    "fig2f": (0.5, 10.0, 40.0, 8000, "concurrence"),
+    "fig3a": (0.1, 1.0, 2.0, 2000, "lambda"),
+    "fig3b": (0.1, 1.0, 8.0, 4000, "lambda"),
+    "fig3c": (0.1, 1.0, 40.0, 8000, "lambda"),
+    "fig3d": (0.1, 10.0, 2.0, 2000, "lambda"),
+    "fig3e": (0.1, 10.0, 8.0, 4000, "lambda"),
+    "fig3f": (0.1, 10.0, 40.0, 8000, "lambda"),
+    "fig4a": (0.5, 1.0, 2.0, 2000, "lambda"),
+    "fig4b": (0.5, 1.0, 8.0, 4000, "lambda"),
+    "fig4c": (0.5, 1.0, 40.0, 8000, "lambda"),
+    "fig4d": (0.5, 10.0, 2.0, 2000, "lambda"),
+    "fig4e": (0.5, 10.0, 8.0, 4000, "lambda"),
+    "fig4f": (0.5, 10.0, 40.0, 8000, "lambda"),
+    "fig5a": (0.1, 1.0, 2.0, 2000, "coherence"),
+    "fig5b": (0.1, 1.0, 8.0, 4000, "coherence"),
+    "fig5c": (0.1, 1.0, 40.0, 8000, "coherence"),
+    "fig5d": (0.1, 10.0, 2.0, 2000, "coherence"),
+    "fig5e": (0.1, 10.0, 8.0, 4000, "coherence"),
+    "fig5f": (0.1, 10.0, 40.0, 8000, "coherence"),
+    "fig6a": (0.5, 1.0, 2.0, 2000, "coherence"),
+    "fig6b": (0.5, 1.0, 8.0, 4000, "coherence"),
+    "fig6c": (0.5, 1.0, 40.0, 8000, "coherence"),
+    "fig6d": (0.5, 10.0, 2.0, 2000, "coherence"),
+    "fig6e": (0.5, 10.0, 8.0, 4000, "coherence"),
+    "fig6f": (0.5, 10.0, 40.0, 8000, "coherence"),
+    "fig7a": (0.1, 1.0, 2.0, 2000, "entropy"),
+    "fig7b": (0.1, 1.0, 8.0, 4000, "entropy"),
+    "fig7c": (0.1, 1.0, 40.0, 8000, "entropy"),
+    "fig7d": (0.1, 10.0, 2.0, 2000, "entropy"),
+    "fig7e": (0.1, 10.0, 8.0, 4000, "entropy"),
+    "fig7f": (0.1, 10.0, 40.0, 8000, "entropy"),
+    "fig8a": (0.5, 1.0, 2.0, 2000, "entropy"),
+    "fig8b": (0.5, 1.0, 8.0, 4000, "entropy"),
+    "fig8c": (0.5, 1.0, 40.0, 8000, "entropy"),
+    "fig8d": (0.5, 10.0, 2.0, 2000, "entropy"),
+    "fig8e": (0.5, 10.0, 8.0, 4000, "entropy"),
+    "fig8f": (0.5, 10.0, 40.0, 8000, "entropy"),
+}
 
 
 def reduced(preset, directory, **changes):
@@ -147,13 +200,21 @@ class TestConfig:
 
     def test_presets_cover_figure_grid(self):
         names = preset_names()
-        assert len(names) == 48
+        assert len(names) == 48 and names == list(PRESETS)
         cfg = preset_config("fig1d")
         assert cfg.k == 0.1 and cfg.nbar == 10.0 and cfg.lam == 10.0
         cfg = preset_config("fig2a")
         assert cfg.k == 0.5 and cfg.nbar == 1.0
         with pytest.raises(UsageError):
             preset_config("fig9a")
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_is_its_figure_panel(self, name):
+        k, nbar, t1, steps, observable = PRESETS[name]
+        want = RunConfig(lam=10.0, k=k, nbar=nbar, t1=t1, steps=steps,
+                         observables=(observable,), name=name)
+        # repr tells 1.0 from 1 and a tuple from a list, field by field
+        assert preset_config(name) == want and repr(preset_config(name)) == repr(want)
 
 
 class TestSchema:
@@ -260,7 +321,41 @@ class TestRun:
         assert peak <= 250 * steps
         series = cli.two_qubit_states(cfg.params(), build_thermal(cfg.nbar),
                                       np.linspace(cfg.t0, cfg.t1, steps))
-        assert evaluation.oracle_dev == np.abs(dense(series) - dense(oracle[0])).max()
+        assert evaluation.oracle["max_deviation"] == np.abs(dense(series) - dense(oracle[0])).max()
+
+    @pytest.mark.parametrize("dev,passed", [
+        (2.5e-12, True), (1e-7, True), (np.nextafter(1e-7, 1), False), (float("nan"), False),
+    ], ids=["rounding", "at-threshold", "past-threshold", "nan"])
+    def test_one_oracle_verdict(self, dev, passed, tmp_path, monkeypatch):
+        """A deviation planted in the validator's series gives one verdict: the
+        CSV's pass or FAIL, the JSON's passed and the exit code (0 or 3)."""
+        states, series = cli.two_qubit_states, []
+        monkeypatch.setattr(cli, "two_qubit_states",
+                            lambda *a: series.append(states(*a)) or series[0])
+
+        def planted(h, field, times):
+            # the exact solution but for rho11 at t = 0, where it is exactly 0
+            rho11 = series[0].rho11.copy()
+            assert rho11[0] == 0.0
+            rho11[0] = dev
+            return SimpleNamespace(**{**asdict(series[0]), "rho11": rho11})
+
+        monkeypatch.setattr(cli, "reduced_two_qubit_series", planted)
+        cfg = RunConfig(k=0.5, nbar=1.0, steps=20, oracle_check=True).validate()
+        evaluation = cli.evaluate(cfg)
+        outputs = [replace(cfg, output_format=fmt, output_path=str(tmp_path / f"o.{fmt}"))
+                   for fmt in ("csv", "json")]
+        results = cli._write_outputs(outputs, evaluation)
+
+        line = (tmp_path / "o.csv").read_text().splitlines()[-1].split(",")
+        oracle = json.loads((tmp_path / "o.json").read_text())["oracle"]
+        assert line[0] == "# oracle_max_deviation" and line[2] == ("pass" if passed else "FAIL")
+        assert oracle["passed"] is passed and oracle["threshold"] == 1e-7
+        deviations = [float(line[1]), oracle["max_deviation"],
+                      *(r.oracle_deviation for r in results)]
+        assert all(got == dev or math.isnan(got) and math.isnan(dev) for got in deviations)
+        error = None if passed else f"oracle deviation {dev:.3e} exceeds 1e-07"
+        assert [(r.exit_code, r.error) for r in results] == [(0 if passed else 3, error)] * 2
 
     def test_deterministic_output(self, tmp_path):
         outs = []
@@ -316,8 +411,8 @@ class TestRun:
     def test_failure_messages(self, exc, code, message):
         def fail():
             raise exc
-        result = cli._attempt(RunConfig(), fail)
-        assert (result.exit_code, result.error) == (code, message)
+        result = cli._attempt("run", fail)
+        assert (result.name, result.exit_code, result.error) == ("run", code, message)
 
     def test_defect_names_its_exception_type(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "observable_columns", lambda series: {})
@@ -901,17 +996,47 @@ class TestMain:
 
     def test_sweep_isolates_targets_that_do_not_resolve(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("steps = abc\n")
-        (tmp_path / "dir.cfg").mkdir()  # exists but cannot be read as a file
+        (tmp_path / "dir.cfg").mkdir()  # not a file, so a preset name that is unknown
+        (tmp_path / "bin.cfg").write_bytes(b"\xff\n")  # a file that cannot be read as text
         code = main(["sweep", str(tmp_path / "bad.cfg"), "fig9z", str(tmp_path / "dir.cfg"),
-                     "fig1a", "--output-dir", str(tmp_path)])
+                     str(tmp_path / "bin.cfg"), "fig1a", "--output-dir", str(tmp_path)])
         assert code == EXIT_IO
         captured = capsys.readouterr()
         rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
         assert rows == [["bad", "failed(2)"], ["fig9z", "failed(2)"],
-                        ["dir", "failed(4)"], ["fig1a", "ok"]]
+                        [str(tmp_path / "dir.cfg"), "failed(2)"], ["bin", "failed(4)"],
+                        ["fig1a", "ok"]]
         assert [line.split(":")[:2] for line in captured.err.splitlines()] == [
-            ["esdsim", " bad"], ["esdsim", " fig9z"], ["esdsim", " dir"]]
+            ["esdsim", " bad"], ["esdsim", " fig9z"], ["esdsim", f" {tmp_path / 'dir.cfg'}"],
+            ["esdsim", " bin"]]
         assert (tmp_path / "fig1a.csv").exists()
+
+    def test_sweep_reads_a_directory_as_a_preset_name(self, tmp_path, capsys, monkeypatch):
+        # a target is a config file when it exists and is not a directory: a
+        # directory fig1a/ leaves fig1a the preset, any other directory is an
+        # unknown preset, though run --config cannot read it (exit 4)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig1a").mkdir()
+        (tmp_path / "other").mkdir()
+        assert main(["sweep", "fig1a", "other", "--output-dir", "."]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        rows = [row.split(",")[:2] for row in captured.out.splitlines()[1:]]
+        assert rows == [["fig1a", "ok"], ["other", "failed(2)"]]
+        assert captured.err == "esdsim: other: unknown preset 'other'; see --list-presets\n"
+        assert main(["run", "--preset", "fig1a", "-o", "run.csv"]) == EXIT_OK
+        assert (tmp_path / "fig1a.csv").read_bytes() == (tmp_path / "run.csv").read_bytes()
+        assert main(["run", "--config", "other"]) == EXIT_IO
+        capsys.readouterr()
+        # a file that is not a regular one (a pipe, as from <(...)) is still read
+        read, write = os.pipe()
+        try:
+            os.write(write, b"steps = 5\n")
+            os.close(write)
+            assert main(["sweep", f"/dev/fd/{read}", "--output-dir", "."]) == EXIT_OK
+        finally:
+            os.close(read)
+        assert capsys.readouterr().out.splitlines()[1].split(",")[:2] == [str(read), "ok"]
+        assert len((tmp_path / f"{read}.csv").read_text().splitlines()) == 6
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_sweep_jobs_below_one_exits_2(self, jobs, tmp_path, capsys):
@@ -1051,14 +1176,12 @@ class TestMain:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("content", [
-        "steps = abc\n", "t0 = 2\nt1 = 1\n", b"\xff\n", None,
+        "steps = abc\n", "t0 = 2\nt1 = 1\n", b"\xff\n",
         "steps = 5\noutput_path = {tmp}/missing/x.csv\n", "steps = 5\n",
-    ], ids=["bad-value", "bad-window", "not-text", "directory", "missing-output-dir", "valid"])
+    ], ids=["bad-value", "bad-window", "not-text", "missing-output-dir", "valid"])
     def test_run_and_sweep_exit_alike(self, content, tmp_path, capsys):
         path = tmp_path / "x.cfg"
-        if content is None:
-            path.mkdir()
-        elif isinstance(content, bytes):
+        if isinstance(content, bytes):
             path.write_bytes(content)
         else:
             path.write_text(content.format(tmp=tmp_path))

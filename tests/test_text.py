@@ -156,6 +156,7 @@ def edge_columns(n: int) -> dict[str, np.ndarray]:
 
 KEYS = ("concurrence", "lambda", "inversion", "coherence", "entropy")
 INTERVAL = EsdInterval(t_death=0.25, t_birth=1.5, min_lambda=-1e-3, refined=True)
+ORACLE = {"max_deviation": 2.5e-12, "threshold": 1e-7, "passed": True}
 
 
 def test_render_equals_a_percent_g_join(tmp_path, monkeypatch):
@@ -167,7 +168,7 @@ def test_render_equals_a_percent_g_join(tmp_path, monkeypatch):
     config = RunConfig(observables=KEYS, detect_events=True, output_path=str(out))
     # 7 columns of 257 rows in ranges of 86, 86 and 85 rows
     monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
-    assert write_output(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+    assert write_output(config, Evaluation(columns, [INTERVAL], ORACLE)).exit_code == 0
     text = out.read_bytes().decode("ascii")
 
     header = ",".join(["t", "lambda_t", *KEYS])
@@ -192,7 +193,7 @@ def test_json_equals_one_dumps(tmp_path, monkeypatch):
                        output_path=str(out))
     # 7 columns of 257 rows in ranges of 86, 86 and 85 rows
     monkeypatch.setattr(cli, "_FORMAT_VALUES", 700)
-    assert write_output(config, Evaluation(columns, [INTERVAL], 2.5e-12)).exit_code == 0
+    assert write_output(config, Evaluation(columns, [INTERVAL], ORACLE)).exit_code == 0
 
     keys = ["t", "lambda_t", *KEYS]
     doc = {
