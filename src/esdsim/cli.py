@@ -590,9 +590,9 @@ def _sweep_target(target: str, output_dir: str) -> tuple[str, Callable[[], RunCo
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
-    # before Python 3.12 argparse reads "-1e-3" as an option, so "--t0 -1e-3"
-    # lacked its value; every negative number, exponent form too, is a value,
-    # and so are -inf and -nan, which validate() then refuses by name
+    # argparse reads "-1e-3" as an option (3.10 through 3.13 alike), so
+    # "--t0 -1e-3" lacked its value; every negative number, exponent form too,
+    # is a value, and so are -inf and -nan, which validate() then refuses by name
     p._negative_number_matcher = re.compile(
         r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
     )

@@ -27,18 +27,18 @@ block and one dense SVD. The blocks' columns are kept as that one stack,
 so no dim x dim or dim x dim/2 array is built and memory is O(dim) when
 the blocks are small.
 
-The reduction to the two qubits reads that stack directly: its kernels
-vanish between two blocks of B, so they are built in a fixed number of
-batched calls. Per block of times, each column's products with its
-block's cos and sin columns go, one column of every block at a time,
-into one reused buffer, and each takes one matrix product with that
-column's stacked kernels into every entry; no matrix of all column
-pairs' products is built. On a linspace of times, each block of times
-takes its cos and sin columns from one dynamics.linspace_trig call, by
-angle addition from about 2 sqrt(rows) libm points per column; other
-times take libm at every point. linspace_trig sees only frequencies and
-times, never a sector, so the validator stays independent of the sector
-structure.
+The reduction to the two qubits reads that stack directly, U's rows and
+then V's: its kernels vanish between two blocks of B, so they are built in
+a fixed number of batched calls. Per block of times, each column's
+products with its block's cos and sin columns go, one column of every
+block at a time, into one reused buffer, and each takes one matrix
+product with that column's stacked kernels into every entry; no matrix of
+all column pairs' products is built. Each block of times takes its cos and
+sin columns from one dynamics.linspace_trig call, which sees only
+frequencies and times, never a sector, so the validator stays independent
+of the sector structure. On a linspace of times that is by angle addition
+from about 2 sqrt(rows) libm points per column; other times go one per
+block, where it takes libm.
 """
 
 from __future__ import annotations
@@ -202,13 +202,13 @@ def build_hamiltonians(params: ModelParams, fock_cutoff: int) -> HamiltonianMatr
 def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.ndarray:
     """The upper triangle of the two-qubit reductions, shape (times, 10),
     entries in np.triu_indices(4) order, by the formula of
-    reduced_two_qubit_series at tau = h.lam times, all of B's blocks at
-    once. Entry (j, m) is its column where qubit 1 is in the same state in
-    j and m, else i times its column; the entries below are its conjugates.
-    A block of times holds cos and sin, (times, c, blocks), and one product
-    buffer of that shape: for each column a, c_a c, s_a s and c_a s of
-    every block in turn, each taking one matrix product with column a's
-    kernels, so the block costs 3 c blocks cells per time row."""
+    reduced_two_qubit_series at tau = h.lam times: all of B's blocks at
+    once, each parity from its half of w. Entry (j, m) is its column where
+    qubit 1 is in the same state in j and m, else i times its column, and
+    the entries below are its conjugates. A block of times holds cos, sin
+    (times, c, blocks) and one product buffer of that shape: for each column
+    a, c_a c, s_a s and c_a s of every block in turn, each taking one matrix
+    product with column a's kernels, so 3 c blocks cells per time row."""
     nf = h.fock_cutoff + 1
     s1 = h.parity[:, 0]   # 1 where qubit 1 is excited, per qubit pair state
     start = np.zeros((4, nf))   # thermal weight of each basis row
@@ -217,21 +217,18 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
     same = s1[j] == s1[m]
     rows, sigma, w = h.eigensystem()
     nb, _, c = w.shape
-    # w is 0 on absent rows (-1), so what they read here adds nothing
+    # w is 0 on absent rows (-1), which have no slot, so they add nothing. A
+    # row's slot is its Fock level (from its block's lowest) and qubit pair
+    # state. Half p of w's rows (U's, then V's) has parity p; x_p is it by slot
     qubits, fock = np.divmod(rows, nf)
-    parity, weight = h.parity.ravel()[rows], start.ravel()[rows]
-    # each row's slot by Fock level (from its block's lowest) and qubit pair
-    # state, none for an absent row; G_p is the Gram of a block's rows of
-    # parity p against all its rows, slot by slot
     fock = np.where(rows >= 0, fock - fock.min(axis=1, keepdims=True), 0)
     onto = (4 * fock + qubits)[:, None] == np.arange(4 * fock.max() + 4)[:, None]
-    right = (onto @ w).reshape(nb, -1, 4 * c)
-    mass, gram = [], []
-    for p in (0, 1):
-        on = (parity == p)[..., None]
-        mass.append((w * on * weight[..., None]).transpose(0, 2, 1) @ w)
-        g = (onto @ (w * on)).reshape(nb, -1, 4 * c).transpose(0, 2, 1) @ right
-        gram.append(g.reshape(nb, 4, c, 4, c)[:, j, :, m])   # (10, nb, c, c)
+    weight = start.ravel()[rows][..., None]
+    half = (slice(None, c), slice(c, None))
+    mass = [(w[:, p] * weight[:, p]).transpose(0, 2, 1) @ w[:, p] for p in half]
+    x = [(onto[..., p] @ w[:, p]).reshape(nb, -1, 4 * c) for p in half]
+    gram = [(x_p.transpose(0, 2, 1) @ (x[0] + x[1])).reshape(nb, 4, c, 4, c)[:, j, :, m]
+            for x_p in x]   # (10, nb, c, c)
     k_a = gram[0] * mass[0] + gram[1] * mass[1]
     k_b = gram[0] * mass[1] + gram[1] * mass[0]
     # s^T K_B c = c^T K_B^T s, so three products of a block's columns serve
@@ -241,14 +238,10 @@ def _reduce(h: HamiltonianMatrix, field: ThermalField, times: np.ndarray) -> np.
     k_same = np.stack([k_a[same], k_b[same]]).transpose(0, 3, 4, 2, 1).reshape(2, c, -1, 6)
     k_diff = (k_a[~same] - k_b[~same].transpose(0, 1, 3, 2)).transpose(2, 3, 1, 0).reshape(c, -1, 4)
     dt, tau = linspace_step(times), h.lam * times
+    step = 1 if dt is None else max(1, _CELLS // (3 * c * nb))   # one time a block off a linspace
     upper = np.empty((times.size, j.size))
-    step = max(1, _CELLS // (3 * c * nb))
     for b in range(0, times.size, step):
-        if dt is None:
-            angle = tau[b : b + step, None, None] * sigma.T
-            cos, sin = np.cos(angle), np.sin(angle)
-        else:
-            cos, sin = linspace_trig(sigma.T, tau[b], h.lam * dt, min(step, times.size - b))
+        cos, sin = linspace_trig(sigma.T, tau[b], h.lam * (dt or 0.0), min(step, times.size - b))
         prod = np.empty(cos.shape)   # cos, sin: (times, c, nb)
         flat = prod.reshape(len(cos), -1)
         on_same, on_diff = np.zeros((len(cos), 6)), np.zeros((len(cos), 4))
@@ -285,15 +278,16 @@ def reduced_two_qubit_series(
 
     M_p, and so K_A and K_B, vanish between two of B's blocks, whose columns
     share no row, so the kernels are taken block by block, every block in
-    eigensystem's one stack. With s^T K_B c = c^T K_B^T s, the products
-    c_a c_a', s_a s_a' and c_a s_a' of a block's columns times the stacked
-    kernels give every entry. They are formed for one column a of every
-    block at a time, against all of its block's columns, in blocks of times
-    whose c, s and one product buffer hold at most _CELLS cells (one time
-    row at least); no times give an empty series.
-    When times t are a linspace (lam t need not be one), each block of
-    times takes c and s from one linspace_trig call at step lam dt, by angle
-    addition; the table it builds is per block, never for the whole grid.
+    eigensystem's one stack, parity 0 from U's rows and 1 from V's. With
+    s^T K_B c = c^T K_B^T s, the products c_a c_a', s_a s_a' and c_a s_a' of
+    a block's columns times the stacked kernels give every entry. They are
+    formed for one column a of every block at a time, against all of its
+    block's columns, in blocks of times whose c, s and one product buffer
+    hold at most _CELLS cells (one time row at least); no times give an
+    empty series. Each block of times takes c and s from one linspace_trig
+    call: on a linspace of times t (lam t need not be one) at step lam dt,
+    by angle addition, per block and never for the whole grid; other times
+    go one per block, where it takes libm.
     """
     if h.fock_cutoff < field.nmax + 2:
         raise ValueError(

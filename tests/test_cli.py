@@ -944,7 +944,7 @@ class TestMain:
 
     @pytest.mark.parametrize("t0", ["-1e-3", "-1E-3", "-1.0e-3"])
     def test_negative_exponent_values_are_values(self, t0, capsys):
-        # argparse before Python 3.12 read "-1e-3" as an option
+        # a plain argparse parser reads "-1e-3" as an option, 3.10 through 3.13
         assert main(["run", "--t0", t0, "--t1", "1", "--steps", "3"]) == EXIT_OK
         assert capsys.readouterr().out.splitlines()[1].startswith("-0.001,")
         assert main(["run", "--lam", "-1e3", "--steps", "3"]) == EXIT_USAGE
@@ -993,6 +993,41 @@ class TestMain:
         assert captured.out.splitlines()[1].startswith("twice,failed(2),")
         assert captured.err == f"esdsim: twice: {message}"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["twice.cfg"]
+
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path, capsys):
+        plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+        plain.write_text("k = 0.5\nsteps = 4\n")
+        commented.write_text("# a comment line\n\nk = 0.5   # inline\n  \nsteps = 4\n")
+        assert load_config(path=str(commented)) == load_config(path=str(plain))
+        assert main(["run", "--config", str(plain)]) == EXIT_OK
+        want = capsys.readouterr()
+        assert main(["run", "--config", str(commented)]) == EXIT_OK
+        assert capsys.readouterr() == want
+
+    @pytest.mark.parametrize("text,message", [
+        ("k 0.3", "bad config line 'k 0.3' in {path}"),
+        ("steps = 1", "steps must be >= 2, got 1"),
+        ("observables = foo", "unknown observables: ['foo']"),
+        ("output_format = xml", "output format must be csv or json, got xml"),
+    ], ids=["no-equals", "steps", "observables", "output-format"])
+    def test_config_only_refusals_exit_2(self, text, message, tmp_path, capsys):
+        # argparse stops these values as flags, so only a config file reaches
+        # validate's checks and the line parser's
+        path = tmp_path / "x.cfg"
+        path.write_text(text + "\n")
+        message = message.format(path=path)
+        assert main(["run", "--config", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"esdsim: {message}\n")
+        assert main(["sweep", str(path), "--output-dir", str(tmp_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == ["x,failed(2),nan,nan,nan"]
+        assert captured.err == f"esdsim: x: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.cfg"]
+
+    def test_no_command_prints_usage_and_exits_2(self, capsys):
+        assert main([]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: esdsim") and err == ""
 
     def test_sweep_isolates_targets_that_do_not_resolve(self, tmp_path, capsys):
         (tmp_path / "bad.cfg").write_text("steps = abc\n")

@@ -538,6 +538,14 @@ class TestBlockKernels:
         bound = 4 * np.spacing(sigma * np.abs(h.lam * times).max()) + 8 * np.spacing(1.0)
         assert np.abs(rho - one_by_one).max() <= bound
 
+    def test_other_times_go_one_at_a_time(self, weak_setup):
+        # times that are no linspace go one per block of times, so each is
+        # bit for bit its own single-time call
+        _, field, h = weak_setup
+        times = np.array([0.3, 1.1, 0.05, 2.0])
+        one_by_one = np.concatenate([reduce4(h, field, times[i : i + 1]) for i in range(4)])
+        assert np.array_equal(reduce4(h, field, times), one_by_one)
+
 
 class TestOneStack:
     """H's blocks as one square stack, padded to the widest side, and one pass

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,18 @@ def test_nbar_ten_truncation_index():
     assert (10 / 11) ** f.nmax > 1e-10
     # tail bound equals the dropped mass
     assert 1.0 - f.weights.sum() == pytest.approx(f.tail_bound, abs=1e-13)
+
+
+@pytest.mark.parametrize("nbar,power", [(3.0, 3), (10.0, 2), (1.0, 29)])
+def test_epsilon_at_a_power_of_q(nbar, power):
+    # at epsilon = q^power the log estimate is one too high, and the
+    # rounding correction brings nmax down to the smallest index
+    q = nbar / (1.0 + nbar)
+    eps = q**power
+    assert math.ceil(math.log(eps) / math.log(q)) - 1 == power
+    f = build_thermal(nbar, eps)
+    assert f.nmax == power - 1
+    assert q ** (f.nmax + 1) <= eps < q**f.nmax
 
 
 @pytest.mark.parametrize("nbar", [0.3, 1.0, 5.0, 10.0])
