@@ -11,17 +11,18 @@ tau = lam t: every sector constant is built from (k, n) alone, in units of
 lam, and lam enters where times do. All sectors are evaluated together.
 ``SectorTable`` holds, per sector, a real 4x4 coefficient matrix K that maps
 T(tau) = (cos w+ tau, sin w+ tau, cos w- tau, sin w- tau) to the four real
-factors of the propagator column. Times go in blocks of a base tau_b plus
-offsets s, evaluated as X = (K R(tau_b)) T(s) with R(tau_b) the
-angle-addition rotation. A linspace grid shares one table T(j * step)
-across its blocks. linspace_trig builds it from about 2 sqrt(_BLOCK) libm
-points per sector and frequency, every other entry one angle addition;
-past that table the grid needs trig only at the blocks' bases, and
-K R(tau_b) is computed for a chunk of bases at a time, in one vectorised
-call. Any other times are at base 0, where R = I. Root refinement also
-needs the slope: T'(tau) = D T(tau), so K' = K D maps the same T(tau) to
-the factors' tau-derivatives, and d/dt = lam d/dtau; its times go through
-the same block loop, at base 0.
+factors of the propagator column. Every cos and sin is a part of one
+exp(i phase), and every angle addition one complex product. Times go in
+blocks of a base tau_b plus offsets s, evaluated as X = (K R(tau_b)) T(s)
+with T(tau_b + s) = R(tau_b) T(s). A linspace grid shares one table
+T(j * step) across its blocks. linspace_trig builds it from about
+2 sqrt(_BLOCK) libm points per sector and frequency, every other entry
+the product of a base and an offset; past that table the grid needs trig
+only at the blocks' bases, and K R(tau_b) is computed for a chunk of bases
+at a time, in one product. Any other times are at base 0, where R = I.
+Root refinement also needs the slope: T'(tau) = D T(tau), so K' = K D maps
+the same T(tau) to the factors' tau-derivatives, and d/dt = lam d/dtau;
+its times go through the same block loop, at base 0.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ _POSITIVITY_TOL = 1e-10
 _BLOCK = 128
 _CHUNK = _BLOCK // 8
 # sectors per linspace_trig call for the shared table, both frequencies in
-# one call: each call's (times x 2 x sectors) arrays, transposed into the
-# (sectors, 4, times) table, peak at ~3.4 MB for 128 times (tracemalloc),
+# one call: each call's (times x sectors x 2) arrays, transposed into the
+# (sectors, 4, times) table, peak at 1.31 MiB for 128 times (tracemalloc),
 # where one call over the 23,038 sectors of nbar = 1000 raised that run's
 # peak RSS by ~57 MB
 _SECTORS = 256
@@ -132,38 +133,22 @@ def linspace_trig(freq, t0: float, dt: float, count: int) -> tuple[np.ndarray, n
     (count, *freq.shape).
 
     libm runs only at the r = ceil(sqrt(count)) offsets j dt (j < r) and at
-    the ceil(count / r) bases t0 + a r dt; the point a r + j is one angle
-    addition of base a and offset j, each product rounded before the sum.
+    the ceil(count / r) bases t0 + a r dt, as exp(i phase); the point a r + j
+    is the complex product of base a and offset j, e^(i(b + o)) = e^(ib) e^(io).
     At count <= 3 that would take more libm points than the grid has, so
     those points take libm directly.
     """
     freq = np.asarray(freq, dtype=float)
     if count <= 3:
-        x = np.multiply.outer(t0 + np.arange(count) * dt, freq)
-        return np.cos(x), np.sin(x)
+        e = np.exp(1j * np.multiply.outer(t0 + np.arange(count) * dt, freq))
+        return e.real, e.imag
     r = math.isqrt(count - 1) + 1
-    x = np.multiply.outer(np.arange(r) * dt, freq)
-    c_off, s_off = np.cos(x), np.sin(x)
-    x = np.multiply.outer(t0 + np.arange(0, count, r) * dt, freq)[:, None]
-    c_base, s_base = np.cos(x), np.sin(x)
+    offset = np.exp(1j * np.multiply.outer(np.arange(r) * dt, freq))
+    base = np.exp(1j * np.multiply.outer(t0 + np.arange(0, count, r) * dt, freq))
     # (bases, offsets, *freq.shape): the last base runs through all r
     # offsets, and what is returned stops at count
-    shape = (x.shape[0], r, *freq.shape)
-    cos, sin = _add_angle(c_base, s_base, c_off, s_off, (np.empty(shape), np.empty(shape)))
-    return cos.reshape(-1, *freq.shape)[:count], sin.reshape(-1, *freq.shape)[:count]
-
-
-def _add_angle(c, s, c_off, s_off, out):
-    """cos(b + o) = c c_off - s s_off and sin(b + o) = s c_off + c s_off into
-    out = (cos, sin), from c, s = cos b, sin b and c_off, s_off = cos o, sin o,
-    all broadcast together; each product is rounded before the sum."""
-    cos, sin = out
-    tmp = np.empty_like(cos)
-    np.multiply(c, c_off, out=cos)
-    cos -= np.multiply(s, s_off, out=tmp)
-    np.multiply(s, c_off, out=sin)
-    sin += np.multiply(c, s_off, out=tmp)
-    return out
+    e = (base[:, None] * offset).reshape(-1, *freq.shape)[:count]
+    return e.real, e.imag
 
 
 class SectorTable:
@@ -193,41 +178,37 @@ class SectorTable:
         k[:, 2, 3] = -wm / beta
         k[:, 3, 0] = f.b / beta
         k[:, 3, 2] = -k[:, 3, 0]
+        # (omega_plus, omega_minus) per sector, the order of T's column pairs
+        w = self._w = np.stack((wp, wm), axis=-1)
         # K' = K D: D takes (cos wt, sin wt) to (-w sin wt, w cos wt)
-        w = np.stack((wp, wm), axis=-1)[:, None, :]
         slopes = self._coeffs_and_slopes[:, 4:]
-        slopes[..., 0::2] = w * k[..., 1::2]
-        slopes[..., 1::2] = -w * k[..., 0::2]
+        slopes[..., 0::2] = w[:, None] * k[..., 1::2]
+        slopes[..., 1::2] = -w[:, None] * k[..., 0::2]
 
     def basis(self, tau: np.ndarray) -> np.ndarray:
         """T(tau) of every sector at each tau = lam t, shape (sectors, 4, times)."""
-        xp = np.multiply.outer(self.freqs.omega_plus, tau)
-        xm = np.multiply.outer(self.freqs.omega_minus, tau)
-        return np.stack((np.cos(xp), np.sin(xp), np.cos(xm), np.sin(xm)), axis=1)
+        e = np.exp(1j * np.multiply.outer(self._w, tau))
+        return np.stack((e.real, e.imag), axis=2).reshape(len(e), 4, *np.shape(tau))
 
     def _linspace_basis(self, step: float, m: int) -> np.ndarray:
         """T(j * step) for j < m, shape (sectors, 4, m), from linspace_trig,
         one call per _SECTORS sectors over both frequencies."""
-        out = np.empty((self.coeffs.shape[0], 4, m))
-        w = np.stack((self.freqs.omega_plus, self.freqs.omega_minus))
-        for lo in range(0, w.shape[1], _SECTORS):
-            c, s = linspace_trig(w[:, lo : lo + _SECTORS], 0.0, step, m)
+        out = np.empty((self._w.shape[0], 4, m))
+        for lo in range(0, out.shape[0], _SECTORS):
+            c, s = linspace_trig(self._w[lo : lo + _SECTORS], 0.0, step, m)
             part = out[lo : lo + _SECTORS]
-            part[:, 0::2], part[:, 1::2] = c.T, s.T
+            part[:, 0::2], part[:, 1::2] = np.moveaxis(c, 0, -1), np.moveaxis(s, 0, -1)
         return out
 
     def _rotated(self, k: np.ndarray, bases: np.ndarray, out: np.ndarray) -> np.ndarray:
         """k R(tau_b) for each base tau_b into out, shape (bases, *k.shape), for
         per-sector matrices k of shape (sectors, rows, 4), with R(tau_b) the
-        rotation T(tau_b + s) = R(tau_b) T(s)."""
-        # sectors last, so that every elementwise loop runs along them:
-        # T as (4, bases, sectors) and k R as (rows, 4, bases, sectors)
-        t = np.ascontiguousarray(np.moveaxis(self.basis(bases), 0, -1))
-        k = np.ascontiguousarray(np.moveaxis(k, 0, -1))[:, :, None]
-        kr = np.empty((k.shape[0], 4, *t.shape[1:]))
-        # column pairs (kc c + ks s, ks c - kc s): the angle addition of (kc, ks) and (c, -s)
-        _add_angle(k[:, 0::2], k[:, 1::2], t[0::2], -t[1::2], (kr[:, 0::2], kr[:, 1::2]))
-        out[...] = kr.transpose(2, 3, 0, 1)
+        rotation T(tau_b + s) = R(tau_b) T(s). Each frequency's column pair
+        (kc, ks) of k, read as kc + i ks, times e^(-i w tau_b) = c - i s is
+        the pair (kc c + ks s, ks c - kc s); k and out need a contiguous last
+        axis to be read as complex."""
+        rotation = np.exp(-1j * np.multiply.outer(bases, self._w))[:, :, None]
+        np.multiply(k.view(complex), rotation, out=out.view(complex))
         return out
 
     def _factors(self, tau: np.ndarray, k: np.ndarray, step: float | None = None):

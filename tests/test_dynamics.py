@@ -307,8 +307,8 @@ class TestTwoQubitState:
         times = np.linspace(0.0, 2.0, _CHUNK * _BLOCK + 100)
         tau = table.lam * times
         assert not np.array_equal(tau, np.linspace(tau[0], tau[-1], tau.size))
-        points, cos = [], np.cos
-        monkeypatch.setattr(np, "cos", lambda x, **kw: points.append(np.size(x)) or cos(x, **kw))
+        points, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x, **kw: points.append(np.size(x)) or exp(x, **kw))
         table.series(times)
         # libm points per sector and frequency: at most 2 ceil(sqrt(_BLOCK))
         # for the shared table, then one per block base; the pointwise path
@@ -316,6 +316,41 @@ class TestTwoQubitState:
         blocks = -(-times.size // _BLOCK)
         per_sector = sum(points) / (2 * table.coeffs.shape[0])
         assert per_sector <= 2 * math.ceil(math.sqrt(_BLOCK)) + blocks < times.size / 10
+
+    def test_exp_is_the_only_trig(self, monkeypatch):
+        # every cos and sin is a part of np.exp(1j * phase), so the libm
+        # point counters, which wrap np.exp, see every trig point
+        table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(1.0))
+        want = dense(table.series(np.linspace(0.0, 2.0, _BLOCK + 5)))
+
+        def refuse(*args, **kw):
+            raise AssertionError("np.cos or np.sin called")
+
+        monkeypatch.setattr(np, "cos", refuse)
+        monkeypatch.setattr(np, "sin", refuse)
+        assert np.array_equal(dense(table.series(np.linspace(0.0, 2.0, _BLOCK + 5))), want)
+        table.series(np.array([0.3, 1.1, 0.05]))
+        table.series_and_slope(np.array([0.3, 1.1]))
+        assert table.basis(np.array(0.7)).shape == (table.coeffs.shape[0], 4)
+        for count in (1, 2, 17):
+            cos, sin = linspace_trig(np.ones(3), 0.5, 0.1, count)
+            assert cos.shape == sin.shape == (count, 3)
+
+    @pytest.mark.parametrize("nbar", [10.0, 100.0])
+    def test_rotation_working_memory_is_below_its_output(self, nbar):
+        # K R(tau_b) for a chunk of bases is one complex product written
+        # straight into the caller's buffer: what it allocates, the phases
+        # and their exp, stays under that buffer (nbar = 100: 2,315 sectors)
+        table = SectorTable(ModelParams(lam=10.0, k=0.5), build_thermal(nbar))
+        bases = np.linspace(0.0, 40.0, _CHUNK)
+        out = np.empty((_CHUNK, *table.coeffs.shape))
+        tracemalloc.start()
+        try:
+            table._rotated(table.coeffs, bases, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes
 
     def test_working_memory_does_not_grow_with_the_grid(self):
         table = SectorTable(ModelParams(lam=10.0, k=0.1), build_thermal(10.0))
@@ -449,7 +484,9 @@ class TestLinspaceTrig:
         x = np.multiply.outer(times, self.FREQS)
         # the point a r + j has the phase freq (t0 + a r dt) + freq (j dt),
         # rounded otherwise than freq t, by a few ulp of freq max|t|; the
-        # angle addition rounds four table entries, two products and a sum
+        # complex product rounds the four parts of its factors, then each
+        # part of the result once or twice (numpy may fuse one product
+        # into the sum)
         bound = 4 * np.spacing(self.FREQS * np.abs(times).max()) + 4 * np.spacing(1.0)
         assert (np.abs(cos - np.cos(x)) <= bound).all()
         assert (np.abs(sin - np.sin(x)) <= bound).all()
@@ -462,8 +499,8 @@ class TestLinspaceTrig:
     def test_libm_points(self, count, monkeypatch):
         # r offsets and ceil(count / r) bases, never more than the grid's
         # points; at count <= 3 one per point
-        points, cos = [], np.cos
-        monkeypatch.setattr(np, "cos", lambda x, **kw: points.append(np.size(x)) or cos(x, **kw))
+        points, exp = [], np.exp
+        monkeypatch.setattr(np, "exp", lambda x, **kw: points.append(np.size(x)) or exp(x, **kw))
         linspace_trig(np.ones(5), 0.0, 0.1, count)
         r = math.ceil(math.sqrt(count))
         want = count if count <= 3 else r + math.ceil(count / r)
