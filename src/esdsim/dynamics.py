@@ -11,18 +11,25 @@ tau = lam t: every sector constant is built from (k, n) alone, in units of
 lam, and lam enters where times do. All sectors are evaluated together.
 ``SectorTable`` holds, per sector, a real 4x4 coefficient matrix K that maps
 T(tau) = (cos w+ tau, sin w+ tau, cos w- tau, sin w- tau) to the four real
-factors of the propagator column. Every cos and sin is a part of one
-exp(i phase), and every angle addition one complex product. Times go in
-blocks of a base tau_b plus offsets s, evaluated as X = (K R(tau_b)) T(s)
-with T(tau_b + s) = R(tau_b) T(s). A linspace grid shares one table
-T(j * step) across its blocks. linspace_trig builds it from about
-2 sqrt(_BLOCK) libm points per sector and frequency, every other entry
-the product of a base and an offset; past that table the grid needs trig
-only at the blocks' bases, and K R(tau_b) is computed for a chunk of bases
-at a time, in one product. Any other times are at base 0, where R = I.
-Root refinement also needs the slope: T'(tau) = D T(tau), so K' = K D maps
-the same T(tau) to the factors' tau-derivatives, and d/dt = lam d/dtau;
-its times go through the same block loop, at base 0.
+factors x of the propagator column. The table holds sqrt(P_n) K, the
+thermal weight folded in, so its factors are sqrt(P_n) x and each entry of
+the state is a plain sum over sectors, rho_jj = sum (sqrt(P_n) x_j)^2 and
+rho23 = i sum P_n x2 x3, one einsum pass into its column. Each term is one
+sector's own square or product, and a population's terms are nonnegative,
+so a small population keeps its relative accuracy in any summation order.
+Every cos and sin is a part of one exp(i phase), and every angle addition
+one complex product. Times go in blocks of a base tau_b plus offsets s,
+evaluated as X = (K R(tau_b)) T(s) with T(tau_b + s) = R(tau_b) T(s). A
+linspace grid shares one table T(j * step) across its blocks and writes
+each block's X into one buffer that the next block reuses. linspace_trig
+builds the table from about 2 sqrt(_BLOCK) libm points per sector and
+frequency, every other entry the product of a base and an offset; past that
+table the grid needs trig only at the blocks' bases, and K R(tau_b) is
+computed for a chunk of bases at a time, in one product. Any other times
+are at base 0, where R = I. Root refinement also needs the slope: T'(tau) = D T(tau), so
+K' = K D maps the same T(tau) to the factors' tau-derivatives, sqrt(P_n) K'
+sits under sqrt(P_n) K in the same array, and d/dt = lam d/dtau; its times
+go through the same block loop, at base 0.
 """
 
 from __future__ import annotations
@@ -154,26 +161,35 @@ def linspace_trig(freq, t0: float, dt: float, count: int) -> tuple[np.ndarray, n
 class SectorTable:
     """Per-sector constants of one (params, field), evaluated over any time array.
 
-    Sectors run over n = 0 .. nmax, the field's truncation, and every entry
-    sums them with the field's weights. The constants depend on k alone, in
-    units of lam: coeffs[n] = K maps T(tau) to the real factors of the
-    amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>. Times t are
-    evaluated at tau = lam t.
+    Sectors run over n = 0 .. nmax, the field's truncation. The constants
+    depend on k alone, in units of lam: K maps T(tau) to the real factors of
+    the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
+    coeffs[n] = sqrt(P_n) K holds the field's weight P_n folded in, so the
+    folded factors give every entry as a plain sum over sectors of squares
+    or products. Times t are evaluated at tau = lam t.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
-        self.lam, self.weights = params.lam, field.weights
+        self.lam = params.lam
         n = np.arange(field.nmax + 1)
         f = self.freqs = sector_frequencies(params.k, n)
-        wp, wm, a, b2, beta = f.omega_plus, f.omega_minus, f.a, f.b**2, f.beta
-        # [K; K'] in one array, so series_and_slope needs one product and no copy
+        wp, wm, a, beta = f.omega_plus, f.omega_minus, f.a, f.beta
+        k2 = params.k**2
+        # w+^2 - b^2 = (1 - k^2 + beta) / 2 >= 1, which rounds within an ulp of
+        # beta, and b^2 - w-^2 as a sum of positive terms, from
+        # beta - 1 = k^2 (2 + k^2 + 4n) / (beta + 1); taken as differences of
+        # w^2 and b^2 they lose digits like k sqrt(n) ulp
+        plus = 0.5 * (1.0 - k2 + beta)
+        minus = 0.5 * k2 * ((2.0 + k2 + 4.0 * n) / (beta + 1.0) + 1.0)
+        # sqrt(P_n) [K; K'] in one array, so series_and_slope needs one product
+        # and no copy
         self._coeffs_and_slopes = np.zeros((n.size, 8, 4))
         k = self.coeffs = self._coeffs_and_slopes[:, :4]
-        k[:, 0, 1] = a * (b2 - wp**2) / (beta * wp)  # omega_plus >= 1
+        k[:, 0, 1] = -a * plus / (beta * wp)  # omega_plus >= 1
         # omega_minus is 0 where a = k sqrt(n) is, which zeroes the term
-        np.divide(-a * (b2 - wm**2), beta * wm, out=k[:, 0, 3], where=wm > 0)
-        k[:, 1, 0] = (wp**2 - b2) / beta
-        k[:, 1, 2] = (b2 - wm**2) / beta
+        np.divide(-a * minus, beta * wm, out=k[:, 0, 3], where=wm > 0)
+        k[:, 1, 0] = plus / beta
+        k[:, 1, 2] = minus / beta
         k[:, 2, 1] = wp / beta
         k[:, 2, 3] = -wm / beta
         k[:, 3, 0] = f.b / beta
@@ -184,6 +200,7 @@ class SectorTable:
         slopes = self._coeffs_and_slopes[:, 4:]
         slopes[..., 0::2] = w[:, None] * k[..., 1::2]
         slopes[..., 1::2] = -w[:, None] * k[..., 0::2]
+        self._coeffs_and_slopes *= np.sqrt(field.weights)[:, None, None]
 
     def basis(self, tau: np.ndarray) -> np.ndarray:
         """T(tau) of every sector at each tau = lam t, shape (sectors, 4, times)."""
@@ -215,11 +232,15 @@ class SectorTable:
         """(block, k T(tau[block])) for each block of _BLOCK taus, for per-sector
         matrices k (sectors, rows, 4). Given the step of a linspace tau, the
         blocks share T(j * step) and each takes k rotated to its first tau,
-        _CHUNK bases per _rotated call into one reused buffer; else every
-        block is at base 0."""
+        _CHUNK bases per _rotated call into one reused buffer, and its factors
+        go into one more, which the next block overwrites; else every block
+        is at base 0."""
         if step is not None:
-            shared = self._linspace_basis(step, min(_BLOCK, tau.size))
+            m = min(_BLOCK, tau.size)
+            shared = self._linspace_basis(step, m)
             rotated = np.empty((_CHUNK, *k.shape))
+            # after the shared table, whose temporaries would otherwise stack on it
+            x = np.empty((*k.shape[:2], m))
         for i, start in enumerate(range(0, tau.size, _BLOCK)):
             block = slice(start, start + _BLOCK)
             if step is None:
@@ -228,49 +249,54 @@ class SectorTable:
             if i % _CHUNK == 0:
                 bases = tau[start : start + _CHUNK * _BLOCK : _BLOCK]
                 self._rotated(k, bases, out=rotated[: bases.size])
-            yield block, rotated[i % _CHUNK] @ shared[..., : tau[block].size]
+            m = tau[block].size
+            yield block, np.matmul(rotated[i % _CHUNK], shared[..., :m], out=x[..., :m])
 
-    def _evaluate(self, x: np.ndarray):
-        """Populations (4, m) and rho23 (m,) from the factors x (sectors, 4, m),
-        which it overwrites: |C_j|^2 = x_j^2 and C2 conj(C3) = i x2 x3.
-        Squaring each cell before weighting keeps small populations accurate."""
-        w = self.weights
-        rho23 = 1j * (w @ (x[:, 1] * x[:, 2]))
-        np.square(x, out=x)
-        return (w @ x.reshape(w.size, -1)).reshape(4, -1), rho23
+    @staticmethod
+    def _sums(x: np.ndarray, pops: np.ndarray, c: np.ndarray):
+        """Populations rho_jj = sum x_j^2 into pops (4, m) and c = sum x2 x3,
+        with rho23 = i c, into c (m,), from the folded factors x (sectors, 4, m),
+        one pass each. Every term is the square or product of one sector's
+        own factors, so a small population, a sum of nonnegative terms, keeps
+        its relative accuracy in any summation order."""
+        np.einsum("njt,njt->jt", x, x, out=pops)
+        np.einsum("nt,nt->t", x[:, 1], x[:, 2], out=c)
 
     def series(self, times) -> StateSeries:
         """The five X-state columns at each time, evaluated block by block
         (see _factors): a linspace grid of times t (bit for bit, >= 2 points;
-        lam t is not one) at the step lam dt, other times at base 0."""
+        lam t is not one) at the step lam dt, other times at base 0. The
+        folded factors x = sqrt(P_n) K T(tau) give each entry as one sum
+        over sectors (see _sums)."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        pops = np.empty((4, times.size))
-        rho23 = np.empty(times.size, dtype=complex)
+        pops, rho23 = np.empty((4, times.size)), np.zeros(times.size, dtype=complex)
         dt = linspace_step(times)
         step = None if dt is None else self.lam * dt
         for block, x in self._factors(self.lam * times, self.coeffs, step):
-            pops[:, block], rho23[block] = self._evaluate(x)
+            self._sums(x, pops[:, block], rho23.imag[block])
             del x   # before the next block's are formed
         return StateSeries(*pops, rho23)
 
     def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
         """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
-        which has the sign of Lambda. One product [K; K'] T(tau) per block of times gives
-        both, d/dtau as rho_jj' = sum w 2 x_j x_j' and, with rho23 = i c,
-        c' = sum w (x2' x3 + x2 x3'); a block is _BLOCK times, all at base 0:
-        a 2-point refinement step is always a linspace, rounded otherwise there."""
+        which has the sign of Lambda. One product sqrt(P_n) [K; K'] T(tau) per block
+        of times gives the folded factors x and their tau-derivatives x', and
+        each slope sum is one pass: c' = sum (x2' x3 + x2 x3') with rho23 = i c,
+        and rho_jj' = 2 sum x_j x_j' for j = 1, 4. A block is _BLOCK times, all
+        at base 0: a 2-point refinement step is always a linspace, rounded
+        otherwise there."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        pops, rho23 = np.empty((4, times.size)), np.empty(times.size, dtype=complex)
-        dc, d11, d44 = np.empty((3, times.size))
-        w = self.weights
+        pops, rho23 = np.empty((4, times.size)), np.zeros(times.size, dtype=complex)
+        dc, d11, d44 = d = np.empty((3, times.size))
         for block, xs in self._factors(self.lam * times, self._coeffs_and_slopes):
             x, dx = xs[:, :4], xs[:, 4:]
-            dc[block] = w @ (dx[:, 1] * x[:, 2] + x[:, 1] * dx[:, 2])
-            d11[block], d44[block] = 2.0 * w @ (x[:, 0] * dx[:, 0]), 2.0 * w @ (x[:, 3] * dx[:, 3])
-            pops[:, block], rho23[block] = self._evaluate(x)
-            del xs, x, dx   # before the next block's are formed
+            self._sums(x, pops[:, block], rho23.imag[block])
+            # (x2' x3 + x3' x2) and (x1 x1', x4 x4') as pairs of rows
+            np.einsum("njt,njt->t", dx[:, 1:3], x[:, 2:0:-1], out=dc[block])
+            np.einsum("njt,njt->jt", x[:, ::3], dx[:, ::3], out=d[1:, block])
+            del xs, x, dx   # as in series
         s = StateSeries(*pops, rho23)
-        return s, self.lam * (2.0 * s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44)
+        return s, 2.0 * self.lam * (s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44)
 
 
 def two_qubit_states(

@@ -15,8 +15,9 @@ from esdsim import (
     sector_frequencies,
     two_qubit_states,
 )
-from esdsim.cli import preset_config
+from esdsim.cli import RunConfig, preset_config
 from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable, linspace_trig
+from esdsim.model import ThermalField
 from esdsim.observables import separability
 
 
@@ -200,6 +201,36 @@ class TestSectorPropagator:
             assert abs(np.vdot(c, c) - 1.0) < 1e-10
             expected = expm(-1j * sector_hamiltonian(p, n) * t)[:, 1]
             assert np.abs(c - expected).max() < 1e-9
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(log_k=st.floats(-8.0, 6.0), n=st.integers(0, 10**5))
+    @example(log_k=3.0, n=10**5)   # K's differences lost ~1e5 ulp here
+    def test_constants_match_40_digit_sector_evolution(self, log_k, n):
+        # x(tau) = K T(tau) and w+- of sector n against a 40-digit eigsy and
+        # expm of the sector's own H_n / lam, entries 1, k sqrt(n), k sqrt(n+1),
+        # at tau <= 1/w+, where the phases are at most 1 and round by ~1 ulp;
+        # each factor sums four terms of size <= max|K|, so it is held to
+        # 4 ulp of max|K|, and w+- to 2 ulp of themselves (down to the
+        # reference's 40 digits of w+, where w- is 0)
+        mp = pytest.importorskip("mpmath")
+        k, eps = 10.0**log_k, np.finfo(float).eps
+        field = ThermalField(nbar=0.0, epsilon=1.0, nmax=n, weights=np.ones(n + 1))
+        table = SectorTable(ModelParams(lam=1.0, k=k), field)
+        coeffs, f = table.coeffs[n], table.freqs
+        with mp.workdps(40):
+            a, b = mp.mpf(k) * mp.sqrt(n), mp.mpf(k) * mp.sqrt(n + 1)
+            h = mp.matrix([[0, a, 0, 0], [a, 0, 1, 0], [0, 1, 0, b], [0, 0, b, 0]])
+            # the spectrum is -w+, -w-, w-, w+
+            _, _, wm, wp = sorted(mp.eigsy(h, eigvals_only=True))
+            for got, want in ((f.omega_plus[n], wp), (f.omega_minus[n], wm)):
+                assert abs(got - want) <= 2 * eps * abs(want) + 1e-38 * wp
+            for tau in np.array([0.1, 0.5, 1.0]) / f.omega_plus[n]:
+                # (C1, C2, C3, C4) = (i x1, x2, -i x3, x4) from |e1 g2, n>
+                c = mp.expm(-1j * h * mp.mpf(tau))[:, 1]
+                want = [float(mp.im(c[0])), float(mp.re(c[1])), -float(mp.im(c[2])),
+                        float(mp.re(c[3]))]
+                got = coeffs @ table.basis(np.array(tau))[n]
+                assert np.abs(got - want).max() <= 4 * eps * np.abs(coeffs).max()
 
 
 class TestSectorAmplitudes:
@@ -385,8 +416,11 @@ class TestTwoQubitState:
         single = np.stack([table._rotated(table.coeffs, bases[i : i + 1], np.empty_like(want[:1]))[0]
                            for i in range(bases.size)])
         batched = table._rotated(table.coeffs, bases, np.empty_like(want))
-        for got in (batched, single):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        # one loop for both, so the same bytes; numpy's complex product may
+        # fuse one product into each sum, which moves a part of the written-out
+        # formula by up to an ulp of its product and an ulp of the sum
+        assert batched.shape == want.shape and batched.tobytes() == single.tobytes()
+        assert np.abs(batched - want).max() <= 2 * np.spacing(np.abs(table.coeffs).max())
 
     def test_series_rejects_what_the_state_rejects(self):
         ok = dict(rho11=np.zeros(2), rho22=np.ones(2), rho33=np.zeros(2),
@@ -430,6 +464,32 @@ class TestAccuracy:
         # an absolute error of eps * (coefficient size) in it would show here
         (got,), (want,) = preset_lambda("fig1d", [628])
         assert abs(got - want) <= 2e-15
+
+    @pytest.mark.parametrize("cfg", [preset_config("fig1d"), RunConfig(k=0.5, nbar=1000.0)],
+                             ids=["fig1d", "k.5-nbar1000"])
+    def test_folded_sums_are_the_weighted_sector_sums(self, cfg):
+        # series sums the factors of sqrt(P_n) K. With unit weights (as in
+        # amplitude_table) the factors are x = K T(tau) itself, so each
+        # population is fsum(P_n x_j^2) and c = Im rho23 is fsum(P_n x2 x3).
+        # Folding moves a factor by a few ulp of its terms' sizes m = |K| |T|;
+        # a sum of N terms stays within N ulp of the sum of their magnitudes
+        # (Higham 2002, ch. 4), for a population the population itself.
+        # Row 628: rho44 ~ 8.6e-9 in fig1d; tail weights ~1e-11 at nbar 1000.
+        params, field = cfg.params(), build_thermal(cfg.nbar, cfg.epsilon)
+        t = np.linspace(cfg.t0, cfg.t1, cfg.steps)[628:629]
+        series = SectorTable(params, field).series(t)
+        unit = SectorTable(params, ThermalField(nbar=0.0, epsilon=1.0, nmax=field.nmax,
+                                                weights=np.ones(field.nmax + 1)))
+        basis = unit.basis(params.lam * t)
+        x = (unit.coeffs @ basis)[..., 0].T
+        m = (np.abs(unit.coeffs) @ np.abs(basis))[..., 0].T
+        p, eps, sectors = field.weights, np.finfo(float).eps, field.nmax + 1
+        for j, got in enumerate((series.rho11, series.rho22, series.rho33, series.rho44)):
+            want, folding = math.fsum(p * x[j] ** 2), math.fsum(p * m[j] * np.abs(x[j]))
+            assert abs(got[0] - want) <= eps * (sectors * want + 8 * folding)
+        want, size = math.fsum(p * x[1] * x[2]), math.fsum(p * np.abs(x[1] * x[2]))
+        folding = math.fsum(p * (m[1] * np.abs(x[2]) + np.abs(x[1]) * m[2]))
+        assert abs(series.rho23[0].imag - want) <= eps * (sectors * size + 4 * folding)
 
     def test_long_window(self):
         # fig1c ends at lam t = 400; there the last digits are set by the
