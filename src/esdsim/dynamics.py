@@ -26,10 +26,10 @@ builds the table from about 2 sqrt(_BLOCK) libm points per sector and
 frequency, every other entry the product of a base and an offset; past that
 table the grid needs trig only at the blocks' bases, and K R(tau_b) is
 computed for a chunk of bases at a time, in one product. Any other times
-are at base 0, where R = I. Root refinement also needs the slope: T'(tau) = D T(tau), so
-K' = K D maps the same T(tau) to the factors' tau-derivatives, sqrt(P_n) K'
-sits under sqrt(P_n) K in the same array, and d/dt = lam d/dtau; its times
-go through the same block loop, at base 0.
+are at base 0, where R = I. Root refinement reads Lambda, f and f' from
+SectorTable.crossing, which forms no state: T'(tau) = D T(tau), so K' = K D
+maps the same T(tau) to the factors' tau-derivatives, sqrt(P_n) K' sits
+under sqrt(P_n) K in one array, and d/dt = lam d/dtau; all at base 0.
 """
 
 from __future__ import annotations
@@ -108,6 +108,13 @@ class StateSeries:
         return self.rho11.size
 
 
+def separability(rho11, rho44, rho23) -> np.ndarray:
+    """Lambda = 2|rho23| - 2 sqrt(rho11 rho44), rho23 complex or c where rho23 = i c;
+    the concurrence is max(0, Lambda). Lambda is kept unclamped: its negativity
+    measures how deep into the separable set the state sits."""
+    return 2.0 * np.abs(rho23) - 2.0 * np.sqrt(rho11 * rho44)
+
+
 def sector_frequencies(k, n) -> SectorFrequencies:
     """Amplitudes and frequencies of sector n (int or array) at k = g/lam, in units of lam."""
     if np.any(np.asarray(n) < 0):
@@ -166,7 +173,7 @@ class SectorTable:
     the amplitudes (i x1, x2, -i x3, x4) reached from |e1, g2, n>, and
     coeffs[n] = sqrt(P_n) K holds the field's weight P_n folded in, so the
     folded factors give every entry as a plain sum over sectors of squares
-    or products. Times t are evaluated at tau = lam t.
+    or products, at tau = lam t: series sums the state, crossing Lambda, f, f'.
     """
 
     def __init__(self, params: ModelParams, field: ThermalField):
@@ -181,7 +188,7 @@ class SectorTable:
         # w^2 and b^2 they lose digits like k sqrt(n) ulp
         plus = 0.5 * (1.0 - k2 + beta)
         minus = 0.5 * k2 * ((2.0 + k2 + 4.0 * n) / (beta + 1.0) + 1.0)
-        # sqrt(P_n) [K; K'] in one array, so series_and_slope needs one product
+        # sqrt(P_n) [K; K'] in one array, so crossing needs one product
         # and no copy
         self._coeffs_and_slopes = np.zeros((n.size, 8, 4))
         k = self.coeffs = self._coeffs_and_slopes[:, :4]
@@ -277,26 +284,27 @@ class SectorTable:
             del x   # before the next block's are formed
         return StateSeries(*pops, rho23)
 
-    def series_and_slope(self, times) -> tuple[StateSeries, np.ndarray]:
-        """The series at any times, with the slope f'(t) of f = |rho23|^2 - rho11 rho44,
-        which has the sign of Lambda. One product sqrt(P_n) [K; K'] T(tau) per block
-        of times gives the folded factors x and their tau-derivatives x', and
-        each slope sum is one pass: c' = sum (x2' x3 + x2 x3') with rho23 = i c,
+    def crossing(self, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Lambda, f, f'(t)) at any times, where f = |rho23|^2 - rho11 rho44 has
+        Lambda's sign; no state is formed. One product sqrt(P_n) [K; K'] T(tau) per
+        block of times gives the folded factors x and their tau-derivatives x',
+        and each slope sum is one pass: c' = sum (x2' x3 + x2 x3') with rho23 = i c,
         and rho_jj' = 2 sum x_j x_j' for j = 1, 4. A block is _BLOCK times, all
         at base 0: a 2-point refinement step is always a linspace, rounded
         otherwise there."""
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        pops, rho23 = np.empty((4, times.size)), np.zeros(times.size, dtype=complex)
+        rho11, _, _, rho44 = pops = np.empty((4, times.size))
+        c = np.empty(times.size)
         dc, d11, d44 = d = np.empty((3, times.size))
         for block, xs in self._factors(self.lam * times, self._coeffs_and_slopes):
             x, dx = xs[:, :4], xs[:, 4:]
-            self._sums(x, pops[:, block], rho23.imag[block])
+            self._sums(x, pops[:, block], c[block])
             # (x2' x3 + x3' x2) and (x1 x1', x4 x4') as pairs of rows
             np.einsum("njt,njt->t", dx[:, 1:3], x[:, 2:0:-1], out=dc[block])
             np.einsum("njt,njt->jt", x[:, ::3], dx[:, ::3], out=d[1:, block])
             del xs, x, dx   # as in series
-        s = StateSeries(*pops, rho23)
-        return s, 2.0 * self.lam * (s.rho23.imag * dc - d11 * s.rho44 - s.rho11 * d44)
+        f, slope = c * c - rho11 * rho44, 2.0 * self.lam * (c * dc - d11 * rho44 - rho11 * d44)
+        return separability(rho11, rho44, c), f, slope
 
 
 def two_qubit_states(

@@ -3,9 +3,10 @@
 An interval is reported wherever the separability function Lambda(t) is
 strictly negative; its endpoints are sign crossings refined by safeguarded
 Newton on f(t) = |rho23|^2 - rho11 rho44, a smooth trig sum with the sign
-of Lambda and an exact slope, falling back to bisection (rtsafe, Press et
-al., Numerical Recipes 9.4). Tangential touches of zero (as in the
-isolated-pair case, where the concurrence is |sin 2 lam t|) are not deaths.
+of Lambda and an exact slope read with Lambda from SectorTable.crossing,
+falling back to bisection (rtsafe, Press et al., Numerical Recipes 9.4).
+Tangential touches of zero (as in the isolated-pair case, where the
+concurrence is |sin 2 lam t|) are not deaths.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import SectorTable
-from .observables import separability
 
 _CROSSING_TOL = 1e-9
 _MAX_BISECT = 60
@@ -42,15 +42,15 @@ class EsdInterval:
 def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative, t_start):
     """Refine every bracketed sign change of Lambda together.
 
-    Each step evaluates one point per bracket still open, all in one table
-    call that also gives f'. The first point is t_start, strictly inside;
-    the sign of Lambda there shrinks the bracket, and the next point is the
-    Newton point t - f/f' when it lies strictly inside the new bracket, else
-    its midpoint. A bracket closes at the first point with |Lambda| <= tol
-    and returns that point's Newton point if it lies inside the bracket,
-    else the point itself. Those still open after _MAX_BISECT steps return
-    their next point and are flagged as not converged. lo_negative is the
-    sign of Lambda at each bracket's lower end.
+    Each step evaluates one point per bracket still open, all in one
+    table.crossing call for Lambda, f and f'. The first point is t_start,
+    strictly inside; the sign of Lambda there shrinks the bracket, and the
+    next point is the Newton point t - f/f' when it lies strictly inside
+    the new bracket, else its midpoint. A bracket closes at the first point
+    with |Lambda| <= tol and returns that point's Newton point if it lies
+    inside the bracket, else the point itself. Those still open after
+    _MAX_BISECT steps return their next point and are flagged as not
+    converged. lo_negative is the sign of Lambda at each bracket's lower end.
     Returns (crossing times, converged flags).
     """
     roots = np.empty_like(t_lo)
@@ -60,12 +60,11 @@ def _refine_crossings(table: SectorTable, t_lo, t_hi, lo_negative, t_start):
     for _ in range(_MAX_BISECT):
         if not active.size:
             break
-        series, slope = table.series_and_slope(t)
-        lam = separability(series)
+        lam, f, slope = table.crossing(t)
         move_lo = (lam < 0) == lo_neg
         lo, hi = np.where(move_lo, t, lo), np.where(move_lo, hi, t)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = t - (np.abs(series.rho23) ** 2 - series.rho11 * series.rho44) / slope
+            newton = t - f / slope
         inside = (lo < newton) & (newton < hi)
         hit = np.abs(lam) <= _CROSSING_TOL
         roots[active[hit]] = np.where(inside, newton, t)[hit]

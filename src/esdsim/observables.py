@@ -1,19 +1,11 @@
-"""Entanglement, coherence, inversion and purity quantifiers."""
+"""Entanglement, coherence, inversion and purity quantifiers; Lambda is
+dynamics.separability, the one definition that root refinement reads too."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import StateSeries
-
-
-def separability(series: StateSeries) -> np.ndarray:
-    """Lambda = 2|rho23| - 2 sqrt(rho11 rho44); the concurrence is max(0, Lambda).
-
-    Lambda is kept unclamped: its negativity measures how deep into the
-    separable set the state sits.
-    """
-    return 2.0 * np.abs(series.rho23) - 2.0 * np.sqrt(series.rho11 * series.rho44)
+from .dynamics import StateSeries, separability
 
 
 def observable_columns(series: StateSeries) -> dict[str, np.ndarray]:
@@ -24,7 +16,7 @@ def observable_columns(series: StateSeries) -> dict[str, np.ndarray]:
     At any trace <= 1, |W| <= 1 and the deficit is >= 0, so the clips only
     remove rounding; the deficit may exceed 1/2 by the truncation deficit.
     """
-    lam_fn = separability(series)
+    lam_fn = separability(series.rho11, series.rho44, series.rho23)
     rho_ee = series.rho11 + series.rho22
     rho_gg = series.rho33 + series.rho44
     return {

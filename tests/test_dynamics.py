@@ -16,9 +16,8 @@ from esdsim import (
     two_qubit_states,
 )
 from esdsim.cli import RunConfig, preset_config
-from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable, linspace_trig
+from esdsim.dynamics import _BLOCK, _CHUNK, SectorTable, linspace_trig, separability
 from esdsim.model import ThermalField
-from esdsim.observables import separability
 
 
 def sector_hamiltonian(params, n):
@@ -81,7 +80,8 @@ def preset_lambda(name, rows):
     cfg = preset_config(name)
     params, field = cfg.params(), build_thermal(cfg.nbar, cfg.epsilon)
     times = np.linspace(cfg.t0, cfg.t1, cfg.steps)
-    got = separability(two_qubit_states(params, field, times))[rows]
+    s = two_qubit_states(params, field, times)
+    got = separability(s.rho11, s.rho44, s.rho23)[rows]
     return got, [float(lambda_mp(params, field, t)) for t in times[rows]]
 
 
@@ -312,8 +312,7 @@ class TestTwoQubitState:
         f = build_thermal(nbar)
         table = SectorTable(ModelParams(lam=10.0, k=k), f)
         times = np.array([0.013, 0.37, 1.9, 7.5, 40.0])  # lam t up to 400
-        for s in (table.series(times), table.series_and_slope(times)[0],
-                  table.series(np.linspace(0.0, 40.0, 4001))):
+        for s in (table.series(times), table.series(np.linspace(0.0, 40.0, 4001))):
             trace = s.rho11 + s.rho22 + s.rho33 + s.rho44
             assert np.abs(trace - f.weights.sum()).max() <= 1e-14
 
@@ -361,7 +360,7 @@ class TestTwoQubitState:
         monkeypatch.setattr(np, "sin", refuse)
         assert np.array_equal(dense(table.series(np.linspace(0.0, 2.0, _BLOCK + 5))), want)
         table.series(np.array([0.3, 1.1, 0.05]))
-        table.series_and_slope(np.array([0.3, 1.1]))
+        table.crossing(np.array([0.3, 1.1]))
         assert table.basis(np.array(0.7)).shape == (table.coeffs.shape[0], 4)
         for count in (1, 2, 17):
             cos, sin = linspace_trig(np.ones(3), 0.5, 0.1, count)
@@ -460,8 +459,13 @@ class TestAccuracy:
     """The grid series against 40-digit evaluations of the same sums."""
 
     def test_small_population_keeps_relative_accuracy(self):
-        # fig1d at t ~ 0.6283: rho44 ~ 8.6e-9 sits under a sqrt in Lambda, so
-        # an absolute error of eps * (coefficient size) in it would show here
+        # fig1d at t ~ 0.6283, where rho44 ~ 8.6e-9: this holds Lambda, not
+        # rho44, to its 40-digit value. rho44 itself is ~5e-13 off in
+        # relative terms here, as its factor x4 = (b / beta)(cos w+ tau -
+        # cos w- tau) cancels ~1e4-fold; a relative error d in rho44 moves
+        # Lambda by sqrt(rho11 rho44) d ~ 3e-5 d, far under the bound. The
+        # populations are checked against fsum of the same factors in
+        # test_folded_sums_are_the_weighted_sector_sums
         (got,), (want,) = preset_lambda("fig1d", [628])
         assert abs(got - want) <= 2e-15
 
@@ -507,10 +511,14 @@ class TestSlope:
         p, f = ModelParams(lam=10.0, k=k), build_thermal(nbar)
         table = SectorTable(p, f)
         times = np.array([0.013, 0.37, 1.9])
-        series, slope = table.series_and_slope(times)
+        lam, f_t, slope = table.crossing(times)
         want = np.array([float(slope_mp(p, f, t)) for t in times])
         assert np.abs(slope - want).max() <= 1e-12
-        assert np.abs(dense(series) - dense(table.series(times))).max() <= 1e-15
+        # series evaluates these times at base 0 too, from the same sums:
+        # Lambda is the one separability, and f its squared form, bit for bit
+        s = table.series(times)
+        assert np.array_equal(lam, separability(s.rho11, s.rho44, s.rho23))
+        assert np.array_equal(f_t, np.abs(s.rho23) ** 2 - s.rho11 * s.rho44)
 
     def test_working_memory_is_one_block_of_times(self):
         # [K; K'] T(tau) is formed per block of _BLOCK times, so refining many
@@ -521,7 +529,7 @@ class TestSlope:
         def traced_peak(count):
             tracemalloc.start()
             try:
-                table.series_and_slope(np.linspace(0.0, 40.0, count))
+                table.crossing(np.linspace(0.0, 40.0, count))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

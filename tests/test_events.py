@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import scan
+from test_dynamics import entries_mp
 
 from esdsim import (
     ModelParams,
@@ -11,14 +12,14 @@ from esdsim import (
 )
 from esdsim import events
 from esdsim.cli import preset_config
-from esdsim.dynamics import SectorTable
+from esdsim.dynamics import SectorTable, StateSeries, separability
 from esdsim.events import EsdInterval
-from esdsim.observables import separability
 
 
 def lambda_at(params, field, t):
     """Lambda at one time, from a one-point series."""
-    return separability(two_qubit_states(params, field, [t]))[0]
+    s = two_qubit_states(params, field, [t])
+    return separability(s.rho11, s.rho44, s.rho23)[0]
 
 
 def reference_scan(params, field, t0, t1, n_grid):
@@ -38,7 +39,8 @@ def reference_scan(params, field, t0, t1, n_grid):
         return 0.5 * (t_lo + t_hi)
 
     times = np.linspace(t0, t1, n_grid)
-    lam = separability(two_qubit_states(params, field, times)).tolist()
+    s = two_qubit_states(params, field, times)
+    lam = separability(s.rho11, s.rho44, s.rho23).tolist()
     intervals, i = [], 0
     while i < n_grid:
         if lam[i] >= 0:
@@ -135,11 +137,11 @@ class TestScanEsd:
 
     def test_newton_evaluations_per_endpoint(self, monkeypatch):
         brackets, evals = [], []
-        refine, evaluate = events._refine_crossings, SectorTable.series_and_slope
+        refine, evaluate = events._refine_crossings, SectorTable.crossing
         monkeypatch.setattr(events, "_refine_crossings",
                             lambda table, t_lo, *a: brackets.append(t_lo.size)
                             or refine(table, t_lo, *a))
-        monkeypatch.setattr(SectorTable, "series_and_slope",
+        monkeypatch.setattr(SectorTable, "crossing",
                             lambda self, t: evals.append(np.size(t)) or evaluate(self, t))
         cfg = preset_config("fig2f")
         intervals = scan(cfg.params(), build_thermal(cfg.nbar, cfg.epsilon),
@@ -153,8 +155,46 @@ class TestScanEsd:
     def test_isolated_pair_makes_no_refinement_call(self, monkeypatch):
         def fail(self, t):
             raise AssertionError("refinement evaluated")
-        monkeypatch.setattr(SectorTable, "series_and_slope", fail)
+        monkeypatch.setattr(SectorTable, "crossing", fail)
         assert scan(ModelParams(lam=10.0, k=0.0), build_thermal(1.0), 0.0, 2.0, 4000) == []
+
+    def test_refinement_forms_no_state(self, monkeypatch):
+        # refinement reads Lambda, f and f' from SectorTable.crossing: once
+        # the grid is evaluated, esd_intervals builds no StateSeries
+        cfg = preset_config("fig2f")
+        table = SectorTable(cfg.params(), build_thermal(cfg.nbar, cfg.epsilon))
+        times = np.linspace(cfg.t0, cfg.t1, cfg.steps)
+        s = table.series(times)
+        lam = separability(s.rho11, s.rho44, s.rho23)
+        built, init = [], StateSeries.__post_init__
+        monkeypatch.setattr(StateSeries, "__post_init__",
+                            lambda self: built.append(1) or init(self))
+        assert len(events.esd_intervals(table, times, lam)) == 79
+        assert not built
+
+    @pytest.mark.parametrize("name,count", [("fig1a", 10), ("fig1c", 10), ("fig2f", 4)])
+    def test_endpoints_bracket_a_30_digit_root(self, name, count):
+        # f = |rho23|^2 - rho11 rho44 from entries_mp, the closed-form sector
+        # sums at 30 digits, changes sign across [t* - delta, t* + delta] for
+        # delta = 1e-12 / lam: the truncated model has a root within 1e-12 in
+        # lam t of each checked interior endpoint t*
+        mp = pytest.importorskip("mpmath")
+        cfg = preset_config(name)
+        params, field = cfg.params(), build_thermal(cfg.nbar, cfg.epsilon)
+        ends = [t for iv in scan(params, field, cfg.t0, cfg.t1, cfg.steps)
+                for t, edge in ((iv.t_death, iv.open_left), (iv.t_birth, iv.open_right))
+                if not edge]
+        assert len(ends) >= count
+        picked = [ends[i] for i in np.linspace(0, len(ends) - 1, count).round().astype(int)]
+
+        def f(t):
+            rho11, _, _, rho44, c = entries_mp(mp, params, field, t)
+            return c**2 - rho11 * rho44
+
+        with mp.workdps(30):
+            delta = mp.mpf(1e-12) / params.lam
+            for t in map(mp.mpf, picked):
+                assert f(t - delta) * f(t + delta) < 0, (name, float(t))
 
     def test_width_floor_is_in_lam_t(self):
         # the intervals are ~0.3 to 1.5 wide in lam t; at lam = 1e9 a floor

@@ -35,7 +35,8 @@ class TestConcurrence:
     def test_isolated_pair_lambda(self):
         p = ModelParams(lam=10.0, k=0.0)
         times = np.linspace(0, 1, 37)
-        lam_fn = separability(two_qubit_states(p, build_thermal(0.0), times))
+        s = two_qubit_states(p, build_thermal(0.0), times)
+        lam_fn = separability(s.rho11, s.rho44, s.rho23)
         assert np.abs(lam_fn - np.abs(np.sin(2 * p.lam * times))).max() <= 1e-12
 
     def test_strong_coupling_sustained_negativity(self):
@@ -43,7 +44,8 @@ class TestConcurrence:
         p = ModelParams(lam=10.0, k=0.5)
         f = build_thermal(10.0)
         times = np.linspace(20.0, 22.0, 400)
-        lam_fn = separability(two_qubit_states(p, f, times))
+        s = two_qubit_states(p, f, times)
+        lam_fn = separability(s.rho11, s.rho44, s.rho23)
         assert (lam_fn < 0).mean() > 0.5
 
 
